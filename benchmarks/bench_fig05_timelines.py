@@ -91,12 +91,12 @@ def test_fig05_row_timeline(benchmark):
         f"({read_b.service_class.value}), read C latency "
         f"{read_c.latency / 10:.0f} ns ({read_c.service_class.value})",
         f"  RoW reads served in parallel with writes: "
-        f"{controller.stats.row_reads}",
+        f"{controller.telemetry.metrics.value('row.reads')}",
         f"  engine events dispatched: {controller.engine.events_dispatched}",
     ]
     write_report("fig05_row_timeline", "\n".join(lines))
 
-    assert controller.stats.row_reads >= 2
+    assert controller.telemetry.metrics.value('row.reads') >= 2
     assert read_b.service_class is ServiceClass.ROW_OVERLAP
     # The overlapped reads complete far faster than behind the baseline
     # drain (Figure 5(b) vs 5(a)).
@@ -115,15 +115,15 @@ def test_fig05_wow_timeline(benchmark):
     for label, (start, end) in spans.items():
         lines.append(f"  write {label}: service [{start / 10:.0f}, {end / 10:.0f}] ns")
     lines.append(
-        f"  groups formed: {controller.stats.wow_groups}, "
-        f"members: {controller.stats.wow_member_writes}"
+        f"  groups formed: {controller.telemetry.metrics.value('wow.groups')}, "
+        f"members: {controller.telemetry.metrics.value('wow.member_writes')}"
     )
     lines.append(
         f"  engine events dispatched: {controller.engine.events_dispatched}"
     )
     write_report("fig05_wow_timeline", "\n".join(lines))
 
-    assert controller.stats.wow_groups >= 1
+    assert controller.telemetry.metrics.value('wow.groups') >= 1
     # Consolidation starts all three data phases together (Figure 5(d));
     # the ECC/PCC updates then serialise on the fixed code chips, which
     # is exactly the NR limitation the paper calls out.

@@ -2,8 +2,8 @@
 """Reproduce the paper's Figure 5: RoW and WoW scheduling timelines.
 
 Two micro-scenarios are driven through a single PCMap channel controller
-with chip-occupancy logging enabled, then rendered as ASCII chip-by-time
-grids comparable with Figure 5:
+with tracing on, and its chip reservations are rendered as ASCII
+chip-by-time grids comparable with Figure 5:
 
 * **RoW** — a write with one essential word (cache line A) overlapped
   with two reads (lines B and C), whose missing words are reconstructed
@@ -14,11 +14,12 @@ grids comparable with Figure 5:
 Run:  python examples/row_wow_timeline.py
 """
 
-from repro.analysis.timeline import render_occupancy
+from repro.analysis.timeline import occupancy_from_trace, render_occupancy
 from repro.core.systems import make_system
 from repro.memory.memsys import make_controller
 from repro.memory.request import make_read, make_write
 from repro.sim.engine import Engine, ticks_to_ns
+from repro.telemetry import Telemetry
 
 
 def render_timeline(events, n_chips, title, tick_step=250):
@@ -30,9 +31,8 @@ def row_scenario():
     """Figure 5(b): one-word write of A overlapped with reads of B and C."""
     engine = Engine()
     config = make_system("row-nr")
-    controller = make_controller(engine, config, channel_id=0)
-    rank = controller.ranks[0]
-    log = rank.enable_logging()
+    telemetry = Telemetry.recording()
+    controller = make_controller(engine, config, channel_id=0, telemetry=telemetry)
 
     stride = 64 * config.geometry.n_channels  # stay on channel 0
     # Pre-fill the write queue over the drain watermark so the controller
@@ -46,6 +46,7 @@ def row_scenario():
     controller.submit(read_b)
     controller.submit(read_c)
     engine.run(max_events=100_000)
+    log = occupancy_from_trace(telemetry.tracer.events(), rank=0)
 
     print(render_timeline(
         [e for e in log if e.end <= max(read_b.completion, read_c.completion) + 2000],
@@ -57,16 +58,15 @@ def row_scenario():
           f"latency {ticks_to_ns(read_b.latency):.0f} ns")
     print(f"read C service class: {read_c.service_class.value}, "
           f"latency {ticks_to_ns(read_c.latency):.0f} ns")
-    print(f"RoW reads served: {controller.stats.row_reads}")
+    print(f"RoW reads served: {telemetry.metrics.value('row.reads')}")
 
 
 def wow_scenario():
     """Figure 5(d): three chip-disjoint writes consolidated by WoW."""
     engine = Engine()
     config = make_system("wow-nr")
-    controller = make_controller(engine, config, channel_id=0)
-    rank = controller.ranks[0]
-    log = rank.enable_logging()
+    telemetry = Telemetry.recording()
+    controller = make_controller(engine, config, channel_id=0, telemetry=telemetry)
 
     stride = 64 * config.geometry.n_channels
     # The Figure 5 example: A dirties words 2 and 5, B words 3 and 6,
@@ -87,7 +87,7 @@ def wow_scenario():
     engine.run(max_events=200_000)
 
     window_events = [
-        e for e in log
+        e for e in occupancy_from_trace(telemetry.tracer.events(), rank=0)
         if min(w.start_service for w in writes.values()) - 1000
         <= e.start <= max(w.completion for w in writes.values())
     ]
@@ -101,8 +101,8 @@ def wow_scenario():
         print(f"write {label}: class={write.service_class.value}, "
               f"service [{ticks_to_ns(write.start_service):.0f}, "
               f"{ticks_to_ns(write.completion):.0f}] ns")
-    print(f"WoW groups formed: {controller.stats.wow_groups}, "
-          f"member writes: {controller.stats.wow_member_writes}")
+    print(f"WoW groups formed: {telemetry.metrics.value('wow.groups')}, "
+          f"member writes: {telemetry.metrics.value('wow.member_writes')}")
 
 
 if __name__ == "__main__":

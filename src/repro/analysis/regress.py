@@ -32,6 +32,9 @@ from repro.telemetry.timeseries import DEFAULT_CADENCE_TICKS
 FINGERPRINT_SEED = 7
 FULL_TARGET_REQUESTS = 3000
 SMOKE_TARGET_REQUESTS = 600
+#: DRAM-tier size of the front-end legs: 16 KiB evicts, so its write-backs
+#: reach PCM (a tier that never evicts pins PCM writes, RoW and WoW at 0).
+FRONTEND_CAPACITY_MB = 1 / 64
 
 #: Metrics lifted from the registry dump into the fingerprint.  Integer
 #: counters/gauges compare exactly; float entries by relative band.
@@ -149,21 +152,23 @@ def collect_frontend_fingerprint(
     """Fingerprint of the reference run with the timed DRAM tier in front.
 
     Same system/workload/budget as :func:`collect_fingerprint` but with
-    ``front_end=dram`` (array-backed at paper defaults), so the pinned
-    metrics additionally carry the tier's hit/miss/fill/write-back
-    scoreboard.  This is the leg that holds the array tier — and the
+    ``front_end=dram`` at :data:`FRONTEND_CAPACITY_MB` (recorded in the
+    config), so the pinned metrics additionally carry the tier's
+    hit/miss/fill/write-back scoreboard and the PCM writes behind it.
+    This is the leg that holds the array tier — and the
     batched epoch classification riding the on_epoch hook —
     behaviourally frozen across revisions.
     """
     from repro.core.systems import make_front_end, make_rwow_rde
     from repro.sim.simulator import simulate
 
+    front_end = make_front_end("dram", capacity_mb=FRONTEND_CAPACITY_MB)
     result = simulate(
-        make_rwow_rde(),
-        "canneal",
-        fingerprint_params(smoke, seed, front_end=make_front_end("dram")),
+        make_rwow_rde(), "canneal", fingerprint_params(smoke, seed, front_end)
     )
-    return fingerprint_from_result(result, smoke)
+    fingerprint = fingerprint_from_result(result, smoke)
+    fingerprint["config"]["capacity_mb"] = FRONTEND_CAPACITY_MB
+    return fingerprint
 
 
 def collect_fingerprints(seed: int = FINGERPRINT_SEED) -> dict:

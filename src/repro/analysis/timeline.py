@@ -1,16 +1,14 @@
 """Chip-occupancy timeline rendering (Figure-5-style ASCII grids).
 
-Controllers log chip reservations through
-:meth:`repro.memory.rank.RankState.enable_logging`; this module turns the
-logged :class:`~repro.memory.rank.OccupancyEvent` list into a
-one-row-per-chip, one-column-per-time-slice text grid, the visual the
-paper uses to explain RoW and WoW (Figure 5).
-
-The same grid can be rendered from a *recorded trace* instead of a live
-occupancy log: :func:`occupancy_from_trace` lifts the ``chip.reserve``
-events of a :class:`repro.telemetry.TraceEvent` stream (in-memory, or
-loaded back from a JSONL file) into occupancy events, and
-:func:`render_trace_occupancy` goes straight from trace to grid.
+The tracer is the only record of chip occupancy: with tracing on, every
+rank reservation emits a ``chip.reserve`` event.
+:func:`occupancy_from_trace` lifts those events of a
+:class:`repro.telemetry.TraceEvent` stream (in-memory, or loaded back
+from a JSONL file) into :class:`OccupancyEvent` records, and
+:func:`render_occupancy` turns them into a one-row-per-chip,
+one-column-per-time-slice text grid, the visual the paper uses to
+explain RoW and WoW (Figure 5).  :func:`render_trace_occupancy` goes
+straight from trace to grid.
 """
 
 from __future__ import annotations
@@ -20,9 +18,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.memory.rank import OccupancyEvent
 from repro.sim.engine import ticks_to_ns
 from repro.telemetry import EventType, TraceEvent
+
+
+@dataclass(frozen=True)
+class OccupancyEvent:
+    """One chip reservation lifted from a trace (timelines, tests)."""
+
+    kind: str        #: "read" or "write"
+    chip: int
+    bank: int
+    start: int       #: tick the work begins (-1 when unknown)
+    end: int         #: tick the chip frees
+    label: str = ""  #: request tag supplied by the controller
+
 
 #: Mark precedence when several events cover the same cell (write work is
 #: the most interesting, idle the least).

@@ -86,7 +86,7 @@ from repro.telemetry import (
 )
 from repro.trace.synthetic import SyntheticTraceGenerator
 from repro.trace.trace_io import save_trace
-from repro.trace.workloads import ALL_WORKLOADS, get_workload
+from repro.trace.workloads import ALL_WORKLOADS, get_workload, workload_names
 
 
 def _front_end(args: argparse.Namespace):
@@ -291,10 +291,9 @@ def _sweep_resume(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     """Enqueue a workloads x systems grid as a durable campaign."""
     from repro.sim.campaign import CampaignStore, submit_pairs
-    from repro.trace.workloads import get_workload as _resolve
 
     systems = args.systems.split(",") if args.systems else list(SYSTEM_NAMES)
-    workloads = [_resolve(name).name for name in args.workloads.split(",")]
+    workloads = args.workloads.split(",")
     pairs = [(w, s) for w in workloads for s in systems]
     store = CampaignStore(args.store, policy=_lease_policy(args))
     try:
@@ -1045,9 +1044,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_unknown_names(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2, listing the valid names, on an unknown workload or system."""
+    for kind, valid in (("workload", workload_names()),
+                        ("system", SYSTEM_NAMES + COMPARATOR_SYSTEM_NAMES)):
+        for dest in (kind, kind + "s"):  # --workload, then --workloads
+            value = getattr(args, dest, None) or ""
+            given = [value] if dest == kind else value.split(",")
+            unknown = [name for name in given if name and name not in valid]
+            if unknown:
+                parser.error(f"--{dest}: unknown {kind} "
+                             f"{', '.join(map(repr, unknown))}; "
+                             f"valid: {', '.join(valid)}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _reject_unknown_names(parser, args)
     return args.func(args)
 
 

@@ -7,16 +7,16 @@ read-before-write inside the PCM chips) and PCMap adopts the third: the
 chips compare old and new data during the write's read phase and report
 completion through the DIMM status register.
 
-This module provides the comparison itself plus per-request statistics.
-In functional simulations the detector diffs real line contents from the
+This module provides the comparison itself; the controller counts dirty
+words per write in the metrics registry (``writes.dirty_words``).  In
+functional simulations the detector diffs real line contents from the
 backing store; in statistical simulations the trace generator supplies
-dirty masks directly and the detector only validates/accounts for them.
+dirty masks directly and the detector only validates them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.memory.request import MemoryRequest, WORDS_PER_LINE
 from repro.memory.storage import MemoryStorage
@@ -35,47 +35,14 @@ def diff_words(old: Tuple[int, ...], new: Tuple[int, ...]) -> int:
     return mask
 
 
-@dataclass
-class EssentialWordStats:
-    """Aggregate dirty-word statistics (drives Figure 2)."""
-
-    histogram: List[int] = field(default_factory=lambda: [0] * (WORDS_PER_LINE + 1))
-
-    def record(self, dirty_count: int) -> None:
-        self.histogram[dirty_count] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.histogram)
-
-    def fraction(self, dirty_count: int) -> float:
-        """Fraction of write-backs with exactly ``dirty_count`` dirty words."""
-        if not self.total:
-            return 0.0
-        return self.histogram[dirty_count] / self.total
-
-    def fraction_at_most(self, dirty_count: int) -> float:
-        """Fraction of write-backs with <= ``dirty_count`` dirty words."""
-        if not self.total:
-            return 0.0
-        return sum(self.histogram[: dirty_count + 1]) / self.total
-
-    @property
-    def mean_dirty_words(self) -> float:
-        if not self.total:
-            return 0.0
-        return sum(i * n for i, n in enumerate(self.histogram)) / self.total
-
-
 class EssentialWordDetector:
     """Determines (or validates) the dirty mask of each write-back."""
 
     def __init__(self, storage: Optional[MemoryStorage] = None):
         self.storage = storage
-        self.stats = EssentialWordStats()
 
     def detect(self, request: MemoryRequest) -> int:
-        """Resolve the request's dirty mask; returns it and records stats.
+        """Resolve the request's dirty mask; and return it.
 
         Functional mode (``new_words`` present and a backing store
         attached): perform the chip-level read-before-write comparison —
@@ -95,5 +62,4 @@ class EssentialWordDetector:
             comparison = diff_words(old, request.new_words)
             mask = comparison & mask if request.dirty_mask else comparison
             request.dirty_mask = mask
-        self.stats.record(request.dirty_count)
         return request.dirty_mask

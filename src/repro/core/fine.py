@@ -108,7 +108,8 @@ class FineWriteEngine:
             rank.read_ready_time(chips, decoded.bank),
         )
         end = start + c.timing.array_read_ticks
-        rank.log_label = f"Cmp-{req.req_id}"
+        if c.tracer.enabled:
+            rank.log_label = f"Cmp-{req.req_id}"
         rank.reserve_read(chips, decoded.bank, end, decoded.row, start=start)
         req.service_class = ServiceClass.SILENT
         # Zero-activity window: silent write-backs count toward IRLP.
@@ -154,9 +155,10 @@ class FineWriteEngine:
             array_start = xfer_end
             ticks = c._word_write_ticks(req, word)
             chip_end = array_start + ticks
-            rank.log_label = f"Wr-{req.req_id}"
+            if c.tracer.enabled:
+                rank.log_label = f"Wr-{req.req_id}"
             rank.reserve_chip_write(chip, bank, chip_end, row, start=array_start)
-            c.stats.record_chip_write(chip)
+            c._m_chip_word_writes[chip].inc()
             # Route through _record_activity so concurrent windows (other
             # in-flight writes) see this chip as busy too — IRLP counts
             # every chip serving *some* request during a write window.
@@ -225,7 +227,7 @@ class FineWriteEngine:
         end = xfer_end + c.timing.ecc_update_ticks
         rank.log_label = "code-update"
         rank.reserve_chip_write(chip, bank, end, row, start=xfer_end)
-        c.stats.record_chip_write(chip)
+        c._m_chip_word_writes[chip].inc()
         return end
 
     def begin_inflight(

@@ -142,9 +142,9 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         for word in req.dirty_words:
             chip = c.layout.data_chip(decoded.line_address, word)
             c._record_activity((chip,), array_start, array_start + total)
-            c.stats.record_chip_write(chip)
+            c._m_chip_word_writes[chip].inc()
         if c.geometry.has_ecc_chip:
-            c.stats.record_chip_write(c.geometry.ecc_chip_index)
+            c._m_chip_word_writes[c.geometry.ecc_chip_index].inc()
 
         req.start_service = start
         c.write_q.note_issued(req)
@@ -169,7 +169,8 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         chips = c._coarse_write_chips(decoded)
         quantum = min(self._quantum_ticks, remaining)
         end = seg_start + quantum
-        rank.log_label = f"Wr-{req.req_id}"
+        if c.tracer.enabled:
+            rank.log_label = f"Wr-{req.req_id}"
         rank.reserve_write(chips, decoded.bank, end, decoded.row, start=seg_start)
 
         def at_boundary() -> None:

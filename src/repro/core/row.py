@@ -305,10 +305,8 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                 req, decoded, plan.chips, plan.missing_word, now
             )
             if plan.missing_word is not None:
-                c.stats.row_reads += 1
                 self._m_reads.inc()
             else:
-                c.stats.row_normal_overlap_reads += 1
                 self._m_overlap.inc()
             issued += 1
         self._active_reads[rank_index] += issued
@@ -335,7 +333,8 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                 chip, BusDirection.READ, cas_ready
             )
             end = max(end, xfer_end)
-        rank.log_label = f"Rd-{req.req_id}"
+        if c.tracer.enabled:
+            rank.log_label = f"Rd-{req.req_id}"
         rank.reserve_read(chips, bank, end, row, start=start)
 
         req.start_service = start
@@ -422,7 +421,8 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                 chips, decoded.bank, decoded.row
             )
             end = start + activation + c.timing.read_io_ticks
-            rank.log_label = f"Vfy-{req.req_id}"
+            if c.tracer.enabled:
+                rank.log_label = f"Vfy-{req.req_id}"
             rank.reserve_read(chips, decoded.bank, end, decoded.row, start=start)
             c.engine.call_at(
                 end, self._finish_verify, req, decoded, missing_word
@@ -441,7 +441,6 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         assert c is not None and self.chain is not None
         now = c.engine.now
         req.verify_completion = now
-        c.stats.verify_count += 1
         self._m_verifications.inc()
 
         corrupted = False
@@ -460,7 +459,6 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         rollback = corrupted or consumed_early
         if rollback:
             req.rolled_back = True
-            c.stats.rollbacks += 1
             self._m_rollbacks.inc()
             if corrupted:
                 # Real data corruption caught by the deferred verify, as

@@ -161,8 +161,6 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
             )
             group_service_end = max(group_service_end, service_end)
         if grouped:
-            c.stats.wow_groups += 1
-            c.stats.wow_member_writes += len(members)
             self._m_groups.inc()
             self._m_members.inc(len(members))
             if c.tracer.enabled:

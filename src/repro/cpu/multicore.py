@@ -74,9 +74,7 @@ class Multicore:
         self.profile = profile
         self.params = params or CoreParams()
         self.cores: List[TraceCore] = []
-        #: Cores that called back via on_finish; the simulator polls
-        #: ``all_done`` once per dispatched event, so it must be an
-        #: integer compare rather than an 8-property sweep.
+        #: Cores that called back via on_finish.
         self._finished = 0
         capacity_lines = (
             memory.config.geometry.capacity_bytes // 64
@@ -127,9 +125,7 @@ class Multicore:
         if self._finished >= len(self.cores):
             # Stop the engine's batched drain right after this callback —
             # exactly where a per-event ``all_done`` poll would have
-            # stopped, so events_dispatched is unchanged.  The sampled
-            # loop still polls ``all_done`` itself; the latch is simply
-            # never consumed there.
+            # stopped, so events_dispatched is unchanged.
             self.engine.request_stop()
 
     @property

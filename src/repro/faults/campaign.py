@@ -134,8 +134,7 @@ def build_campaign(
 def _drain(sim: SystemSimulator) -> None:
     """Run the engine dry: cores are done but tail write-backs and
     deferred verifies may still be in flight."""
-    while sim.engine.step():
-        pass
+    sim.engine.run_until_stop()
 
 
 def run_campaign(spec: FaultCampaignSpec) -> dict:

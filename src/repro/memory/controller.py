@@ -44,7 +44,7 @@ from repro.memory.request import (
 from repro.memory.storage import MemoryStorage
 from repro.memory.timing import WriteLatencyMode
 from repro.sim.engine import Engine, ticks_to_ns
-from repro.sim.metrics import IrlpRecorder, MemoryStats, WriteWindow
+from repro.sim.metrics import IrlpRecorder, WriteWindow
 from repro.telemetry import EventType, Telemetry, TraceEvent
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
@@ -102,7 +102,6 @@ class MemoryController:
         self.bus = ChannelBus(config.timing, config.geometry.chips_per_rank)
         self.storage = storage
         self.detector = EssentialWordDetector(storage)
-        self.stats = MemoryStats()
         self.irlp = IrlpRecorder()
         self.rng = random.Random(seed * 7919 + channel_id)
 
@@ -119,9 +118,11 @@ class MemoryController:
         #: the completion path pays one attribute check.
         self.read_completion_hook: Optional[Callable[[MemoryRequest], None]] = None
 
-        # Always-on metrics: instruments are fetched once here so the hot
-        # path pays attribute access + integer ops only.  The registry is
-        # shared across channels, so these counters aggregate globally.
+        # Always-on metrics, the only record of what the channel did
+        # (MemoryStats.from_registry reads them back at collect time).
+        # Instruments are fetched once here so the hot path pays
+        # attribute access + integer ops only.  The registry is shared
+        # across channels, so these counters aggregate globally.
         metrics = self.telemetry.metrics
         self.read_q.attach_metrics(metrics, f"ch{channel_id}.queue.read")
         self.write_q.attach_metrics(metrics, f"ch{channel_id}.queue.write")
@@ -137,6 +138,19 @@ class MemoryController:
             buckets=(50, 100, 150, 200, 300, 500, 750, 1000, 1500,
                      2000, 4000, 8000, 16000),
         )
+        # Exact tick sum: the histogram's float ns sum need not round back.
+        self._m_read_latency_ticks = metrics.counter("read.latency_ticks")
+        self._m_row_hits = metrics.counter("row_buffer.hits")
+        self._m_row_misses = metrics.counter("row_buffer.misses")
+        #: Dirty words per accepted write; silent writes are bucket 0.
+        self._m_dirty_words = metrics.histogram(
+            "writes.dirty_words", buckets=tuple(range(WORDS_PER_LINE + 1))
+        )
+        #: PCM word writes per physical chip (wear balance), by chip index.
+        self._m_chip_word_writes = [
+            metrics.counter(f"chip{chip}.word_writes")
+            for chip in range(config.geometry.chips_per_rank)
+        ]
 
         #: Ordered scheduling-policy stack driving the write-issue path.
         #: Built last so policies bind against a fully constructed
@@ -206,7 +220,7 @@ class MemoryController:
                 request.chips = self.layout.all_data_chips(
                     decoded.line_address
                 )
-            self.stats.record_write(request.dirty_count)
+            self._m_dirty_words.observe(request.dirty_count)
             self.write_q.push(request)
         self._kick()
         if request.is_read and request.completion < 0:
@@ -270,7 +284,6 @@ class MemoryController:
     def _update_drain(self) -> None:
         if not self.drain and self.write_q.above_high_watermark:
             self.drain = True
-            self.stats.drain_entries += 1
             self._m_drain_entries.inc()
             if self.tracer.enabled:
                 self.tracer.emit(TraceEvent(
@@ -334,7 +347,6 @@ class MemoryController:
                     if (write.dirty_mask >> w) & 1:
                         words[w] = write.new_words[w]
             req.data_words = tuple(words)
-        self.stats.forwarded_reads += 1
         self._m_reads_forwarded.inc()
         if self.tracer.enabled:
             self.tracer.emit(TraceEvent(
@@ -409,12 +421,13 @@ class MemoryController:
         start = max(now, rank.read_ready_time(chips, decoded.bank))
         activation = rank.activation_ticks(chips, decoded.bank, decoded.row)
         if activation == 0:
-            self.stats.row_buffer_hits += 1
+            self._m_row_hits.inc()
         else:
-            self.stats.row_buffer_misses += 1
+            self._m_row_misses.inc()
         cas_ready = start + activation + self.timing.cycles(self.timing.tCL)
         _bus_start, bus_end = self.bus.reserve(BusDirection.READ, cas_ready)
-        rank.log_label = f"Rd-{req.req_id}"
+        if self.tracer.enabled:
+            rank.log_label = f"Rd-{req.req_id}"
         rank.reserve_read(chips, decoded.bank, bus_end, decoded.row, start=start)
 
         req.start_service = start
@@ -446,11 +459,12 @@ class MemoryController:
 
     def _complete_read(self, req: MemoryRequest) -> None:
         req.complete(self.engine.now)
-        self.stats.record_read(req.effective_latency, req.delayed_by_write)
+        latency = req.effective_latency
         self._m_reads_completed.inc()
         if req.delayed_by_write:
             self._m_reads_delayed.inc()
-        self._m_read_latency.observe(ticks_to_ns(req.effective_latency))
+        self._m_read_latency.observe(ticks_to_ns(latency))
+        self._m_read_latency_ticks.inc(latency)
         if self.tracer.enabled:
             self.tracer.emit(TraceEvent(
                 EventType.REQUEST_COMPLETE,
@@ -459,7 +473,7 @@ class MemoryController:
                 req_id=req.req_id,
                 kind="read",
                 reason=req.service_class.value,
-                extra={"latency_ns": ticks_to_ns(req.effective_latency)},
+                extra={"latency_ns": ticks_to_ns(latency)},
             ))
         if self.read_completion_hook is not None:
             self.read_completion_hook(req)
@@ -529,10 +543,11 @@ class MemoryController:
             for word, ticks in zip(req.dirty_words, word_ticks):
                 chip = self.layout.data_chip(decoded.line_address, word)
                 self._record_activity((chip,), array_start, array_start + ticks)
-                self.stats.record_chip_write(chip)
+                self._m_chip_word_writes[chip].inc()
             if self.geometry.has_ecc_chip:
-                self.stats.record_chip_write(self.geometry.ecc_chip_index)
-        rank.log_label = f"Wr-{req.req_id}"
+                self._m_chip_word_writes[self.geometry.ecc_chip_index].inc()
+        if self.tracer.enabled:
+            rank.log_label = f"Wr-{req.req_id}"
         rank.reserve_write(chips, decoded.bank, end, decoded.row, start=array_start)
         self._finish_write(req, start, end, decoded)
 

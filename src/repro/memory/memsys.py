@@ -1,8 +1,8 @@
 """Main-memory facade: four channels, one controller each (Table I).
 
-Routes requests to the owning channel controller by address, shares one
-functional backing store across channels (line contents are global), and
-aggregates per-channel statistics for the metrics layer.
+Routes requests to the owning channel controller by address and shares
+one functional backing store (line contents are global) and one metrics
+registry, the run's only record of memory-wide counts, across channels.
 """
 
 from __future__ import annotations
@@ -109,11 +109,8 @@ class MainMemory:
         return all(controller.idle for controller in self.controllers)
 
     def aggregate_stats(self) -> MemoryStats:
-        """Merged counters across all channels."""
-        total = MemoryStats()
-        for controller in self.controllers:
-            total.merge(controller.stats)
-        return total
+        """Memory-wide counters, read from the shared metrics registry."""
+        return MemoryStats.from_registry(self.telemetry.metrics)
 
     def irlp_average(self) -> float:
         """Mean IRLP over all write windows of all channels."""

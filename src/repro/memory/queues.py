@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.memory.request import MemoryRequest
+from repro.telemetry.registry import Counter, Gauge
 
 
 class RequestQueue:
@@ -28,16 +29,13 @@ class RequestQueue:
         self.name = name
         self._entries: List[MemoryRequest] = []
         self._space_waiters: List[Callable[[], None]] = []
-        #: Peak occupancy seen (for reporting).
-        self.high_water = 0
         #: Bumped on every push/remove; scheduler scan memos sum this
         #: with the rank versions to detect "nothing changed" rescans.
         self.version = 0
-        # Optional telemetry instruments (attach_metrics); one is-None
-        # check per push/remove when unattached.
-        self._depth_gauge = None
-        self._push_counter = None
-        self._reject_counter = None
+        # Private instruments until attach_metrics swaps in registry ones.
+        self._depth_gauge = Gauge()
+        self._push_counter = Counter()
+        self._reject_counter = Counter()
 
     def attach_metrics(self, registry, prefix: str) -> None:
         """Register depth/throughput instruments under ``prefix``.
@@ -70,20 +68,21 @@ class RequestQueue:
         """Fill fraction in [0, 1]."""
         return len(self._entries) / self.capacity
 
+    @property
+    def high_water(self) -> int:
+        """Peak occupancy seen (the depth gauge's maximum)."""
+        return self._depth_gauge.max_value
+
     # ------------------------------------------------------------------
     def offer(self, request: MemoryRequest) -> bool:
         """Append ``request`` if space allows; returns success."""
         if self.full:
-            if self._reject_counter is not None:
-                self._reject_counter.inc()
+            self._reject_counter.inc()
             return False
         self._entries.append(request)
         self.version += 1
-        if len(self._entries) > self.high_water:
-            self.high_water = len(self._entries)
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(len(self._entries))
-            self._push_counter.inc()
+        self._depth_gauge.set(len(self._entries))
+        self._push_counter.inc()
         return True
 
     def push(self, request: MemoryRequest) -> None:
@@ -95,8 +94,7 @@ class RequestQueue:
         """Remove a specific entry (used when a request is issued)."""
         self._entries.remove(request)
         self.version += 1
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(len(self._entries))
+        self._depth_gauge.set(len(self._entries))
         self._notify_space()
 
     def oldest(self) -> Optional[MemoryRequest]:

@@ -21,22 +21,9 @@ to decide when an operation may start, then reserve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.memory.timing import TimingParams
-
-
-@dataclass(frozen=True)
-class OccupancyEvent:
-    """One logged chip reservation (for timelines and debugging)."""
-
-    kind: str        #: "read" or "write"
-    chip: int
-    bank: int
-    start: int       #: tick the work begins (-1 when unknown)
-    end: int         #: tick the chip frees
-    label: str = ""  #: request tag supplied by the controller
 
 
 class ChipState:
@@ -119,31 +106,17 @@ class RankState:
         #: stamped with this counter and skip the chip scan while the
         #: rank hasn't changed (wake-timer rescans mostly haven't).
         self.version = 0
-        #: When set (e.g. by the timeline example), every reservation is
-        #: appended here as an :class:`OccupancyEvent`.
-        self.occupancy_log: Optional[List[OccupancyEvent]] = None
-        #: Label applied to logged events; controllers set it per request.
+        #: ``reason`` of the next reservation's trace events; controllers
+        #: set it per request, and only while tracing is on.
         self.log_label: str = ""
         if tracer is None:
             from repro.telemetry.tracer import NULL_TRACER
 
             tracer = NULL_TRACER
-        #: Structured-event tracer; every reservation becomes a
-        #: ``chip.reserve``/``chip.release`` pair when tracing is on.
+        #: Structured-event tracer, the only record of chip occupancy:
+        #: every reservation becomes a ``chip.reserve``/``chip.release``
+        #: pair when tracing is on.
         self.tracer = tracer
-
-    def enable_logging(self) -> List[OccupancyEvent]:
-        """Turn on occupancy logging; returns the (live) event list."""
-        self.occupancy_log = []
-        return self.occupancy_log
-
-    def _log(self, kind: str, chip: int, bank: int, start: int, end: int) -> None:
-        if self.occupancy_log is not None:
-            self.occupancy_log.append(
-                OccupancyEvent(kind, chip, bank, start, end, self.log_label)
-            )
-        if self.tracer.enabled:
-            self._trace(kind, chip, bank, start, end)
 
     def _trace(self, kind: str, chip: int, bank: int, start: int, end: int) -> None:
         from repro.telemetry.tracer import EventType, TraceEvent
@@ -255,13 +228,13 @@ class RankState:
     ) -> None:
         self.version += 1
         states = self.chips
-        if self.occupancy_log is None and not self.tracer.enabled:
+        if not self.tracer.enabled:
             for c in chips:
                 states[c].reserve_read(bank, end, row)
             return
         for c in chips:
             states[c].reserve_read(bank, end, row)
-            self._log("read", c, bank, start, end)
+            self._trace("read", c, bank, start, end)
 
     def reserve_write(
         self,
@@ -273,13 +246,13 @@ class RankState:
     ) -> None:
         self.version += 1
         states = self.chips
-        if self.occupancy_log is None and not self.tracer.enabled:
+        if not self.tracer.enabled:
             for c in chips:
                 states[c].reserve_write(bank, end, row)
             return
         for c in chips:
             states[c].reserve_write(bank, end, row)
-            self._log("write", c, bank, start, end)
+            self._trace("write", c, bank, start, end)
 
     def reserve_chip_write(
         self,
@@ -292,8 +265,8 @@ class RankState:
         """Reserve a single chip's write circuitry (fine-grained write)."""
         self.version += 1
         self.chips[chip].reserve_write(bank, end, row)
-        if self.occupancy_log is not None or self.tracer.enabled:
-            self._log("write", chip, bank, start, end)
+        if self.tracer.enabled:
+            self._trace("write", chip, bank, start, end)
 
     # ------------------------------------------------------------------
     def earliest_all_free(self, chips: Iterable[int], bank: int) -> int:

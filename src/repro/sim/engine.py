@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.telemetry.timeseries import TimeseriesSampler
 
 #: Number of ticks per nanosecond.  One tick = 0.1 ns.
 TICKS_PER_NS = 10
@@ -295,10 +298,14 @@ class Engine:
         """
         self._stop = True
 
-    def run_until_stop(self, max_ticks: Optional[int] = None) -> int:
+    def run_until_stop(
+        self,
+        max_ticks: Optional[int] = None,
+        sampler: Optional["TimeseriesSampler"] = None,
+    ) -> int:
         """Drain events until :meth:`request_stop` or the queue empties.
 
-        The simulator's hot loop: where :meth:`run` re-checks ``until``/
+        The simulator's only run loop, sampled or not: where :meth:`run` re-checks ``until``/
         ``max_events`` budgets per event and callers poll a done-flag
         around :meth:`step`, this drains with all loop state in locals
         and batches entries sharing the current tick through an inner
@@ -311,13 +318,16 @@ class Engine:
 
         The stop latch is consumed on exit: a stop requested before the
         call returns immediately (the poll-first-then-step equivalence
-        above), and the next call starts unlatched.
+        above), and the next call starts unlatched.  A ``sampler`` is
+        offered each tick once, after its first callback: where a check
+        after every step first sees the tick, so samples match too.
         """
         fired = 0
         queue = self._queue
         pop = heapq.heappop
         profiler = self.profiler
         limit = float("inf") if max_ticks is None else max_ticks
+        boundary = float("inf") if sampler is None else sampler.next_boundary
         self._running = True
         try:
             while queue and not self._stop:
@@ -335,6 +345,9 @@ class Engine:
                 else:
                     callback(*args)
                 fired += 1
+                if time >= boundary:
+                    sampler.maybe_sample(time)
+                    boundary = sampler.next_boundary
                 if time > limit:
                     raise RuntimeError(
                         f"simulation exceeded {max_ticks} ticks"

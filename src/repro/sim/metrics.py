@@ -11,13 +11,15 @@ deliberately excluded so the metric tops out at 8.0, matching the paper.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sim.engine import ticks_to_ns
+from repro.sim.engine import ns_to_ticks, ticks_to_ns
 
 if TYPE_CHECKING:
     from repro.telemetry.profiler import RunProfile
+    from repro.telemetry.registry import MetricsRegistry
 
 
 def merge_intervals(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -159,11 +161,19 @@ class IrlpRecorder:
         return sum(end - start for start, end in merge_intervals(spans))
 
 
+#: Registry name pattern of the per-chip PCM word-write counters.
+_CHIP_WORD_WRITES = re.compile(r"chip(\d+)\.word_writes")
+
+
 @dataclass
 class MemoryStats:
-    """Aggregate counters for one controller (or merged across channels)."""
+    """Memory-wide counters of one run, read from its metrics registry at
+    collect time (:meth:`from_registry`); :meth:`merge` sums runs."""
 
     reads_completed: int = 0
+    #: Writes accepted into a write queue (``requests.write.enqueued``).
+    #: The registry's ``writes.completed`` counts array completions
+    #: instead; the field keeps its name so results JSON does not change.
     writes_completed: int = 0
     read_latency_ticks: int = 0          #: sum of arrival->completion
     read_latency_max: int = 0
@@ -184,24 +194,39 @@ class MemoryStats:
     #: — wear balance; rotation spreads these (paper §IV-C2).
     chip_word_writes: Dict[int, int] = field(default_factory=dict)
 
+    @classmethod
+    def from_registry(cls, metrics: "MetricsRegistry") -> "MemoryStats":
+        """One run's counts, read from its registry (absent ones read 0)."""
+        value = metrics.value
+        latency = metrics.get("read.latency_ns")
+        dirty = metrics.get("writes.dirty_words")
+        histogram = list(dirty.counts[:9]) if dirty is not None else [0] * 9
+        chips = [_CHIP_WORD_WRITES.fullmatch(name) for name in metrics.names()]
+        return cls(
+            reads_completed=value("reads.completed"),
+            writes_completed=value("requests.write.enqueued"),
+            read_latency_ticks=value("read.latency_ticks"),
+            read_latency_max=ns_to_ticks(getattr(latency, "max_seen", 0) or 0),
+            reads_delayed_by_write=value("reads.delayed_by_write"),
+            forwarded_reads=value("reads.forwarded"),
+            row_buffer_hits=value("row_buffer.hits"),
+            row_buffer_misses=value("row_buffer.misses"),
+            row_reads=value("row.reads"),
+            row_normal_overlap_reads=value("row.overlap_reads"),
+            wow_member_writes=value("wow.member_writes"),
+            wow_groups=value("wow.groups"),
+            silent_writes=histogram[0],
+            rollbacks=value("rollbacks"),
+            verify_count=value("verifications"),
+            dirty_word_histogram=histogram,
+            drain_entries=value("drain.entries"),
+            chip_word_writes={
+                int(m.group(1)): value(m.group(0))
+                for m in chips if m and value(m.group(0))
+            },
+        )
+
     # ------------------------------------------------------------------
-    def record_read(self, latency_ticks: int, delayed: bool) -> None:
-        self.reads_completed += 1
-        self.read_latency_ticks += latency_ticks
-        self.read_latency_max = max(self.read_latency_max, latency_ticks)
-        if delayed:
-            self.reads_delayed_by_write += 1
-
-    def record_write(self, dirty_count: int) -> None:
-        self.writes_completed += 1
-        self.dirty_word_histogram[dirty_count] += 1
-        if dirty_count == 0:
-            self.silent_writes += 1
-
-    def record_chip_write(self, chip: int) -> None:
-        """Count one PCM word write on a physical chip (wear tracking)."""
-        self.chip_word_writes[chip] = self.chip_word_writes.get(chip, 0) + 1
-
     def chip_write_imbalance(self) -> float:
         """Coefficient of variation of per-chip word writes (0 = even)."""
         counts = list(self.chip_word_writes.values())
@@ -248,7 +273,7 @@ class MemoryStats:
 
     # ------------------------------------------------------------------
     def merge(self, other: "MemoryStats") -> None:
-        """Accumulate another controller's counters into this one."""
+        """Accumulate another run's counters into this one."""
         self.reads_completed += other.reads_completed
         self.writes_completed += other.writes_completed
         self.read_latency_ticks += other.read_latency_ticks

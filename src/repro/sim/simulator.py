@@ -41,9 +41,7 @@ class SimulationParams:
     #: Safety valve for the event loop (ticks); never binds in practice.
     max_ticks: int = 40_000_000_000
     #: Simulated-tick cadence for the time-series sampler; ``None`` (the
-    #: default) disables sampling entirely — the run loop is then
-    #: byte-identical to the unsampled one, so golden traces and perf
-    #: fingerprints are unaffected.
+    #: default) disables sampling, which never changes the event stream.
     sample_every_ticks: Optional[int] = None
     #: Ring capacity of the time-series buffer (oldest samples drop
     #: first once exceeded).
@@ -131,43 +129,15 @@ class SystemSimulator:
         self.sampler = self._build_sampler()
         with WallClock() as clock:
             self.multicore.start()
-            if self.sampler is None:
-                # Unsampled loop: the engine drains in-place with all
-                # loop state in locals and same-tick entries batched
-                # (Engine.run_until_stop); the multicore's last finish
-                # hook latches the stop, so no per-event done-poll runs.
-                # Event order and count are bit-identical to stepping.
-                self.engine.run_until_stop(max_ticks=self.params.max_ticks)
-                if not self.multicore.all_done:
-                    raise RuntimeError(
-                        "simulation deadlocked: no pending events but cores "
-                        "have not finished"
-                    )
-            else:
-                # Sampled loop: the boundary compare is hoisted inline
-                # against a local, so the common (non-boundary) step pays
-                # one integer compare — not a method call, which costs
-                # ~15% wall at this loop's iteration count.  Sampling
-                # schedules no events and mutates no model state, so
-                # events_dispatched/sim_ticks match the unsampled run.
-                engine = self.engine
-                sampler = self.sampler
-                max_ticks = self.params.max_ticks
-                boundary = sampler.next_boundary
-                while not self.multicore.all_done:
-                    if not engine.step():
-                        raise RuntimeError(
-                            "simulation deadlocked: no pending events but cores "
-                            "have not finished"
-                        )
-                    now = engine.now
-                    if now >= boundary:
-                        sampler.maybe_sample(now)
-                        boundary = sampler.next_boundary
-                    if now > max_ticks:
-                        raise RuntimeError(
-                            f"simulation exceeded {max_ticks} ticks"
-                        )
+            # The multicore's last finish hook latches the engine's stop.
+            self.engine.run_until_stop(
+                max_ticks=self.params.max_ticks, sampler=self.sampler
+            )
+            if not self.multicore.all_done:
+                raise RuntimeError(
+                    "simulation deadlocked: no pending events but cores "
+                    "have not finished"
+                )
         return self._collect(clock.elapsed)
 
     def _build_sampler(self) -> Optional[TimeseriesSampler]:

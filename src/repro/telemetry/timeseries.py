@@ -10,9 +10,9 @@ Two pieces:
   result files and the cross-worker merge use.
 * :class:`TimeseriesSampler` — a set of named probes (zero-argument
   callables) sampled together whenever simulated time crosses a cadence
-  boundary.  The simulator run loop calls :meth:`maybe_sample` after each
-  engine step; the disabled path never constructs a sampler at all, so
-  golden traces and perf fingerprints are untouched by default.
+  boundary.  The engine's run loop (``Engine.run_until_stop``) offers
+  each simulated tick to :meth:`maybe_sample` once, right after the
+  tick's first callback; unsampled runs construct no sampler at all.
 
 Sampling happens *outside* the event engine — no events are scheduled, no
 engine state is read beyond ``engine.now`` — so enabling it cannot change

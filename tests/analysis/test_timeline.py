@@ -3,11 +3,11 @@
 import pytest
 
 from repro.analysis.timeline import (
+    OccupancyEvent,
     event_mark,
     occupancy_summary,
     render_occupancy,
 )
-from repro.memory.rank import OccupancyEvent
 
 
 def _event(kind="write", chip=0, start=0, end=100, label=""):
@@ -88,16 +88,23 @@ def test_occupancy_summary():
 
 
 def test_renderer_consumes_real_controller_log():
+    from repro.analysis.timeline import occupancy_from_trace
     from repro.core.systems import make_system
     from repro.memory.memsys import make_controller
     from repro.memory.request import make_write
     from repro.sim.engine import Engine
+    from repro.telemetry import Telemetry
 
     engine = Engine()
-    controller = make_controller(engine, make_system("rwow-rde"))
-    log = controller.ranks[0].enable_logging()
+    telemetry = Telemetry.recording()
+    controller = make_controller(
+        engine, make_system("rwow-rde"), telemetry=telemetry
+    )
     controller.submit(make_write(1, 0, 0b11))
     engine.run(max_events=10_000)
+    log = occupancy_from_trace(telemetry.tracer.events(), channel=0, rank=0)
+    # Two data-word writes plus their ECC and PCC updates.
+    assert sorted(event_mark(e) for e in log) == ["W", "W", "c", "c"]
     text = render_occupancy(log, controller.geometry.chips_per_rank)
     assert "W" in text and "c" in text
 

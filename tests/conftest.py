@@ -10,6 +10,7 @@ from repro.core.systems import make_system
 from repro.memory.memsys import make_controller
 from repro.memory.request import MemoryRequest, make_read, make_write
 from repro.sim.engine import Engine
+from repro.sim.metrics import MemoryStats
 
 try:  # Deterministic hypothesis runs: no random example order, no
     # wall-clock deadline flakes; every rerun explores the same cases.
@@ -74,6 +75,11 @@ class ControllerHarness:
 
     def all_done(self) -> bool:
         return all(req.completion >= 0 for req in self.submitted)
+
+    @property
+    def stats(self) -> MemoryStats:
+        """The controller's counts, read from its own metrics registry."""
+        return MemoryStats.from_registry(self.controller.telemetry.metrics)
 
 
 @pytest.fixture

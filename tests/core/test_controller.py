@@ -66,8 +66,8 @@ def test_wow_consolidates_disjoint_writes():
     for i in range(28):
         h.write(i, 1 << (i % 8))
     h.run()
-    assert h.controller.stats.wow_groups > 0
-    assert h.controller.stats.wow_member_writes >= 2 * h.controller.stats.wow_groups
+    assert h.stats.wow_groups > 0
+    assert h.stats.wow_member_writes >= 2 * h.stats.wow_groups
     assert h.all_done()
 
 
@@ -96,7 +96,7 @@ def test_wow_never_groups_conflicting_chips():
     for i in range(28):
         h.write(i, 0b1)
     h.run()
-    assert h.controller.stats.wow_groups == 0
+    assert h.stats.wow_groups == 0
     assert h.all_done()
 
 
@@ -106,7 +106,7 @@ def test_rotation_enables_grouping_of_same_offset_writes():
     for i in range(28):
         h.write(i, 0b1)
     h.run()
-    assert h.controller.stats.wow_groups > 0
+    assert h.stats.wow_groups > 0
 
 
 def test_writes_serialise_without_wow():
@@ -126,7 +126,7 @@ def test_row_serves_reads_during_drain():
         h.write(i, 0b1)
     reads = [h.read(1000 + i) for i in range(4)]
     h.run()
-    assert h.controller.stats.row_reads > 0
+    assert h.stats.row_reads > 0
     assert all(r.completion > 0 for r in reads)
 
 
@@ -142,7 +142,7 @@ def test_row_reconstruction_returns_correct_data():
     reads = [h.read(i) for i in range(1000, 1006)]
     h.run()
     recon = [r for r in reads if r.service_class is ServiceClass.ROW_OVERLAP]
-    assert h.controller.stats.row_reads == len(recon)
+    assert h.stats.row_reads == len(recon)
     for req in reads:
         assert req.data_words is not None
         line_index = req.address // (64 * 4)
@@ -160,7 +160,7 @@ def test_row_verify_completion_recorded():
         pytest.skip("no reconstruction happened with this arrival pattern")
     for req in recon:
         assert req.verify_completion >= req.completion
-    assert h.controller.stats.verify_count >= len(recon)
+    assert h.stats.verify_count >= len(recon)
 
 
 def test_rollback_rate_one_forces_rollbacks():
@@ -174,9 +174,9 @@ def test_rollback_rate_one_forces_rollbacks():
         h.controller.submit(req)
         h.submitted.append(req)
     h.run()
-    if h.controller.stats.row_reads == 0:
+    if h.stats.row_reads == 0:
         pytest.skip("no RoW reads with this pattern")
-    assert h.controller.stats.rollbacks == h.controller.stats.row_reads
+    assert h.stats.rollbacks == h.stats.row_reads
     assert all(seen)
 
 
@@ -187,7 +187,7 @@ def test_rollback_rate_zero_never_rolls_back():
     for i in range(4):
         h.read(1000 + i)
     h.run()
-    assert h.controller.stats.rollbacks == 0
+    assert h.stats.rollbacks == 0
 
 
 def test_ecc_contention_serialises_fixed_layout_groups():

@@ -58,7 +58,7 @@ def test_row_skipped_under_drain_pressure_with_wow():
         h.read(1000 + i)
     # Drive only the first write-issue decisions (queue still > 80%).
     h.run_until(h.engine.now + 2 * DEFAULT_TIMING.array_write_ticks)
-    stats = h.controller.stats
+    stats = h.stats
     # Early drain work went to WoW groups, not RoW windows.
     assert stats.wow_member_writes > 0
     h.run()
@@ -76,7 +76,7 @@ def test_wow_prefers_code_disjoint_members():
     for i in range(28):
         h.write(i, 0b1)
     h.run()
-    stats = h.controller.stats
+    stats = h.stats
     assert stats.wow_groups > 0
     mean_group = stats.wow_member_writes / stats.wow_groups
     assert mean_group >= 2.0
@@ -87,7 +87,7 @@ def test_wow_group_respects_group_cap():
     for i in range(28):
         h.write(i, 1 << (i % 8))
     h.run()
-    stats = h.controller.stats
+    stats = h.stats
     if stats.wow_groups:
         assert stats.wow_member_writes / stats.wow_groups <= 2.0
 
@@ -121,13 +121,13 @@ def test_mid_window_read_joins_open_window():
     h.read(1000)  # makes the first RoW window open
     # Let a window open, then submit another read mid-window.
     h.run_until(h.engine.now + DEFAULT_TIMING.array_write_ticks // 2)
-    before = h.controller.stats.row_reads + (
-        h.controller.stats.row_normal_overlap_reads
+    before = h.stats.row_reads + (
+        h.stats.row_normal_overlap_reads
     )
     h.read(2000)
     h.run()
-    after = h.controller.stats.row_reads + (
-        h.controller.stats.row_normal_overlap_reads
+    after = h.stats.row_reads + (
+        h.stats.row_normal_overlap_reads
     )
     assert after >= before
     assert h.all_done()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.essential import EssentialWordDetector, EssentialWordStats, diff_words
+from repro.core.essential import EssentialWordDetector, diff_words
 from repro.memory.request import WORDS_PER_LINE, make_read, make_write
 from repro.memory.storage import MemoryStorage
 
@@ -29,7 +29,6 @@ def test_detector_statistical_mode_trusts_mask():
     detector = EssentialWordDetector()
     req = make_write(1, 0, 0b101)
     assert detector.detect(req) == 0b101
-    assert detector.stats.histogram[2] == 1
 
 
 def test_detector_rejects_reads():
@@ -61,23 +60,6 @@ def test_detector_functional_mode_full_compare_without_mask():
     new[7] ^= 1
     req = make_write(2, 64, dirty_mask=0, new_words=tuple(new))
     assert detector.detect(req) == 0b1000_0001
-
-
-def test_stats_fractions():
-    stats = EssentialWordStats()
-    for count in (1, 1, 2, 8, 0):
-        stats.record(count)
-    assert stats.total == 5
-    assert stats.fraction(1) == pytest.approx(0.4)
-    assert stats.fraction_at_most(2) == pytest.approx(0.8)
-    assert stats.mean_dirty_words == pytest.approx((1 + 1 + 2 + 8) / 5)
-
-
-def test_stats_empty():
-    stats = EssentialWordStats()
-    assert stats.fraction(1) == 0.0
-    assert stats.fraction_at_most(8) == 0.0
-    assert stats.mean_dirty_words == 0.0
 
 
 def test_diff_words_random_pairs_match_naive():

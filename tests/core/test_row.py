@@ -69,7 +69,7 @@ def test_window_overlaps_read_with_write():
     r = h.read(1000)  # same rank, different line
     h.run()
     assert counter(h, "row.windows") >= 1
-    assert h.controller.stats.row_reads >= 1
+    assert h.stats.row_reads >= 1
     # The overlapped read finished without waiting out the drain.
     assert r.completion < max(w.completion for w in writes)
 
@@ -82,8 +82,8 @@ def test_overlap_cap_bounds_reads_per_window():
     h.run()
     windows = counter(h, "row.windows")
     served = (
-        h.controller.stats.row_reads
-        + h.controller.stats.row_normal_overlap_reads
+        h.stats.row_reads
+        + h.stats.row_normal_overlap_reads
     )
     assert served <= windows * 1
     assert h.all_done()
@@ -106,12 +106,12 @@ def _run_reconstructing_workload(rate: float):
 
 def test_reconstructed_reads_verify_and_may_roll_back():
     h = _run_reconstructing_workload(rate=1.0)
-    stats = h.controller.stats
+    stats = h.stats
     assert stats.verify_count >= 1
     assert stats.rollbacks >= 1
 
 
 def test_zero_rollback_rate_never_rolls_back():
     h = _run_reconstructing_workload(rate=0.0)
-    assert h.controller.stats.verify_count >= 1
-    assert h.controller.stats.rollbacks == 0
+    assert h.stats.verify_count >= 1
+    assert h.stats.rollbacks == 0

@@ -19,7 +19,7 @@ def test_chip_disjoint_writes_form_groups():
     for i in range(8):
         h.write(i, 1 << (i % 8))
     h.run()
-    stats = h.controller.stats
+    stats = h.stats
     assert stats.wow_groups >= 1
     assert stats.wow_member_writes > stats.wow_groups  # actual grouping
     assert h.all_done()
@@ -30,7 +30,7 @@ def test_same_chip_writes_never_group():
     for i in range(6):
         h.write(i, 0b1)  # all dirty on chip 0
     h.run()
-    stats = h.controller.stats
+    stats = h.stats
     # Every write went out alone: member count equals group count.
     assert stats.wow_member_writes == stats.wow_groups
     assert h.all_done()
@@ -41,7 +41,7 @@ def test_group_size_respects_cap():
     for i in range(12):
         h.write(i, 1 << (i % 8))
     h.run()
-    stats = h.controller.stats
+    stats = h.stats
     assert stats.wow_groups >= 1
     assert stats.wow_member_writes <= 2 * stats.wow_groups
     assert h.all_done()
@@ -52,7 +52,7 @@ def test_group_size_respects_inflight_budget():
     for i in range(8):
         h.write(i, 1 << (i % 8))
     h.run()
-    stats = h.controller.stats
+    stats = h.stats
     # A budget of one in-flight write forbids consolidation entirely.
     assert stats.wow_member_writes == stats.wow_groups
     assert h.all_done()
@@ -62,6 +62,6 @@ def test_silent_writes_bypass_wow():
     h = harness("wow-nr")
     h.write(0, 0x00)  # zero-dirty
     h.run()
-    stats = h.controller.stats
+    stats = h.stats
     assert stats.wow_groups == 0
     assert h.all_done()

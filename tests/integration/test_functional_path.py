@@ -69,7 +69,6 @@ def test_writes_then_reads_roundtrip_data():
 
 def test_row_reconstructed_reads_return_true_data():
     engine, memory = _functional_system("row-nr")
-    controller = memory.controllers[0]
     # Fill the write queue with single-word writes to force RoW windows.
     rng = random.Random(1)
     writes = []
@@ -91,7 +90,7 @@ def test_row_reconstructed_reads_return_true_data():
     reconstructed = [
         r for r in reads if r.service_class is ServiceClass.ROW_OVERLAP
     ]
-    assert controller.stats.row_reads == len(reconstructed)
+    assert memory.aggregate_stats().row_reads == len(reconstructed)
     assert reconstructed, "expected at least one RoW-reconstructed read"
     for read in reads:
         assert read.data_words == expected[read.address]

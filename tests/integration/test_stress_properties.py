@@ -2,8 +2,9 @@
 
 These drive arbitrary request mixes through every controller variant and
 check properties that must hold regardless of scheduling decisions:
-everything completes, time never runs backwards, the occupancy log shows
-no two array writes overlapping on one chip, and runs are deterministic.
+everything completes, time never runs backwards, the traced chip
+occupancy shows no two array writes overlapping on one chip, and runs
+are deterministic.
 """
 
 import random
@@ -11,20 +12,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.timeline import occupancy_from_trace
 from repro.core.systems import SYSTEM_NAMES, make_system
 from repro.memory.memsys import make_controller
 from repro.memory.request import make_read, make_write
 from repro.sim.engine import Engine
+from repro.sim.metrics import MemoryStats
+from repro.telemetry import Telemetry
 
 ALL_SYSTEMS = SYSTEM_NAMES + ["write-pausing"]
 
 
 def _drive(system_name, operations, seed=1, log=False):
-    """Run (kind, line, mask, gap) operations through one controller."""
+    """Run (kind, line, mask, gap) operations through one controller;
+    with ``log`` the run is traced and rank 0's chip occupancy returned."""
     engine = Engine()
     config = make_system(system_name)
-    controller = make_controller(engine, config, channel_id=0, seed=seed)
-    events = controller.ranks[0].enable_logging() if log else None
+    telemetry = Telemetry.recording() if log else None
+    controller = make_controller(
+        engine, config, channel_id=0, seed=seed, telemetry=telemetry
+    )
     stride = 64 * config.geometry.n_channels
     requests = []
     req_id = 0
@@ -40,6 +47,9 @@ def _drive(system_name, operations, seed=1, log=False):
             requests.append(request)
         engine.run(until=engine.now + gap)
     engine.run(max_events=2_000_000)
+    events = None
+    if telemetry is not None:
+        events = occupancy_from_trace(telemetry.tracer.events(), rank=0)
     return controller, requests, events
 
 
@@ -130,6 +140,6 @@ def test_irlp_bounds_under_random_load(system_name):
 def test_property_pcmap_serves_arbitrary_streams(operations):
     controller, requests, _ = _drive("rwow-rde", operations)
     assert all(r.completion >= 0 for r in requests)
-    stats = controller.stats
+    stats = MemoryStats.from_registry(controller.telemetry.metrics)
     assert stats.reads_completed + stats.writes_completed + \
         stats.forwarded_reads >= len(requests)

@@ -65,10 +65,10 @@ def test_writes_buffered_until_watermark():
     below = int(wq.capacity * 0.8)  # 25 entries: occupancy not > 0.8
     for i in range(below):
         h.write(i, 0b1)
-    assert h.controller.stats.drain_entries == 0
+    assert h.stats.drain_entries == 0
     for i in range(100, 104):
         h.write(i, 0b1)
-    assert h.controller.stats.drain_entries >= 1
+    assert h.stats.drain_entries >= 1
     h.run()
     assert h.all_done()
 
@@ -80,7 +80,7 @@ def test_drain_delays_reads():
     read = h.read(1000)
     h.run()
     assert read.delayed_by_write
-    assert h.controller.stats.reads_delayed_by_write >= 1
+    assert h.stats.reads_delayed_by_write >= 1
 
 
 def test_baseline_irlp_equals_dirty_count():
@@ -105,9 +105,9 @@ def test_stats_count_requests(baseline):
     baseline.read(1)
     baseline.write(2, 0b11)
     baseline.run()
-    assert baseline.controller.stats.reads_completed == 2
-    assert baseline.controller.stats.writes_completed == 1
-    assert baseline.controller.stats.dirty_word_histogram[2] == 1
+    assert baseline.stats.reads_completed == 2
+    assert baseline.stats.writes_completed == 1
+    assert baseline.stats.dirty_word_histogram[2] == 1
 
 
 def test_queue_capacity_backpressure():
@@ -183,7 +183,7 @@ def test_read_forwarded_from_write_queue():
         h.write(i, 0b1)
     r = h.read(5)
     h.run()
-    assert h.controller.stats.forwarded_reads >= 1
+    assert h.stats.forwarded_reads >= 1
     assert r.completion > 0
 
 
@@ -220,7 +220,7 @@ def test_row_buffer_hit_rate_tracked():
     h.run()
     h.read(0)  # same line: open-row hit
     h.run()
-    stats = h.controller.stats
+    stats = h.stats
     assert stats.row_buffer_misses >= 1
     assert stats.row_buffer_hits >= 1
     assert 0.0 < stats.row_buffer_hit_rate < 1.0

@@ -25,8 +25,10 @@ def test_requests_route_by_channel():
         req = make_read(line, line * 64)
         memory.submit(req)
     engine.run(max_events=100_000)
-    for channel, controller in enumerate(memory.controllers):
-        assert controller.stats.reads_completed == 1, channel
+    metrics = memory.telemetry.metrics
+    for channel in range(len(memory.controllers)):
+        assert metrics.value(f"ch{channel}.queue.read.pushed") == 1, channel
+    assert memory.aggregate_stats().reads_completed == 4
 
 
 def test_controller_for_matches_mapper():

@@ -122,6 +122,9 @@ def test_perf_payload_schema(capsys):
     assert frontend_leg["config"]["seed"] == 3
     assert frontend_leg["metrics"]["frontend.reads"] > 0
     assert frontend_leg["metrics"]["frontend.fills"] > 0
+    # The 16 KiB tier evicts, so its write-backs reach PCM's RoW/WoW path.
+    for name in ("writes.completed", "wow.groups", "row.reads"):
+        assert frontend_leg["metrics"][name] > 0, name
 
 
 def test_run_suite_passes_its_own_regression_gate():

@@ -189,3 +189,31 @@ def test_run_until_stop_matches_stepped_loop_event_count():
     assert batched_log == stepped_log
     assert batched.events_dispatched == stepped.events_dispatched
     assert batched.now == stepped.now
+
+
+
+def test_sampler_sees_the_ticks_a_stepped_loop_samples():
+    """The drain offers each tick to the sampler after the tick's first
+    callback; a loop checking after every step samples the same points."""
+    from repro.telemetry import TimeseriesSampler
+
+    def build(engine, log):
+        for t in (0, 3, 3, 7, 12, 12, 12, 25, 31):
+            engine.call_at(t, log.append, t)
+
+    def sampler(log):
+        s = TimeseriesSampler(cadence_ticks=5)
+        s.add_probe("fired", lambda: len(log))
+        return s
+
+    stepped_log, batched_log = [], []
+    stepped, batched = Engine(), Engine()
+    build(stepped, stepped_log)
+    build(batched, batched_log)
+    reference = sampler(stepped_log)
+    while stepped.step():
+        reference.maybe_sample(stepped.now)
+    drained = sampler(batched_log)
+    batched.run_until_stop(sampler=drained)
+    assert drained.series.as_dict() == reference.series.as_dict()
+    assert drained.series.ticks() == [0, 7, 12, 25, 31]

@@ -17,11 +17,9 @@ FAST = SimulationParams(instructions_per_core=4_000, n_cores=2)
 
 
 def _result(system, ipc_cycles, latency=100, throughput_busy=10_000, writes=10):
-    stats = MemoryStats()
-    stats.reads_completed = 1
-    stats.read_latency_ticks = latency
-    for _ in range(writes):
-        stats.record_write(2)
+    stats = MemoryStats(
+        reads_completed=1, read_latency_ticks=latency, writes_completed=writes
+    )
     return SimulationResult(
         system_name=system,
         workload_name="w",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.engine import ticks_to_ns
 from repro.sim.metrics import (
     IrlpRecorder,
     MAX_IRLP,
@@ -10,6 +11,7 @@ from repro.sim.metrics import (
     WriteWindow,
     merge_intervals,
 )
+from repro.telemetry import MetricsRegistry
 
 
 # ----------------------------------------------------------------------
@@ -152,34 +154,45 @@ def test_drain_busy_ticks_unions_service_spans():
 # ----------------------------------------------------------------------
 # MemoryStats
 # ----------------------------------------------------------------------
-def test_record_read_accumulates_latency():
-    stats = MemoryStats()
-    stats.record_read(100, delayed=False)
-    stats.record_read(300, delayed=True)
+def test_from_registry_reads_latency_and_delays():
+    metrics = MetricsRegistry()
+    latency = metrics.histogram("read.latency_ns")
+    for ticks, delayed in ((100, False), (300, True)):
+        metrics.counter("reads.completed").inc()
+        metrics.counter("read.latency_ticks").inc(ticks)
+        latency.observe(ticks_to_ns(ticks))
+        if delayed:
+            metrics.counter("reads.delayed_by_write").inc()
+    stats = MemoryStats.from_registry(metrics)
     assert stats.reads_completed == 2
     assert stats.mean_read_latency_ticks == pytest.approx(200.0)
     assert stats.read_latency_max == 300
     assert stats.delayed_read_fraction == pytest.approx(0.5)
 
 
-def test_record_write_histogram_and_silents():
-    stats = MemoryStats()
-    stats.record_write(0)
-    stats.record_write(3)
-    stats.record_write(3)
+def test_from_registry_dirty_words_and_chip_writes():
+    metrics = MetricsRegistry()
+    dirty = metrics.histogram("writes.dirty_words", buckets=tuple(range(9)))
+    for count in (0, 3, 3):
+        metrics.counter("requests.write.enqueued").inc()
+        dirty.observe(count)
+    for chip in (9, 2, 9):
+        metrics.counter(f"chip{chip}.word_writes").inc()
+    metrics.counter("chip4.word_writes")  # registered, never written
+    stats = MemoryStats.from_registry(metrics)
     assert stats.writes_completed == 3
     assert stats.silent_writes == 1
-    assert stats.dirty_word_histogram[3] == 2
+    assert stats.dirty_word_histogram == [1, 0, 0, 2, 0, 0, 0, 0, 0]
     assert stats.mean_dirty_words == pytest.approx(2.0)
+    assert stats.chip_word_writes == {2: 1, 9: 2}
 
 
 def test_merge_combines_counters():
-    a = MemoryStats()
-    b = MemoryStats()
-    a.record_read(100, True)
-    b.record_read(200, False)
-    b.record_write(4)
-    b.row_reads = 7
+    a = MemoryStats(reads_completed=1, reads_delayed_by_write=1)
+    b = MemoryStats(
+        reads_completed=1, writes_completed=1, row_reads=7,
+        dirty_word_histogram=[0, 0, 0, 0, 1, 0, 0, 0, 0],
+    )
     a.merge(b)
     assert a.reads_completed == 2
     assert a.writes_completed == 1
@@ -189,7 +202,8 @@ def test_merge_combines_counters():
 
 
 def test_empty_stats_ratios_are_zero():
-    stats = MemoryStats()
+    stats = MemoryStats.from_registry(MetricsRegistry())
+    assert stats == MemoryStats()
     assert stats.mean_read_latency_ticks == 0.0
     assert stats.delayed_read_fraction == 0.0
     assert stats.mean_dirty_words == 0.0
@@ -223,9 +237,7 @@ def test_ipc_zero_cycles():
 
 
 def test_write_throughput_per_microsecond():
-    stats = MemoryStats()
-    for _ in range(10):
-        stats.record_write(2)
+    stats = MemoryStats(writes_completed=10)
     # 10 writes over 10_000 ticks = 1000 ns = 1 us
     result = _result(memory=stats, write_service_busy_ticks=10_000)
     assert result.write_throughput == pytest.approx(10.0)

@@ -12,11 +12,12 @@ from repro.sim.results_io import (
 
 
 def _result():
-    stats = MemoryStats()
-    stats.record_read(100, delayed=True)
-    stats.record_write(3)
-    stats.record_chip_write(2)
-    stats.record_chip_write(9)
+    stats = MemoryStats(
+        reads_completed=1, read_latency_ticks=100, read_latency_max=100,
+        reads_delayed_by_write=1, writes_completed=1,
+        dirty_word_histogram=[0, 0, 0, 1, 0, 0, 0, 0, 0],
+        chip_word_writes={2: 1, 9: 1},
+    )
     return SimulationResult(
         system_name="rwow-rde",
         workload_name="canneal",

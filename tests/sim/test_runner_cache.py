@@ -11,10 +11,11 @@ KEY = "a" * 64
 
 
 def _result(profile: bool = True) -> SimulationResult:
-    stats = MemoryStats()
-    stats.record_read(120, delayed=False)
-    stats.record_write(2)
-    stats.record_chip_write(3)
+    stats = MemoryStats(
+        reads_completed=1, read_latency_ticks=120, read_latency_max=120,
+        writes_completed=1, dirty_word_histogram=[0, 0, 1, 0, 0, 0, 0, 0, 0],
+        chip_word_writes={3: 1},
+    )
     return SimulationResult(
         system_name="rwow-rde",
         workload_name="canneal",

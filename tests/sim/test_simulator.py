@@ -81,7 +81,7 @@ def test_metrics_and_timeseries_absent_by_default():
 def test_sampling_does_not_perturb_the_simulation():
     """Enabling the sampler must not change any behavioural outcome —
     only the wall clock.  This is the enabled-path half of the
-    golden-trace guarantee (the disabled path runs the verbatim loop)."""
+    golden-trace guarantee (both run the same engine loop)."""
     plain = simulate(make_system("rwow-rde"), "canneal", FAST)
     sampled_params = SimulationParams(
         instructions_per_core=4_000, n_cores=2,

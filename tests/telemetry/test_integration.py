@@ -76,13 +76,15 @@ def test_metrics_agree_with_result_stats():
     run = _traced_run()
     stats = run["result"].memory
     metrics = run["telemetry"].metrics
+    # MemoryStats is read from the registry: pin which counter backs
+    # each field.
     assert metrics.value("row.reads") == stats.row_reads
     assert metrics.value("wow.member_writes") == stats.wow_member_writes
     assert metrics.value("wow.groups") == stats.wow_groups
     assert metrics.value("rollbacks") == stats.rollbacks
     assert metrics.value("reads.completed") == stats.reads_completed
-    # MemoryStats counts a write when it is accepted (submit time); the
-    # registry's writes.completed counts actual completions, so it can
+    # writes_completed counts writes accepted at submit time; the
+    # registry's writes.completed counts array completions, so it can
     # only lag by the writes still queued or in flight at sim end.
     assert metrics.value("requests.write.enqueued") == stats.writes_completed
     assert 0 < metrics.value("writes.completed") <= stats.writes_completed

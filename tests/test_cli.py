@@ -402,3 +402,23 @@ def test_serve_until_done(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "campaign service on http://" in err
     assert "campaign srv: 1/1 done, 0 dead-lettered" in err
+
+
+
+@pytest.mark.parametrize("argv, listed", [
+    pytest.param(["run", "--workload", "nope"], "canneal", id="run-workload"),
+    pytest.param(["run", "--workload", "MP3", "--system", "nope"], "rwow-rde", id="run-system"),
+    pytest.param(["compare", "--workload", "MP3", "--systems", "baseline,nope"], "rwow-rde", id="compare-systems"),
+    pytest.param(["sweep", "--workloads", "MP3,nope"], "canneal", id="sweep-workloads"),
+    pytest.param(["sweep", "--workloads", "MP3", "--systems", "nope"], "rwow-rde", id="sweep-systems"),
+    pytest.param(["submit", "--workloads", "nope"], "canneal", id="submit-workloads"),
+    pytest.param(["submit", "--workloads", "MP3", "--systems", "nope"], "rwow-rde", id="submit-systems"),
+    pytest.param(["report", "--out", "unused.html", "--workload", "nope"], "canneal", id="report-workload"),
+    pytest.param(["report", "--out", "unused.html", "--systems", "nope"], "rwow-rde", id="report-systems"),
+])
+def test_unknown_names_exit_2_listing_valid_names(argv, listed, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and "'nope'" in err and listed in err
