@@ -305,9 +305,10 @@ class Engine:
     ) -> int:
         """Drain events until :meth:`request_stop` or the queue empties.
 
-        The simulator's only run loop, sampled or not: where :meth:`run` re-checks ``until``/
-        ``max_events`` budgets per event and callers poll a done-flag
-        around :meth:`step`, this drains with all loop state in locals
+        The simulator's only run loop, sampled or not: where :meth:`run`
+        re-checks ``until``/``max_events`` budgets per event and callers
+        poll a done-flag around :meth:`step`, this drains with all loop
+        state in locals
         and batches entries sharing the current tick through an inner
         loop (one heap pop + one compare each, no ``self.now`` rewrite).
         Ordering is untouched — entries still pop in exact ``(time,

@@ -191,7 +191,8 @@ class MemoryStats:
     dirty_word_histogram: List[int] = field(default_factory=lambda: [0] * 9)
     drain_entries: int = 0               #: number of drain episodes
     #: PCM word writes per physical chip (data words and ECC/PCC updates)
-    #: — wear balance; rotation spreads these (paper §IV-C2).
+    #: — wear balance; rotation spreads these (paper §IV-C2).  Keys run in
+    #: ascending chip order; unwritten chips are absent.
     chip_word_writes: Dict[int, int] = field(default_factory=dict)
 
     @classmethod
@@ -201,7 +202,10 @@ class MemoryStats:
         latency = metrics.get("read.latency_ns")
         dirty = metrics.get("writes.dirty_words")
         histogram = list(dirty.counts[:9]) if dirty is not None else [0] * 9
-        chips = [_CHIP_WORD_WRITES.fullmatch(name) for name in metrics.names()]
+        chips = sorted(
+            (int(m.group(1)), value(m.group(0)))
+            for m in map(_CHIP_WORD_WRITES.fullmatch, metrics.names()) if m
+        )
         return cls(
             reads_completed=value("reads.completed"),
             writes_completed=value("requests.write.enqueued"),
@@ -220,10 +224,7 @@ class MemoryStats:
             verify_count=value("verifications"),
             dirty_word_histogram=histogram,
             drain_entries=value("drain.entries"),
-            chip_word_writes={
-                int(m.group(1)): value(m.group(0))
-                for m in chips if m and value(m.group(0))
-            },
+            chip_word_writes={chip: count for chip, count in chips if count},
         )
 
     # ------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_from_registry_dirty_words_and_chip_writes():
     for count in (0, 3, 3):
         metrics.counter("requests.write.enqueued").inc()
         dirty.observe(count)
-    for chip in (9, 2, 9):
+    for chip in (10, 9, 2, 9):
         metrics.counter(f"chip{chip}.word_writes").inc()
     metrics.counter("chip4.word_writes")  # registered, never written
     stats = MemoryStats.from_registry(metrics)
@@ -184,7 +184,10 @@ def test_from_registry_dirty_words_and_chip_writes():
     assert stats.silent_writes == 1
     assert stats.dirty_word_histogram == [1, 0, 0, 2, 0, 0, 0, 0, 0]
     assert stats.mean_dirty_words == pytest.approx(2.0)
-    assert stats.chip_word_writes == {2: 1, 9: 2}
+    assert stats.chip_word_writes == {2: 1, 9: 2, 10: 1}
+    # Ascending chip order, whatever order the chips were first written
+    # in or their registry names sort in.
+    assert list(stats.chip_word_writes) == [2, 9, 10]
 
 
 def test_merge_combines_counters():
