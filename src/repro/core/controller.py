@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.core.fine import FineWriteEngine
 from repro.core.status import DimmStatusRegister
-from repro.memory.controller import MemoryController
+from repro.memory.controller import NO_WAKE, MemoryController
 from repro.memory.policy import PolicyChain, WriteContext
 from repro.memory.request import MemoryRequest
 
@@ -49,10 +49,6 @@ class PCMapController(MemoryController):
         self.status_registers = [
             DimmStatusRegister(rank, self.timing) for rank in self.ranks
         ]
-        #: ``(state, earliest)`` memo of a failed candidate scan; valid
-        #: while the summed version counters still match (see
-        #: ``select_write_candidate``).
-        self._candidate_scan_memo: Optional[tuple] = None
         return super()._build_policy_chain()
 
     @property
@@ -71,90 +67,50 @@ class PCMapController(MemoryController):
         younger writes could proceed on idle chips.  The write-engine
         token gates dirty writes only; silent (zero-dirty) candidates
         need their data chips readable, not the engine.
+
+        Skips entries and whole scans by their ready bounds exactly as
+        the read scan does (``MemoryController._try_issue_read``).  A
+        request's bound covers its chips only; dirty writes add the
+        engine token here, whose free time also only moves forward.
         """
         fine = self.fine
         if fine.inflight >= self.config.max_inflight_writes:
             return None  # completions will re-kick
-        ranks = self.ranks
-        # Whole-scan memo: every input of the scan (queue membership,
-        # chip reservations, engine-token holds) bumps a monotonic
-        # counter, so an unchanged sum means an identical scan.  A failed
-        # scan that found nothing ready before ``earliest`` therefore
-        # stays failed while ``now`` has not reached it — the wake-up
-        # armed here is the same one the full rescan would arm.
-        state = self.write_q.version + fine.version
-        for r in ranks:
-            state += r.version
-        memo = self._candidate_scan_memo
-        if memo is not None and memo[0] == state:
-            earliest = memo[1]
-            if earliest is None:
-                return None
-            if earliest > now:
-                self._note_wake(earliest)
-                return None
-        head: Optional[MemoryRequest] = None
-        decoded = None
-        earliest: Optional[int] = None
-        # Hot loop: runs once per scheduler step over every queued write.
-        # Decode and chip sets come from the submit-time caches on the
-        # request (with a decode fallback for directly-pushed test
-        # requests); locals are hoisted and ``max`` is spelled as a
-        # comparison — this function dominated the end-to-end profile.
-        rank_scope = fine._rank_scope
-        engine_free_get = fine._free.get
-        mapper_decode = self.mapper.decode
-        layout = self.layout
-        for req in self.write_q.pending:
-            if req.start_service >= 0:
-                continue  # issued outside the tracked paths (tests)
-            candidate = req.decoded
-            if candidate is None:
-                candidate = mapper_decode(req.address)
-            rank = ranks[candidate.rank]
-            version = rank.version
-            cached = req.ready_cache
-            if not req.dirty_mask:
-                if cached is not None and cached[0] == version:
-                    ready = cached[1]
-                else:
-                    chips = req.chips
-                    if chips is None:
-                        chips = layout.all_data_chips(candidate.line_address)
-                    ready = rank.read_ready_time(chips, candidate.bank)
-                    req.ready_cache = (version, ready)
-            else:
-                if cached is not None and cached[0] == version:
-                    ready = cached[1]
-                else:
-                    chips = req.chips
-                    if chips is None:
-                        chips = layout.dirty_chips(
-                            candidate.line_address, req.dirty_mask
-                        )
-                    ready = rank.write_ready_time(chips, candidate.bank)
-                    req.ready_cache = (version, ready)
-                # fine.free_at, inlined: the scan visits every queued
-                # dirty write per step and the call overhead showed up.
-                if rank_scope:
-                    engine_free = engine_free_get(candidate.rank, 0)
-                else:
-                    engine_free = engine_free_get(
-                        (candidate.rank, candidate.bank), 0
-                    )
-                if engine_free > ready:
-                    ready = engine_free
-            if ready <= now:
-                head, decoded = req, candidate
-                break
-            if earliest is None or ready < earliest:
-                earliest = ready
-        if head is None or decoded is None:
-            self._candidate_scan_memo = (state, earliest)
-            if earliest is not None:
-                self._note_wake(earliest)
+        write_q = self.write_q
+        cut = self._wake_time
+        lowest = write_q.scan_bound
+        if lowest > now and lowest >= cut:
             return None
-        return WriteContext(now, head, decoded)
+        lowest = NO_WAKE
+        ranks = self.ranks
+        token_free = fine.token_free
+        for req in write_q.pending:
+            decoded = req.decoded
+            token = token_free[decoded.rank][decoded.bank] if req.dirty_mask else 0
+            ready = req.ready_bound
+            if token > ready:
+                ready = token
+            if ready > now and ready >= cut:
+                if ready < lowest:
+                    lowest = ready
+                continue
+            rank = ranks[decoded.rank]
+            if req.dirty_mask:
+                ready = rank.write_ready_time(req.chips, decoded.bank)
+            else:
+                ready = rank.read_ready_time(req.chips, decoded.bank)
+            req.ready_bound = ready
+            if token > ready:
+                ready = token
+            if ready <= now:
+                return WriteContext(now, req, decoded)
+            if ready < lowest:
+                lowest = ready
+                if ready < cut:
+                    cut = ready
+        write_q.scan_bound = lowest
+        self._wake_time = cut
+        return None
 
     def _complete_write(self, req: MemoryRequest) -> None:
         self.fine.note_write_complete()

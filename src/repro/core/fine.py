@@ -24,7 +24,7 @@ Two chain policies live here because they are pure engine drivers:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.memory.address import DecodedAddress
 from repro.memory.bus import BusDirection
@@ -53,41 +53,28 @@ class FineWriteEngine:
             )
         self.c = controller
         self.scope = scope
-        #: Scope resolved to a bool once: ``free_at`` sits in the
-        #: write-candidate scan and must not string-compare per call.
-        self._rank_scope = scope == "rank"
         #: Fine-grained writes currently in flight on this channel.
         self.inflight = 0
-        #: Engine-token free times, keyed by rank (or (rank, bank)).
-        self._free: dict = {}
-        #: Bumped whenever a token reservation changes (scan-memo input).
-        self.version = 0
+        #: Tick each write-engine token frees, as ``[rank][bank]``.  A
+        #: rank-scoped hold raises every bank of its rank, so readers
+        #: index one slot whatever the scope.  Free times only move
+        #: forward, like the chips' busy times.
+        self.token_free: List[List[int]] = [
+            [0] * rank.n_banks for rank in controller.ranks
+        ]
 
     # ------------------------------------------------------------------
     # Write-engine token
     # ------------------------------------------------------------------
-    def _token(self, decoded: DecodedAddress) -> Union[int, Tuple[int, int]]:
-        if self._rank_scope:
-            return decoded.rank
-        return (decoded.rank, decoded.bank)
-
-    def free_at(self, decoded: DecodedAddress) -> int:
-        """Tick at which ``decoded``'s engine token is free."""
-        if self._rank_scope:
-            return self._free.get(decoded.rank, 0)
-        return self._free.get((decoded.rank, decoded.bank), 0)
-
     def hold(self, decoded: DecodedAddress, until: int) -> None:
         """Extend the engine-token reservation to ``until``."""
-        token = self._token(decoded)
-        if until > self._free.get(token, 0):
-            self._free[token] = until
-            self.version += 1
-
-    @property
-    def budget_left(self) -> int:
-        """Head-room under the in-flight cap (never negative)."""
-        return max(0, self.c.config.max_inflight_writes - self.inflight)
+        slots = self.token_free[decoded.rank]
+        banks: Iterable[int] = (
+            range(len(slots)) if self.scope == "rank" else (decoded.bank,)
+        )
+        for bank in banks:
+            if until > slots[bank]:
+                slots[bank] = until
 
     # ------------------------------------------------------------------
     # Fine-grained writes (§IV-A2)
@@ -146,7 +133,7 @@ class FineWriteEngine:
         window_start: Optional[int] = None
         for word in req.dirty_words:
             chip = c.layout.data_chip(line, word)
-            chip_start = max(start, rank.chips[chip].write_ready(bank))
+            chip_start = max(start, rank.write_ready[chip])
             _xs, xfer_end = c.bus.reserve_partial(
                 chip, BusDirection.WRITE, chip_start
             )
@@ -218,7 +205,7 @@ class FineWriteEngine:
         serialisation that pins down WoW without ECC rotation.
         """
         c = self.c
-        chip_start = max(earliest, rank.chips[chip].write_ready(bank))
+        chip_start = max(earliest, rank.write_ready[chip])
         _xs, xfer_end = c.bus.reserve_partial(
             chip, BusDirection.WRITE, chip_start
         )

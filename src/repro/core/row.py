@@ -141,8 +141,6 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         busy = set(rank.busy_chips_at(now)) | head_chips
         for req in c.read_q:
             read_decoded = req.decoded
-            if read_decoded is None:
-                read_decoded = c.mapper.decode(req.address)
             if read_decoded.rank != decoded.rank:
                 continue
             line = read_decoded.line_address
@@ -193,11 +191,9 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
     def on_read_enqueued(self, request: MemoryRequest) -> None:
         c = self.controller
         assert c is not None and self.chain is not None
-        if request not in c.read_q:
+        if request not in c.read_q.entries:
             return  # already issued or forwarded by the base path
         decoded = request.decoded
-        if decoded is None:
-            decoded = c.mapper.decode(request.address)
         window = self._active_window[decoded.rank]
         if window is None or window.end <= c.engine.now:
             if window is not None:
@@ -221,8 +217,6 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         c = self.controller
         assert c is not None
         decoded = request.decoded
-        if decoded is None:
-            decoded = c.mapper.decode(request.address)
         rank = c.ranks[decoded.rank]
         line = decoded.line_address
         word_chips = c.layout.all_data_chips(line)
@@ -247,19 +241,20 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         recon_chips: Tuple[int, ...] = ()
         missing: Optional[int] = None
         if pcc_chip is not None:
-            missing = max(
-                range(WORDS_PER_LINE),
-                key=lambda w: rank.chips[word_chips[w]].write_busy_until,
-            )
-            recon_chips = tuple(
-                chip for w, chip in enumerate(word_chips) if w != missing
-            ) + (pcc_chip,)
+            # The first data word whose chip stays write-busy longest.
+            write_busy = rank.write_busy
+            skip, latest = 0, -1
+            for w, chip in enumerate(word_chips):
+                if write_busy[chip] > latest:
+                    skip, latest = w, write_busy[chip]
+            missing = skip
+            recon_chips = word_chips[:skip] + word_chips[skip + 1:] + (pcc_chip,)
             candidate = max(
                 now, rank.read_ready_time(recon_chips, decoded.bank)
             )
             # Reconstruction only pays off while the skipped chip is
             # actually still write-busy at that start time.
-            if rank.chips[word_chips[missing]].write_busy_until > candidate:
+            if latest > candidate:
                 recon_start = candidate
 
         if recon_start is not None and recon_start < normal_start:
@@ -282,20 +277,18 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         c = self.controller
         assert c is not None and self.chain is not None
         issued = 0
-        for req in list(c.read_q):
+        for req in list(c.read_q.entries):
             if (
                 self._active_reads[rank_index] + issued
                 >= c.config.row_max_overlapped_reads
             ):
                 break
-            if req not in c.read_q:
+            if req not in c.read_q.entries:
                 # Issuing a read frees queue space, which can re-enter
                 # this method through the CPU's back-pressure waiter; the
                 # nested call may have issued entries of our snapshot.
                 continue
             decoded = req.decoded
-            if decoded is None:
-                decoded = c.mapper.decode(req.address)
             if decoded.rank != rank_index:
                 continue
             plan = self.chain.admit_overlap_read(window, req, now)
@@ -326,7 +319,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         line, bank, row = decoded.line_address, decoded.bank, decoded.row
         start = max(now, rank.read_ready_time(chips, bank))
         activation = rank.activation_ticks(chips, bank, row)
-        cas_ready = start + activation + c.timing.cycles(c.timing.tCL)
+        cas_ready = start + activation + c._tcl_ticks
         end = cas_ready
         for chip in chips:
             _xs, xfer_end = c.bus.reserve_partial(
@@ -428,9 +421,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                 end, self._finish_verify, req, decoded, missing_word
             )
 
-        wake_at = max(
-            read_end, rank.chips[chip].write_busy_until, c.engine.now
-        )
+        wake_at = max(read_end, rank.write_busy[chip], c.engine.now)
         c.engine.call_at(wake_at, _run_verify)
 
     def _finish_verify(

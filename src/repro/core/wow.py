@@ -16,7 +16,7 @@ a declined RoW attempt.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 from repro.memory.address import DecodedAddress
 from repro.memory.policy import BaseSchedulerPolicy, WriteContext
@@ -59,78 +59,43 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
         c = self.controller
         assert c is not None and self.chain is not None
         rank = c.ranks[decoded_head.rank]
-
-        layout = c.layout
-
-        def chip_sets(
-            req: MemoryRequest, decoded: DecodedAddress
-        ) -> Tuple[Set[int], Set[int]]:
-            # Line address and dirty mask are final once queued, so the
-            # sets live on the request across admission scans.
-            cached = req.wow_sets
-            if cached is not None:
-                return cached
-            line = decoded.line_address
-            chips = req.chips
-            if chips is None:
-                chips = layout.dirty_chips(line, req.dirty_mask)
-            data = set(chips)
-            code = {layout.ecc_chip(line)}
-            pcc = layout.pcc_chip(line)
-            if pcc is not None:
-                code.add(pcc)
-            req.wow_sets = sets = (data, code)
-            return sets
-
-        head_data, head_code = chip_sets(head, decoded_head)
+        head_data, head_code = head.wow_masks or self._chip_masks(head)
         members: List[Tuple[MemoryRequest, DecodedAddress]] = [
             (head, decoded_head)
         ]
-        admitted = {id(head)}
-        occupied_all = head_data | head_code
-        budget = c.config.max_inflight_writes - c.fine.inflight
-        limit = min(c.config.wow_max_group, budget)
+        # Admitted members (the head included) are never re-admitted:
+        # their data chips are already in ``occupied``.
+        occupied = head_data | head_code
+        room = min(
+            c.config.wow_max_group,
+            c.config.max_inflight_writes - c.fine.inflight,
+        ) - 1
         head_rank = decoded_head.rank
-        mapper_decode = c.mapper.decode
 
         for require_code_disjoint in (True, False):
-            if len(members) >= limit:
-                break
             # No queue mutation happens during admission (members issue
             # after both passes), so iterate the pending FIFO directly.
             for req in c.write_q.pending:
-                if len(members) >= limit:
+                if room <= 0:
                     break
-                if (
-                    not req.dirty_mask
-                    or req.start_service >= 0
-                    or id(req) in admitted
-                ):
+                # A ready bound past ``now`` already rules the write out.
+                if not req.dirty_mask or req.ready_bound > now:
                     continue
                 decoded = req.decoded
-                if decoded is None:
-                    decoded = mapper_decode(req.address)
                 if decoded.rank != head_rank:
                     continue
-                data, code = chip_sets(req, decoded)
-                if not occupied_all.isdisjoint(data):
+                data, code = req.wow_masks or self._chip_masks(req)
+                if occupied & data:
                     continue
-                if require_code_disjoint and not occupied_all.isdisjoint(code):
+                if require_code_disjoint and occupied & code:
                     continue
-                # Same ready flavour (write-ready over the dirty chips)
-                # the candidate scan caches — reuse its rank-version memo.
-                version = rank.version
-                cached = req.ready_cache
-                if cached is not None and cached[0] == version:
-                    ready = cached[1]
-                else:
-                    ready = rank.write_ready_time(data, decoded.bank)
-                    req.ready_cache = (version, ready)
+                ready = rank.write_ready_time(req.chips, decoded.bank)
+                req.ready_bound = ready
                 if ready > now:
                     continue
                 members.append((req, decoded))
-                admitted.add(id(req))
-                occupied_all.update(data | code)
+                room -= 1
+                occupied |= data | code
 
         window = c._open_window(-1, -1)
         self.chain.on_window_open(window, decoded_head.rank)
@@ -174,3 +139,18 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
                     extra={"group_size": len(members)},
                 ))
         return group_service_end
+
+    def _chip_masks(self, req: MemoryRequest) -> Tuple[int, int]:
+        """``(data, code)`` chip bit masks of a queued write, cached on it."""
+        c = self.controller
+        assert c is not None
+        line = req.decoded.line_address
+        data = 0
+        for chip in req.chips:
+            data |= 1 << chip
+        code = 1 << c.layout.ecc_chip(line)
+        pcc = c.layout.pcc_chip(line)
+        if pcc is not None:
+            code |= 1 << pcc
+        req.wow_masks = (data, code)
+        return data, code

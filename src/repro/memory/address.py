@@ -99,9 +99,10 @@ class AddressMapper:
 
     def __init__(self, geometry: MemoryGeometry):
         self.geometry = geometry
-        #: Decode memo: the scheduler re-decodes the same request address
-        #: on every queue scan, so the (immutable) result is cached per
-        #: mapper.  Bounded by the working set of distinct line addresses.
+        #: Decode memo: every request is decoded once at submit and the
+        #: footprint's addresses repeat heavily, so the (immutable) result
+        #: is cached per mapper.  Bounded by the working set of distinct
+        #: line addresses.
         self._decoded: dict = {}
 
     def decode(self, address: int) -> DecodedAddress:

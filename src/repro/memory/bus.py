@@ -41,22 +41,21 @@ class ChannelBus:
         self._chip_last_dir: List[Optional[BusDirection]] = [None] * n_chips
         #: Total ticks the full-width bus spent transferring (utilisation).
         self.busy_ticks = 0
+        # tCCD already covers burst-to-burst spacing; our bursts are
+        # modelled back-to-back, so only the excess over the burst
+        # length applies.
+        self._same_gap = max(0, timing.cycles(timing.tCCD) - timing.burst_ticks)
+        self._wtr_gap = timing.cycles(timing.tWTR)
+        self._rtw_gap = timing.cycles(timing.tRTW)
 
     # ------------------------------------------------------------------
     def _gap(self, last: Optional[BusDirection], new: BusDirection) -> int:
         """Minimum idle gap before a burst of ``new`` direction."""
-        timing = self.timing
         if last is None:
             return 0
         if last is new:
-            # tCCD already covers burst-to-burst spacing; our bursts are
-            # modelled back-to-back, so only the excess over the burst
-            # length applies.
-            excess = timing.cycles(timing.tCCD) - timing.burst_ticks
-            return max(0, excess)
-        if last is BusDirection.WRITE and new is BusDirection.READ:
-            return timing.cycles(timing.tWTR)
-        return timing.cycles(timing.tRTW)
+            return self._same_gap
+        return self._wtr_gap if new is BusDirection.READ else self._rtw_gap
 
     def reserve(
         self, direction: BusDirection, earliest: int, duration: Optional[int] = None

@@ -22,12 +22,16 @@ fine-grained RoW/WoW policy stack instead of forking the issue path.
 
 The controller is event-driven: ``_kick`` runs whenever a request arrives
 or a resource frees, issues everything that can start *now*, and arms a
-wake-up at the earliest future time anything could start.
+wake-up at the earliest future time anything could start.  Busy times
+only move forward, so each request keeps its last computed ready tick as
+a lower bound (``MemoryRequest.ready_bound``) and each queue a bound over
+its entries (``scan_bound``); scans skip what those bounds rule out.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.memory.address import AddressMapper, DecodedAddress
@@ -43,12 +47,15 @@ from repro.memory.request import (
 )
 from repro.memory.storage import MemoryStorage
 from repro.memory.timing import WriteLatencyMode
-from repro.sim.engine import Engine, ticks_to_ns
+from repro.sim.engine import Engine, EventHandle, ticks_to_ns
 from repro.sim.metrics import IrlpRecorder, WriteWindow
 from repro.telemetry import EventType, Telemetry, TraceEvent
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.core.config import SystemConfig
+
+#: ``_wake_time`` when no wake-up is pending or noted.
+NO_WAKE = sys.maxsize
 
 
 class MemoryController:
@@ -100,17 +107,23 @@ class MemoryController:
             for rank in range(config.geometry.ranks_per_channel)
         ]
         self.bus = ChannelBus(config.timing, config.geometry.chips_per_rank)
+        #: Column-read latency (tCL) in ticks, paid by every read issue.
+        self._tcl_ticks = self.timing.cycles(self.timing.tCL)
         self.storage = storage
         self.detector = EssentialWordDetector(storage)
         self.irlp = IrlpRecorder()
         self.rng = random.Random(seed * 7919 + channel_id)
 
         self.drain = False
-        self._wake_handle = None
-        self._wake_time: Optional[int] = None
-        #: ``(state, earliest_future)`` memo of a failed read scan; valid
-        #: while the read queue and rank reservations are unchanged.
-        self._read_scan_memo: Optional[Tuple[int, int]] = None
+        self._wake_handle: Optional[EventHandle] = None
+        #: Earliest wake-up of the current kick; starts at the one already
+        #: armed, and scans lower it (see ``_kick``).
+        self._wake_time = NO_WAKE
+        coarse = tuple(range(config.geometry.data_chips))
+        if config.geometry.has_ecc_chip:
+            coarse += (config.geometry.ecc_chip_index,)
+        #: Every data chip plus ECC: what a baseline (coarse) write reserves.
+        self._coarse_chips = coarse
         self._open_windows: List[WriteWindow] = []
         self._in_kick = False
         #: Optional observer called with each read request right after it
@@ -170,15 +183,26 @@ class MemoryController:
     # ==================================================================
     def can_accept(self, kind: RequestKind) -> bool:
         queue = self.read_q if kind is RequestKind.READ else self.write_q
-        return not queue.full
+        return len(queue.entries) < queue.capacity
 
     def wait_for_space(self, kind: RequestKind, callback) -> None:
         queue = self.read_q if kind is RequestKind.READ else self.write_q
         queue.wait_for_space(callback)
 
-    def submit(self, request: MemoryRequest) -> None:
-        """Accept a request; raises when the target queue is full."""
+    def submit(
+        self, request: MemoryRequest, decoded: Optional[DecodedAddress] = None
+    ) -> None:
+        """Accept a request; raises when the target queue is full.
+
+        ``decoded`` is the routing decode ``MainMemory.submit`` already
+        made; direct callers leave it to this controller's mapper.  Decode
+        and chip set are final from here on.
+        """
         request.arrival = self.engine.now
+        request.decoded = decoded = (
+            decoded if decoded is not None
+            else self.mapper.decode(request.address)
+        )
         if self.tracer.enabled:
             self.tracer.emit(TraceEvent(
                 EventType.REQUEST_ENQUEUE,
@@ -187,17 +211,11 @@ class MemoryController:
                 req_id=request.req_id,
                 kind=request.kind.value,
             ))
-        if request.is_read:
+        is_read = request.kind is RequestKind.READ
+        if is_read:
             self._m_reads_enqueued.inc()
             if self._try_forward_read(request):
                 return
-            # Queued: decode + chip set are final, cache them once for the
-            # FR-FCFS scans (the scheduler revisits every queued request
-            # each step).  MainMemory.submit may have decoded already
-            # while routing the request here.
-            decoded = request.decoded
-            if decoded is None:
-                request.decoded = decoded = self.mapper.decode(request.address)
             request.chips = self.layout.read_chips(decoded.line_address)
             self.read_q.push(request)
             if self.drain:
@@ -205,13 +223,9 @@ class MemoryController:
         else:
             self._m_writes_enqueued.inc()
             self.detector.detect(request)
-            # Cache after detection: the detector is what finalises
-            # ``dirty_mask``.  Silent writes cache their compare set
-            # (all data chips), dirty writes their essential-chip set —
-            # exactly what the write-candidate scans re-derive per step.
-            decoded = request.decoded
-            if decoded is None:
-                request.decoded = decoded = self.mapper.decode(request.address)
+            # Chips after detection: the detector is what finalises
+            # ``dirty_mask``.  Silent writes keep their compare set (all
+            # data chips), dirty writes their essential-chip set.
             if request.dirty_mask:
                 request.chips = self.layout.dirty_chips(
                     decoded.line_address, request.dirty_mask
@@ -223,7 +237,7 @@ class MemoryController:
             self._m_dirty_words.observe(request.dirty_count)
             self.write_q.push(request)
         self._kick()
-        if request.is_read and request.completion < 0:
+        if is_read and request.completion < 0:
             # Still queued after the kick: let policies react — e.g. an
             # open RoW window absorbs reads arriving mid-window.
             self.policies.on_read_enqueued(request)
@@ -246,11 +260,16 @@ class MemoryController:
             return
         self._in_kick = True
         try:
-            self._wake_time = None
-            self._prune_windows()
+            # Start from the wake already armed: scans skip any request
+            # whose ready bound is past ``now`` and at or past it, since
+            # noting that request could not move the wake.
+            armed = self._wake_time = self._armed_wake()
+            if self._open_windows:
+                self._prune_windows()
             while self._schedule_once():
                 pass
-            self._arm_wake()
+            if self._wake_time < armed:
+                self._arm_wake(armed)
         finally:
             self._in_kick = False
 
@@ -260,63 +279,71 @@ class MemoryController:
         Read issue stays built in (FR-FCFS is common to every system);
         the write step is one pass through the policy chain.
         """
-        self._update_drain()
+        write_q = self.write_q
+        depth = len(write_q.entries)
+        if self.drain:
+            if depth <= write_q.low_count:
+                self._set_drain(False, depth)
+        elif depth > write_q.high_count:
+            self._set_drain(True, depth)
         now = self.engine.now
+        reads = self.read_q.entries
         if self.drain:
             # Drain mode: writes only; reads wait (the baseline policy the
             # paper's Figure 1 quantifies).  Pausing opts out of the
             # delayed-read flagging via its chain discipline flag.
-            if self.policies.mark_reads_delayed_in_drain and not self.read_q.empty:
-                for read in self.read_q:
+            if self.policies.mark_reads_delayed_in_drain:
+                for read in reads:
                     read.delayed_by_write = True
             return self.policies.select_write(now)
-        if not self.read_q.empty:
+        if reads:
             if self._try_issue_read(now):
                 return True
             if self.policies.reads_block_writes:
                 # Read-priority discipline: a queued-but-unready read
                 # holds the channel; only pausing-style chains proceed.
                 return False
-        if not self.write_q.empty:
+        if depth:
             return self.policies.select_write(now)
         return False
 
-    def _update_drain(self) -> None:
-        if not self.drain and self.write_q.above_high_watermark:
-            self.drain = True
+    def _set_drain(self, drain: bool, depth: int) -> None:
+        """Enter or leave drain mode (the write queue crossed a watermark)."""
+        self.drain = drain
+        if drain:
             self._m_drain_entries.inc()
-            if self.tracer.enabled:
-                self.tracer.emit(TraceEvent(
-                    EventType.DRAIN_ENTER,
-                    tick=self.engine.now,
-                    channel=self.channel_id,
-                    extra={"write_queue_depth": len(self.write_q)},
-                ))
-        elif self.drain and self.write_q.below_low_watermark:
-            self.drain = False
-            if self.tracer.enabled:
-                self.tracer.emit(TraceEvent(
-                    EventType.DRAIN_EXIT,
-                    tick=self.engine.now,
-                    channel=self.channel_id,
-                    extra={"write_queue_depth": len(self.write_q)},
-                ))
+        if self.tracer.enabled:
+            self.tracer.emit(TraceEvent(
+                EventType.DRAIN_ENTER if drain else EventType.DRAIN_EXIT,
+                tick=self.engine.now,
+                channel=self.channel_id,
+                extra={"write_queue_depth": depth},
+            ))
 
     # ------------------------------------------------------------------
     # Wake management
     # ------------------------------------------------------------------
+    def _armed_wake(self) -> int:
+        """Tick of the wake-up counted as pending (``NO_WAKE`` if none).
+
+        Known defect (ROADMAP): a handle that already fired still counts,
+        at its past tick, so once a controller's first wake-up fires it
+        never arms another.  Fixing it changes the pinned fingerprints.
+        """
+        handle = self._wake_handle
+        if handle is None or handle.cancelled:
+            return NO_WAKE
+        return handle.time
+
     def _note_wake(self, time: int) -> None:
         if time <= self.engine.now:
             time = self.engine.now + 1
-        if self._wake_time is None or time < self._wake_time:
+        if time < self._wake_time:
             self._wake_time = time
 
-    def _arm_wake(self) -> None:
-        if self._wake_time is None:
-            return
-        if self._wake_handle is not None and not self._wake_handle.cancelled:
-            if self._wake_handle.time <= self._wake_time:
-                return
+    def _arm_wake(self, armed: int) -> None:
+        """Arm the kick's earlier wake-up in place of the ``armed`` one."""
+        if self._wake_handle is not None and armed != NO_WAKE:
             self._wake_handle.cancel()
         self._wake_handle = self.engine.schedule_at(self._wake_time, self._kick)
 
@@ -362,75 +389,69 @@ class MemoryController:
         return True
 
     def _try_issue_read(self, now: int) -> bool:
-        """FR-FCFS over the read queue; returns True if a read was issued."""
-        ranks = self.ranks
-        # Whole-scan memo (see ``select_write_candidate``): a failed scan
-        # stays failed while the read queue and every rank reservation
-        # counter are unchanged and ``now`` has not reached the earliest
-        # ready time it computed.
-        state = self.read_q.version
-        for r in ranks:
-            state += r.version
-        memo = self._read_scan_memo
-        if memo is not None and memo[0] == state and memo[1] > now:
-            self._note_wake(memo[1])
+        """FR-FCFS over the read queue; returns True if a read was issued.
+
+        A read whose ready bound lies past ``now`` cannot issue, and once
+        the bound is also at or past ``cut`` (the kick's wake, or an
+        earlier bound seen in this scan) noting it cannot move the wake
+        either, so it is skipped without a chip lookup.  The queue's scan
+        bound skips the whole scan on the same terms.  A failed scan
+        leaves the wake exactly where a full rescan would.
+        """
+        read_q = self.read_q
+        cut = self._wake_time
+        lowest = read_q.scan_bound
+        if lowest > now and lowest >= cut:
             return False
+        lowest = NO_WAKE
+        ranks = self.ranks
         best: Optional[MemoryRequest] = None
         best_hit = False
-        earliest_future: Optional[int] = None
-        for req in self.read_q:
-            decoded = req.decoded
-            if decoded is None:  # queued outside submit (direct tests)
-                decoded = self.mapper.decode(req.address)
-            rank = ranks[decoded.rank]
-            chips = req.chips
-            if chips is None:
-                chips = self.layout.read_chips(decoded.line_address)
-            version = rank.version
-            cached = req.ready_cache
-            if cached is not None and cached[0] == version:
-                ready = cached[1]
-            else:
-                ready = rank.read_ready_time(chips, decoded.bank)
-                req.ready_cache = (version, ready)
-            if ready > now:
-                if earliest_future is None or ready < earliest_future:
-                    earliest_future = ready
+        for req in read_q.entries:
+            ready = req.ready_bound
+            if ready > now and ready >= cut:
+                if ready < lowest:
+                    lowest = ready
                 continue
-            hit = rank.row_hit(chips, decoded.bank, decoded.row)
+            decoded = req.decoded
+            rank = ranks[decoded.rank]
+            ready = req.ready_bound = rank.read_ready_time(req.chips, decoded.bank)
+            if ready > now:
+                if ready < lowest:
+                    lowest = ready
+                    if ready < cut:
+                        cut = ready
+                continue
+            hit = rank.row_hit(req.chips, decoded.bank, decoded.row)
             if best is None or (hit and not best_hit):
                 best, best_hit = req, hit
                 if hit:
                     break  # row hit + oldest-first: good enough
+                cut = now  # only a ready read can still beat ``best``
         if best is None:
-            if earliest_future is not None:
-                self._read_scan_memo = (state, earliest_future)
-                self._note_wake(earliest_future)
+            read_q.scan_bound = lowest
+            self._wake_time = cut
             return False
         self._issue_read(best, now)
         return True
 
     def _issue_read(self, req: MemoryRequest, now: int) -> None:
+        """Issue ``req``, which the read scan just found ready at ``now``."""
         decoded = req.decoded
-        if decoded is None:
-            decoded = self.mapper.decode(req.address)
         rank = self.ranks[decoded.rank]
         chips = req.chips
-        if chips is None:
-            chips = self.layout.read_chips(decoded.line_address)
-        start = max(now, rank.read_ready_time(chips, decoded.bank))
         activation = rank.activation_ticks(chips, decoded.bank, decoded.row)
         if activation == 0:
             self._m_row_hits.inc()
         else:
             self._m_row_misses.inc()
-        cas_ready = start + activation + self.timing.cycles(self.timing.tCL)
+        cas_ready = now + activation + self._tcl_ticks
         _bus_start, bus_end = self.bus.reserve(BusDirection.READ, cas_ready)
         if self.tracer.enabled:
             rank.log_label = f"Rd-{req.req_id}"
-        rank.reserve_read(chips, decoded.bank, bus_end, decoded.row, start=start)
+        rank.reserve_read(chips, decoded.bank, bus_end, decoded.row, start=now)
 
-        req.start_service = start
+        req.start_service = now
         if self.tracer.enabled:
             self.tracer.emit(TraceEvent(
                 EventType.REQUEST_ISSUE,
@@ -439,19 +460,19 @@ class MemoryController:
                 rank=decoded.rank,
                 bank=decoded.bank,
                 req_id=req.req_id,
-                start=start,
+                start=now,
                 end=bus_end,
                 kind="read",
             ))
         if not req.delayed_by_write:
             arrival = req.arrival
-            chip_states = rank.chips
+            write_busy = rank.write_busy
             for c in chips:
-                if chip_states[c].write_busy_until > arrival:
+                if write_busy[c] > arrival:
                     req.delayed_by_write = True
                     break
         data_chips = self.layout.all_data_chips(decoded.line_address)
-        self._record_activity(data_chips, start, bus_end)
+        self._record_activity(data_chips, now, bus_end)
         if self.storage is not None:
             req.data_words = self.storage.read_line(decoded.line_address).words
         self.read_q.remove(req)
@@ -490,35 +511,23 @@ class MemoryController:
         is armed and the step yields).  ``PCMapController`` overrides this
         with oldest-*ready*-first selection over fine-grained chip sets.
         """
-        head = next(
-            (req for req in self.write_q.pending if req.start_service < 0),
-            None,
-        )
-        if head is None:
+        pending = self.write_q.pending
+        if not pending:
             return None
+        head = pending[0]
         decoded = head.decoded
-        if decoded is None:
-            decoded = self.mapper.decode(head.address)
         rank = self.ranks[decoded.rank]
-        chips = self._coarse_write_chips(decoded)
-        ready = rank.write_ready_time(chips, decoded.bank)
+        ready = rank.write_ready_time(self._coarse_chips, decoded.bank)
         if ready > now:
             self._note_wake(ready)
             return None
         return WriteContext(now, head, decoded)
 
-    def _coarse_write_chips(self, decoded: DecodedAddress) -> Tuple[int, ...]:
-        """All chips a baseline write reserves (every data chip + ECC)."""
-        chips = tuple(range(self.geometry.data_chips))
-        if self.geometry.has_ecc_chip:
-            chips += (self.geometry.ecc_chip_index,)
-        return chips
-
     def _issue_coarse_write(
         self, req: MemoryRequest, decoded: DecodedAddress, now: int
     ) -> None:
         rank = self.ranks[decoded.rank]
-        chips = self._coarse_write_chips(decoded)
+        chips = self._coarse_chips
         start = max(now, rank.write_ready_time(chips, decoded.bank))
         _bus_start, bus_end = self.bus.reserve(BusDirection.WRITE, start)
         # The word-write latency is all-inclusive: the differential
@@ -628,10 +637,9 @@ class MemoryController:
         return window
 
     def _prune_windows(self) -> None:
-        # Runs every kick; rebuild the list only when something expired.
+        # Runs every kick with windows open; rebuild the list only when
+        # something expired.
         windows = self._open_windows
-        if not windows:
-            return
         now = self.engine.now
         for window in windows:
             if window.end <= now:

@@ -96,8 +96,7 @@ class MainMemory:
         # The routing decode is the same decode the controller would
         # redo; hand it over so submit skips its own mapper lookup.
         decoded = self.mapper.decode(request.address)
-        request.decoded = decoded
-        self.controllers[decoded.channel].submit(request)
+        self.controllers[decoded.channel].submit(request, decoded)
 
     def wait_for_space(self, kind: RequestKind, address: int, callback) -> None:
         self.controller_for(address).wait_for_space(kind, callback)

@@ -27,11 +27,14 @@ class RequestQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self._entries: List[MemoryRequest] = []
+        #: Queued requests in arrival order.  Schedulers read it directly;
+        #: only ``offer`` and ``remove`` change it.
+        self.entries: List[MemoryRequest] = []
         self._space_waiters: List[Callable[[], None]] = []
-        #: Bumped on every push/remove; scheduler scan memos sum this
-        #: with the rank versions to detect "nothing changed" rescans.
-        self.version = 0
+        #: Lower bound on the ready tick of every queued entry, set by a
+        #: scheduler scan that found nothing ready.  Removals only raise
+        #: the true minimum, so only an arrival resets it.
+        self.scan_bound = 0
         # Private instruments until attach_metrics swaps in registry ones.
         self._depth_gauge = Gauge()
         self._push_counter = Counter()
@@ -50,23 +53,23 @@ class RequestQueue:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries)
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     @property
     def empty(self) -> bool:
-        return not self._entries
+        return not self.entries
 
     @property
     def occupancy(self) -> float:
         """Fill fraction in [0, 1]."""
-        return len(self._entries) / self.capacity
+        return len(self.entries) / self.capacity
 
     @property
     def high_water(self) -> int:
@@ -76,12 +79,12 @@ class RequestQueue:
     # ------------------------------------------------------------------
     def offer(self, request: MemoryRequest) -> bool:
         """Append ``request`` if space allows; returns success."""
-        if self.full:
+        if len(self.entries) >= self.capacity:
             self._reject_counter.inc()
             return False
-        self._entries.append(request)
-        self.version += 1
-        self._depth_gauge.set(len(self._entries))
+        self.entries.append(request)
+        self.scan_bound = 0
+        self._depth_gauge.set(len(self.entries))
         self._push_counter.inc()
         return True
 
@@ -92,18 +95,13 @@ class RequestQueue:
 
     def remove(self, request: MemoryRequest) -> None:
         """Remove a specific entry (used when a request is issued)."""
-        self._entries.remove(request)
-        self.version += 1
-        self._depth_gauge.set(len(self._entries))
+        self.entries.remove(request)
+        self._depth_gauge.set(len(self.entries))
         self._notify_space()
 
     def oldest(self) -> Optional[MemoryRequest]:
         """Oldest entry, or ``None`` when empty."""
-        return self._entries[0] if self._entries else None
-
-    def entries(self) -> List[MemoryRequest]:
-        """Snapshot of queued entries in arrival order."""
-        return list(self._entries)
+        return self.entries[0] if self.entries else None
 
     # ------------------------------------------------------------------
     def wait_for_space(self, callback: Callable[[], None]) -> None:
@@ -111,7 +109,7 @@ class RequestQueue:
         self._space_waiters.append(callback)
 
     def _notify_space(self) -> None:
-        if self.full:
+        if len(self.entries) >= self.capacity:
             return
         waiters, self._space_waiters = self._space_waiters, []
         for waiter in waiters:
@@ -138,27 +136,27 @@ class WriteQueue(RequestQueue):
         self.drain_low = drain_low
         # Thresholds as entry counts: the drain check runs every
         # scheduler step and must not divide.
-        self._high_count = drain_high * capacity
-        self._low_count = drain_low * capacity
+        self.high_count = drain_high * capacity
+        self.low_count = drain_low * capacity
         #: Queued/in-flight entries per line address — the read-forwarding
         #: check probes this before scanning for matching writes.
         self._line_counts: Dict[int, int] = {}
-        #: FIFO of entries not yet issued (``start_service < 0``).  The
-        #: candidate/WoW scans iterate this instead of the full queue so
-        #: in-flight entries (held until completion) cost nothing per
+        #: Queued writes that have not started service, oldest first.
+        #: The candidate/WoW scans iterate this instead of the full queue
+        #: so in-flight entries (held until completion) cost nothing per
         #: scheduler step.  Maintained by ``offer``/``remove`` and by the
         #: issue paths via :meth:`note_issued`.
-        self._pending: List[MemoryRequest] = []
+        self.pending: List[MemoryRequest] = []
 
     @property
     def above_high_watermark(self) -> bool:
         """True when a drain should start (queue > alpha full)."""
-        return len(self._entries) > self._high_count
+        return len(self.entries) > self.high_count
 
     @property
     def below_low_watermark(self) -> bool:
         """True when an active drain should stop."""
-        return len(self._entries) <= self._low_count
+        return len(self.entries) <= self.low_count
 
     # ------------------------------------------------------------------
     def offer(self, request: MemoryRequest) -> bool:
@@ -167,7 +165,7 @@ class WriteQueue(RequestQueue):
             counts = self._line_counts
             line = request.line_address
             counts[line] = counts.get(line, 0) + 1
-            self._pending.append(request)
+            self.pending.append(request)
         return accepted
 
     def remove(self, request: MemoryRequest) -> None:
@@ -179,30 +177,23 @@ class WriteQueue(RequestQueue):
             counts[line] = remaining
         else:
             del counts[line]
-        # Entries normally leave _pending at issue time; a removal before
+        # Entries normally leave pending at issue time; a removal before
         # issue (cancellation, tests) must not leave a stale entry.
         try:
-            self._pending.remove(request)
+            self.pending.remove(request)
         except ValueError:
             pass
 
     def note_issued(self, request: MemoryRequest) -> None:
         """Drop ``request`` from the pending FIFO once it starts service.
 
-        Bumps ``version`` so candidate-scan memos keyed on queue state
-        are invalidated along with the membership change.  Requests that
-        never entered the queue (synthesised code updates) are a no-op.
+        Requests that never entered the queue (synthesised code updates)
+        are a no-op.
         """
         try:
-            self._pending.remove(request)
+            self.pending.remove(request)
         except ValueError:
-            return
-        self.version += 1
-
-    @property
-    def pending(self) -> List[MemoryRequest]:
-        """Queued writes that have not started service, oldest first."""
-        return self._pending
+            pass
 
     def has_line(self, line_address: int) -> bool:
         """True when some queued write targets ``line_address``."""

@@ -106,30 +106,22 @@ class MemoryRequest:
     # ----- scheduler fast-path caches -----------------------------------
     #: Line index (byte address / 64); precomputed, the address is final.
     line_address: int = field(init=False, repr=False)
-    #: Decoded address, cached by the owning controller at submit (the
-    #: request is routed to exactly one channel, so one mapper applies).
-    decoded: Optional["DecodedAddress"] = field(
-        init=False, repr=False, default=None
-    )
-    #: Chips the request touches, cached at submit *after* essential-word
+    #: Decoded address, set at submit (the request is routed to exactly
+    #: one channel, so one mapper applies).
+    decoded: "DecodedAddress" = field(init=False, repr=False)
+    #: Chips the request touches, set at submit *after* essential-word
     #: detection finalises ``dirty_mask``: ``read_chips`` for reads,
-    #: ``dirty_chips`` for writes.  The candidate scans the scheduler
-    #: runs per issue re-query these constantly.
-    chips: Optional[Tuple[int, ...]] = field(
-        init=False, repr=False, default=None
-    )
-    #: ``(rank_version, ready_tick)`` memo of the request's ready time
-    #: over :attr:`chips` — valid while the owning rank's reservation
-    #: counter still equals the stored version.  Written only by the
-    #: controller scan loops; a request always targets one rank and one
-    #: ready-time flavour, so the cache cannot be confused across uses.
-    ready_cache: Optional[Tuple[int, int]] = field(
-        init=False, repr=False, default=None
-    )
-    #: ``(data_chips, code_chips)`` sets for WoW group admission; line
-    #: address and dirty mask are final once queued, so the sets are
-    #: computed once per write instead of once per admission scan.
-    wow_sets: Optional[Tuple[set, set]] = field(
+    #: ``dirty_chips`` for writes (all data chips for silent ones).
+    chips: Tuple[int, ...] = field(init=False, repr=False)
+    #: Last ready tick the scheduler computed over :attr:`chips` (read
+    #: readiness for reads and silent writes, write readiness for dirty
+    #: writes).  Busy times only move forward, so it stays a lower bound
+    #: on the current ready tick, and scans skip the request while it
+    #: lies in the future.
+    ready_bound: int = field(init=False, repr=False, default=0)
+    #: ``(data_chip_mask, code_chip_mask)`` for WoW group admission,
+    #: computed on first admission scan (line and dirty mask are final).
+    wow_masks: Optional[Tuple[int, int]] = field(
         init=False, repr=False, default=None
     )
 

@@ -67,6 +67,22 @@ class ControllerHarness:
         self.submitted.append(req)
         return req
 
+    def enqueue(self, req: MemoryRequest) -> MemoryRequest:
+        """Queue ``req`` decoded, as ``submit`` would, but without a kick."""
+        controller = self.controller
+        req.decoded = controller.mapper.decode(req.address)
+        line = req.decoded.line_address
+        if req.is_read:
+            req.chips = controller.layout.read_chips(line)
+            controller.read_q.push(req)
+        else:
+            req.chips = (
+                controller.layout.dirty_chips(line, req.dirty_mask)
+                if req.dirty_mask else controller.layout.all_data_chips(line)
+            )
+            controller.write_q.push(req)
+        return req
+
     def run(self, max_events: int = 100_000) -> None:
         self.engine.run(max_events=max_events)
 

@@ -20,10 +20,8 @@ def row_policy(controller) -> ReadOverWritePolicy:
 def test_row_window_useful_true_for_reconstructable_read():
     h = harness("row-nr")
     controller = h.controller
-    write = make_write(1, 0, 0b1)  # chip 0 (fixed layout)
-    controller.write_q.push(write)  # queued, not yet issued
-    read = make_read(2, 100 * 64 * 4)
-    controller.read_q.push(read)
+    write = h.enqueue(make_write(1, 0, 0b1))  # chip 0; queued, not issued
+    h.enqueue(make_read(2, 100 * 64 * 4))
     decoded = controller.mapper.decode(write.address)
     assert row_policy(controller).window_useful(
         write, decoded, controller.engine.now
@@ -37,10 +35,8 @@ def test_row_window_useless_when_pcc_busy():
     # Occupy the PCC chip (9) and one data chip so reconstruction of any
     # read (which needs PCC) is impossible and plain overlap is blocked.
     rank.reserve_chip_write(9, 0, 10_000, None)
-    write = make_write(1, 0, 0b1)
-    controller.write_q.push(write)
-    read = make_read(2, 100 * 64 * 4)
-    controller.read_q.push(read)
+    write = h.enqueue(make_write(1, 0, 0b1))
+    h.enqueue(make_read(2, 100 * 64 * 4))
     decoded = controller.mapper.decode(write.address)
     # Data chip 0 (write) + chip 9 (busy) -> no read can join.
     assert not row_policy(controller).window_useful(

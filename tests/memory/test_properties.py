@@ -45,15 +45,15 @@ def test_property_rank_busy_horizons_never_shrink(operations):
     rank = RankState(DEFAULT_TIMING, n_chips=10, n_banks=8)
     clock = 0
     for is_write, chip, bank, duration in operations:
-        before = rank.chips[chip].write_busy_until
-        start = max(clock, rank.chips[chip].write_ready(bank))
+        before = rank.write_busy[chip]
+        start = max(clock, rank.write_ready[chip])
         end = start + duration
         if is_write:
             rank.reserve_chip_write(chip, bank, end, row=None)
-            assert rank.chips[chip].write_busy_until >= before
+            assert rank.write_busy[chip] >= before
         else:
             rank.reserve_read([chip], bank, end, row=None)
-            assert rank.chips[chip].write_busy_until == before
+            assert rank.write_busy[chip] == before
         clock += duration // 2
 
 

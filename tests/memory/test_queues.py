@@ -37,7 +37,7 @@ def test_fifo_order_and_oldest():
     for req in reqs:
         queue.push(req)
     assert queue.oldest() is reqs[0]
-    assert queue.entries() == reqs
+    assert queue.entries == reqs
     assert list(queue) == reqs
 
 

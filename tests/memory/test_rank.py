@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory.rank import ChipState, RankState
+from repro.memory.rank import RankState
 from repro.memory.timing import DEFAULT_TIMING
 
 
@@ -20,15 +20,17 @@ def test_fresh_rank_everything_ready(rank):
 def test_write_blocks_chip_across_all_banks(rank):
     rank.reserve_chip_write(chip=3, bank=0, end=1000, row=5)
     # Same chip, *different* bank: still blocked (single-server writes).
-    assert rank.chips[3].read_ready(bank=7) == 1000
+    assert rank.read_ready_time([3], bank=7) == 1000
     # Other chips unaffected.
-    assert rank.chips[4].read_ready(bank=0) == 0
+    assert rank.read_ready_time([4], bank=0) == 0
 
 
 def test_read_blocks_only_its_bank(rank):
     rank.reserve_read([2], bank=1, end=500, row=9)
-    assert rank.chips[2].read_ready(bank=1) == 500
-    assert rank.chips[2].read_ready(bank=2) == 0
+    assert rank.read_ready_time([2], bank=1) == 500
+    assert rank.read_ready_time([2], bank=2) == 0
+    # A write on the chip still waits for the read (any bank).
+    assert rank.write_ready_time([2], bank=2) == 500
 
 
 def test_busy_chips_reflects_write_reservations(rank):
@@ -50,12 +52,6 @@ def test_row_hit_requires_all_chips(rank):
     assert not rank.row_hit([0, 1, 2], bank=0, row=42)
     rank.reserve_read([2], bank=0, end=10, row=42)
     assert rank.row_hit([0, 1, 2], bank=0, row=42)
-
-
-def test_row_open_any(rank):
-    assert not rank.row_open_any([0, 1], bank=3)
-    rank.reserve_read([1], bank=3, end=5, row=7)
-    assert rank.row_open_any([0, 1], bank=3)
 
 
 def test_activation_cost_empty_row_buffer(rank):
@@ -84,11 +80,22 @@ def test_activation_cost_is_worst_chip(rank):
 def test_reservations_never_shrink(rank):
     rank.reserve_chip_write(0, 0, 1000, None)
     rank.reserve_chip_write(0, 0, 500, None)  # earlier end must not shrink
-    assert rank.chips[0].write_busy_until == 1000
+    assert rank.write_busy[0] == 1000
 
 
-def test_chip_state_slots():
-    chip = ChipState(n_banks=4)
-    assert chip.write_busy_until == 0
-    assert len(chip.array_busy_until) == 4
-    assert all(row is None for row in chip.open_row)
+def test_flat_table_shape():
+    rank = RankState(DEFAULT_TIMING, n_chips=10, n_banks=4)
+    assert rank.write_busy == [0] * 10
+    assert rank.write_ready == [0] * 10
+    assert rank.array_busy == [[0] * 10] * 4
+    assert rank.open_row == [[None] * 10] * 4
+
+
+def test_write_ready_is_running_max_over_banks(rank):
+    rank.reserve_read([5], bank=2, end=300, row=1)
+    rank.reserve_read([5], bank=6, end=200, row=1)
+    rank.reserve_chip_write(5, bank=0, end=250, row=None)
+    assert rank.write_ready[5] == 300
+    assert rank.write_busy[5] == 250
+    assert rank.array_busy[0][5] == 250
+    assert rank.open_row[2][5] == 1

@@ -1,0 +1,43 @@
+"""Machine-independent gate on the simulator's hot path: calls per event.
+
+cProfile counts every Python and builtin call exactly, so the number of
+calls per dispatched event on the pinned reference run (``rwow-rde`` on
+canneal, seed 7, 3000 requests: 6150 events / 364931 ticks) does not
+depend on the host's speed.  It measured 78.3-78.7 on CPython 3.10-3.12
+(the spread comes from string-hash seeding); the flat rank table and the
+ready-bound scans brought it down from 113.4.  A change that adds calls
+to the per-event path fails here before it shows in wall time.
+"""
+
+import cProfile
+import pstats
+
+from repro.core.systems import make_system
+from repro.sim.simulator import SimulationParams, SystemSimulator
+
+#: Measured calls per event of the reference run, and the allowed rise.
+MEASURED_CALLS_PER_EVENT = 78.7
+TOLERANCE = 0.03
+
+
+def test_reference_run_calls_per_event():
+    sim = SystemSimulator(
+        make_system("rwow-rde"),
+        "canneal",
+        SimulationParams(target_requests=3000, seed=7),
+    )
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        result = sim.run()
+    finally:
+        profile.disable()
+    events = result.profile.events_dispatched
+    assert (events, result.sim_ticks) == (6150, 364931)
+    calls = sum(stat[1] for stat in pstats.Stats(profile).stats.values())
+    per_event = calls / events
+    limit = MEASURED_CALLS_PER_EVENT * (1 + TOLERANCE)
+    assert per_event <= limit, (
+        f"{per_event:.2f} calls per event on the reference run, "
+        f"limit {limit:.2f}"
+    )
