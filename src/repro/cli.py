@@ -426,9 +426,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         jsonl = JsonlSink(args.jsonl)
         sinks.append(jsonl)
     telemetry = Telemetry.recording(sinks)
-    result = run_workload(args.workload, args.system, _params(args), telemetry)
-    if jsonl is not None:
-        jsonl.close()
+    try:
+        result = run_workload(
+            args.workload, args.system, _params(args), telemetry
+        )
+    finally:
+        telemetry.tracer.close()
 
     system = make_system(args.system)
     written = write_chrome_trace(
@@ -439,9 +442,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     print(format_table(_RESULT_HEADERS, [_result_row(result)],
                        title=f"workload {args.workload}"))
-    recorded = ring.total_seen
-    print(f"\nrecorded {recorded} events"
-          + (f" (kept last {len(ring.events)}, "
+    print(f"\nrecorded {ring.total_seen} events"
+          + (f" (kept last {len(ring)}, "
              f"{ring.evicted} evicted)" if ring.evicted else ""))
     print(f"wrote {written} Chrome trace events to {args.out} "
           "(open in chrome://tracing or https://ui.perfetto.dev)")

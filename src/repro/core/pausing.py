@@ -36,7 +36,7 @@ from repro.memory.policy import (
     WriteContext,
 )
 from repro.memory.request import MemoryRequest, ServiceClass
-from repro.telemetry import EventType, TraceEvent
+from repro.telemetry import EventType
 
 
 @dataclass
@@ -194,7 +194,7 @@ class WritePausingPolicy(BaseSchedulerPolicy):
                 self.pauses_taken += 1
                 self._m_write_pauses.inc()
                 if c.tracer.enabled:
-                    c.tracer.emit(TraceEvent(
+                    c.tracer.emit(
                         EventType.WRITE_PAUSE,
                         tick=c.engine.now,
                         channel=c.channel_id,
@@ -203,7 +203,7 @@ class WritePausingPolicy(BaseSchedulerPolicy):
                         end=end + pause_budget,
                         extra={"remaining_ticks": left,
                                "pauses_used": pauses_used + 1},
-                    ))
+                    )
                 c.engine.call_at(end + pause_budget, c._kick)
                 c._kick()
                 return
@@ -225,7 +225,7 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         self._paused = None
         resume_at = now + c.timing.cycles(self.RESUME_OVERHEAD_CYCLES)
         if c.tracer.enabled:
-            c.tracer.emit(TraceEvent(
+            c.tracer.emit(
                 EventType.WRITE_RESUME,
                 tick=now,
                 channel=c.channel_id,
@@ -233,7 +233,7 @@ class WritePausingPolicy(BaseSchedulerPolicy):
                 req_id=paused.request.req_id,
                 start=resume_at,
                 extra={"remaining_ticks": paused.remaining_ticks},
-            ))
+            )
         self._run_segment(
             paused.request,
             paused.decoded,

@@ -38,7 +38,7 @@ from repro.memory.request import (
     WORDS_PER_LINE,
 )
 from repro.sim.metrics import WriteWindow
-from repro.telemetry import EventType, TraceEvent
+from repro.telemetry import EventType
 
 
 class ReadOverWritePolicy(BaseSchedulerPolicy):
@@ -89,24 +89,24 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
             decline = ""
         self._m_attempts.inc()
         if c.tracer.enabled:
-            c.tracer.emit(TraceEvent(
+            c.tracer.emit(
                 EventType.ROW_ATTEMPT,
                 tick=now,
                 channel=c.channel_id,
                 rank=decoded.rank,
                 req_id=head.req_id,
-            ))
+            )
         if decline:
             self._declined(decline)
             if c.tracer.enabled:
-                c.tracer.emit(TraceEvent(
+                c.tracer.emit(
                     EventType.ROW_DECLINE,
                     tick=now,
                     channel=c.channel_id,
                     rank=decoded.rank,
                     req_id=head.req_id,
                     reason=decline,
-                ))
+                )
             return False  # fall through to WoW / plain fine write
         data_end = self._issue_window(head, decoded, now)
         # The engine frees at the *data* end: the PCC step runs on the
@@ -170,7 +170,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         )
         self._m_windows.inc()
         if c.tracer.enabled:
-            c.tracer.emit(TraceEvent(
+            c.tracer.emit(
                 EventType.ROW_SERVE,
                 tick=now,
                 channel=c.channel_id,
@@ -178,7 +178,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                 req_id=head.req_id,
                 start=window.start,
                 end=window.end,
-            ))
+            )
         self._active_window[decoded.rank] = window
         self._active_reads[decoded.rank] = 0
         self.chain.on_window_open(window, decoded.rank)
@@ -333,7 +333,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         req.start_service = start
         req.delayed_by_write = True  # it arrived while a write was draining
         if c.tracer.enabled:
-            c.tracer.emit(TraceEvent(
+            c.tracer.emit(
                 EventType.REQUEST_ISSUE,
                 tick=now,
                 channel=c.channel_id,
@@ -347,7 +347,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                     "row-overlap" if missing_word is None
                     else "row-reconstruction"
                 ),
-            ))
+            )
         self._record_data_read_activity(decoded, missing_word, start, end)
 
         if missing_word is None:
@@ -456,14 +456,14 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                 # opposed to the statistical consumed-early model.
                 self._m_rollbacks_corrupted.inc()
             if c.tracer.enabled:
-                c.tracer.emit(TraceEvent(
+                c.tracer.emit(
                     EventType.ROLLBACK,
                     tick=now,
                     channel=c.channel_id,
                     rank=decoded.rank,
                     req_id=req.req_id,
                     reason="corrupted" if corrupted else "consumed-early",
-                ))
+                )
         self.chain.on_verify_result(req, rollback)
         if req.on_verify is not None:
             req.on_verify(req, rollback)

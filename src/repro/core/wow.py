@@ -21,7 +21,7 @@ from typing import List, Tuple
 from repro.memory.address import DecodedAddress
 from repro.memory.policy import BaseSchedulerPolicy, WriteContext
 from repro.memory.request import MemoryRequest, ServiceClass
-from repro.telemetry import EventType, TraceEvent
+from repro.telemetry import EventType
 
 
 class WriteOverWritePolicy(BaseSchedulerPolicy):
@@ -101,22 +101,22 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
         self.chain.on_window_open(window, decoded_head.rank)
         grouped = len(members) > 1
         if grouped and c.tracer.enabled:
-            c.tracer.emit(TraceEvent(
+            c.tracer.emit(
                 EventType.WOW_OPEN,
                 tick=now,
                 channel=c.channel_id,
                 rank=decoded_head.rank,
                 req_id=head.req_id,
                 extra={"group_size": len(members)},
-            ))
+            )
             for req, _decoded in members[1:]:
-                c.tracer.emit(TraceEvent(
+                c.tracer.emit(
                     EventType.WOW_JOIN,
                     tick=now,
                     channel=c.channel_id,
                     rank=decoded_head.rank,
                     req_id=req.req_id,
-                ))
+                )
         group_service_end = now
         for req, decoded in members:
             if grouped:
@@ -129,7 +129,7 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
             self._m_groups.inc()
             self._m_members.inc(len(members))
             if c.tracer.enabled:
-                c.tracer.emit(TraceEvent(
+                c.tracer.emit(
                     EventType.WOW_CLOSE,
                     tick=now,
                     channel=c.channel_id,
@@ -137,7 +137,7 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
                     req_id=head.req_id,
                     end=group_service_end,
                     extra={"group_size": len(members)},
-                ))
+                )
         return group_service_end
 
     def _chip_masks(self, req: MemoryRequest) -> Tuple[int, int]:

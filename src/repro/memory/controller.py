@@ -49,7 +49,7 @@ from repro.memory.storage import MemoryStorage
 from repro.memory.timing import WriteLatencyMode
 from repro.sim.engine import Engine, EventHandle, ticks_to_ns
 from repro.sim.metrics import IrlpRecorder, WriteWindow
-from repro.telemetry import EventType, Telemetry, TraceEvent
+from repro.telemetry import EventType, Telemetry
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.core.config import SystemConfig
@@ -204,13 +204,13 @@ class MemoryController:
             else self.mapper.decode(request.address)
         )
         if self.tracer.enabled:
-            self.tracer.emit(TraceEvent(
+            self.tracer.emit(
                 EventType.REQUEST_ENQUEUE,
                 tick=request.arrival,
                 channel=self.channel_id,
                 req_id=request.req_id,
                 kind=request.kind.value,
-            ))
+            )
         is_read = request.kind is RequestKind.READ
         if is_read:
             self._m_reads_enqueued.inc()
@@ -313,12 +313,12 @@ class MemoryController:
         if drain:
             self._m_drain_entries.inc()
         if self.tracer.enabled:
-            self.tracer.emit(TraceEvent(
+            self.tracer.emit(
                 EventType.DRAIN_ENTER if drain else EventType.DRAIN_EXIT,
                 tick=self.engine.now,
                 channel=self.channel_id,
                 extra={"write_queue_depth": depth},
-            ))
+            )
 
     # ------------------------------------------------------------------
     # Wake management
@@ -376,14 +376,14 @@ class MemoryController:
             req.data_words = tuple(words)
         self._m_reads_forwarded.inc()
         if self.tracer.enabled:
-            self.tracer.emit(TraceEvent(
+            self.tracer.emit(
                 EventType.REQUEST_ISSUE,
                 tick=self.engine.now,
                 channel=self.channel_id,
                 req_id=req.req_id,
                 kind="read",
                 reason="forwarded-from-write-queue",
-            ))
+            )
         end = self.engine.now + self.timing.read_io_ticks
         self.engine.call_at(end, self._complete_read, req)
         return True
@@ -453,7 +453,7 @@ class MemoryController:
 
         req.start_service = now
         if self.tracer.enabled:
-            self.tracer.emit(TraceEvent(
+            self.tracer.emit(
                 EventType.REQUEST_ISSUE,
                 tick=self.engine.now,
                 channel=self.channel_id,
@@ -463,7 +463,7 @@ class MemoryController:
                 start=now,
                 end=bus_end,
                 kind="read",
-            ))
+            )
         if not req.delayed_by_write:
             arrival = req.arrival
             write_busy = rank.write_busy
@@ -487,7 +487,7 @@ class MemoryController:
         self._m_read_latency.observe(ticks_to_ns(latency))
         self._m_read_latency_ticks.inc(latency)
         if self.tracer.enabled:
-            self.tracer.emit(TraceEvent(
+            self.tracer.emit(
                 EventType.REQUEST_COMPLETE,
                 tick=self.engine.now,
                 channel=self.channel_id,
@@ -495,7 +495,7 @@ class MemoryController:
                 kind="read",
                 reason=req.service_class.value,
                 extra={"latency_ns": ticks_to_ns(latency)},
-            ))
+            )
         if self.read_completion_hook is not None:
             self.read_completion_hook(req)
         self._kick()
@@ -577,7 +577,7 @@ class MemoryController:
         req.start_service = start
         self.write_q.note_issued(req)
         if self.tracer.enabled:
-            self.tracer.emit(TraceEvent(
+            self.tracer.emit(
                 EventType.REQUEST_ISSUE,
                 tick=self.engine.now,
                 channel=self.channel_id,
@@ -588,7 +588,7 @@ class MemoryController:
                 end=end,
                 kind="write",
                 reason=req.service_class.value,
-            ))
+            )
         if self.storage is not None and req.new_words is not None:
             self.storage.write_line(
                 decoded.line_address, req.new_words, req.dirty_mask
@@ -600,14 +600,14 @@ class MemoryController:
         req.complete(self.engine.now)
         self._m_writes_completed.inc()
         if self.tracer.enabled:
-            self.tracer.emit(TraceEvent(
+            self.tracer.emit(
                 EventType.REQUEST_COMPLETE,
                 tick=self.engine.now,
                 channel=self.channel_id,
                 req_id=req.req_id,
                 kind="write",
                 reason=req.service_class.value,
-            ))
+            )
         self._kick()
 
     # ==================================================================

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.memory.timing import TimingParams
+from repro.telemetry.tracer import NULL_TRACER
 
 
 class RankState:
@@ -43,7 +44,7 @@ class RankState:
         n_banks: int,
         channel: int = 0,
         rank_index: int = 0,
-        tracer=None,
+        tracer=NULL_TRACER,
     ):
         self.timing = timing
         self.n_chips = n_chips
@@ -59,41 +60,10 @@ class RankState:
         #: ``reason`` of the next reservation's trace events; controllers
         #: set it per request, and only while tracing is on.
         self.log_label: str = ""
-        if tracer is None:
-            from repro.telemetry.tracer import NULL_TRACER
-
-            tracer = NULL_TRACER
         #: Structured-event tracer, the only record of chip occupancy:
         #: every reservation becomes a ``chip.reserve``/``chip.release``
-        #: pair when tracing is on.
+        #: pair per chip when tracing is on.
         self.tracer = tracer
-
-    def _trace(
-        self, kind: str, chips: Sequence[int], bank: int, start: int, end: int
-    ) -> None:
-        from repro.telemetry.tracer import EventType, TraceEvent
-
-        for chip in chips:
-            common = dict(
-                channel=self.channel,
-                rank=self.rank_index,
-                chip=chip,
-                bank=bank,
-                start=start,
-                end=end,
-                kind=kind,
-                reason=self.log_label,
-            )
-            self.tracer.emit(
-                TraceEvent(
-                    EventType.CHIP_RESERVE,
-                    tick=start if start >= 0 else end,
-                    **common,
-                )
-            )
-            self.tracer.emit(
-                TraceEvent(EventType.CHIP_RELEASE, tick=end, **common)
-            )
 
     # ------------------------------------------------------------------
     # Queries
@@ -189,7 +159,10 @@ class RankState:
             if row is not None:
                 open_row[c] = row
         if self.tracer.enabled:
-            self._trace("read", chips, bank, start, end)
+            self.tracer.emit_reservation(
+                "read", chips, bank, start, end,
+                self.channel, self.rank_index, self.log_label,
+            )
 
     def reserve_write(
         self,
@@ -214,7 +187,10 @@ class RankState:
             if row is not None:
                 open_row[c] = row
         if self.tracer.enabled:
-            self._trace("write", chips, bank, start, end)
+            self.tracer.emit_reservation(
+                "write", chips, bank, start, end,
+                self.channel, self.rank_index, self.log_label,
+            )
 
     def reserve_chip_write(
         self,

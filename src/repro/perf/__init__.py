@@ -5,8 +5,8 @@ SECDED codec (scalar and vectorized batch), the functional backing
 store, the array-backed front-end tier (batched epochs vs the object
 access loop), the event-engine dispatch loop, the synthetic trace
 generator,
-one end-to-end ``rwow-rde`` run, and the time-series sampler's
-overhead on that run — and emits a seed- and git-stamped
+one end-to-end ``rwow-rde`` run, and the time-series sampler's and the
+tracer's overhead on that run — and emits a seed- and git-stamped
 ``BENCH_perf.json`` (including the regression sentinel's pinned
 ``metrics_fingerprint`` section) so revisions stay comparable.
 
@@ -28,6 +28,7 @@ from repro.perf.suites import (
     bench_storage,
     bench_timeseries,
     bench_trace_gen,
+    bench_tracing,
     check_payload,
     format_payload,
     run_suite,
@@ -47,6 +48,7 @@ __all__ = [
     "bench_storage",
     "bench_timeseries",
     "bench_trace_gen",
+    "bench_tracing",
     "check_payload",
     "format_payload",
     "run_suite",

@@ -546,6 +546,56 @@ def bench_timeseries(seed: int, smoke: bool = False) -> BenchReport:
     )
 
 
+# ----------------------------------------------------------------------
+# Tracing overhead: the same run, tracer off vs on
+# ----------------------------------------------------------------------
+def bench_tracing(seed: int, smoke: bool = False) -> BenchReport:
+    """Cost of recording every trace event of the end-to-end run.
+
+    Runs the end-to-end configuration twice in the same process — once
+    plain, once recording into a default ``RingBufferSink`` — and reports
+    the wall ratio.  ``events`` is the deterministic trace-event count.
+    The ratio is recorded but not gated: best-of-3 on a shared VM
+    spreads too widely for a ceiling.
+    """
+    from repro.core.systems import make_rwow_rde
+    from repro.sim.simulator import SimulationParams, simulate
+    from repro.telemetry import RingBufferSink, Telemetry
+
+    target_requests = 600 if smoke else 3000
+    repeats = 2 if smoke else 3
+    params = SimulationParams(target_requests=target_requests, seed=seed)
+    recorded: Dict[str, int] = {}
+
+    def run_off() -> None:
+        simulate(make_rwow_rde(), "canneal", params)
+
+    def run_on() -> None:
+        ring = RingBufferSink()
+        simulate(make_rwow_rde(), "canneal", params, Telemetry.recording([ring]))
+        recorded["events"] = ring.total_seen
+
+    wall_off = time_call(run_off, repeats)
+    wall_on = time_call(run_on, repeats)
+    return BenchReport(
+        name="tracing",
+        config={
+            "system": "rwow-rde",
+            "workload": "canneal",
+            "target_requests": target_requests,
+            "sink": "ring",
+            "seed": seed,
+            "repeats": repeats,
+        },
+        metrics={
+            "wall_off_seconds": wall_off,
+            "wall_on_seconds": wall_on,
+            "overhead_ratio": wall_on / wall_off,
+            "events": float(recorded["events"]),
+        },
+    )
+
+
 #: Ceiling for the sampling overhead ratio at full budgets.  The issue
 #: budget is 5%; the gate sits higher so timer noise on a loaded CI box
 #: cannot flake it, while a hot-path mistake (sampling per event instead
@@ -557,7 +607,7 @@ TIMESERIES_OVERHEAD_CEILING = 1.15
 # Suite assembly
 # ----------------------------------------------------------------------
 def run_suite(seed: int = 7, smoke: bool = False) -> dict:
-    """Run all eight benchmarks; returns the ``BENCH_perf.json`` payload."""
+    """Run all nine benchmarks; returns the ``BENCH_perf.json`` payload."""
     from repro.analysis.regress import (
         collect_fingerprint,
         collect_frontend_fingerprint,
@@ -573,6 +623,7 @@ def run_suite(seed: int = 7, smoke: bool = False) -> dict:
         bench_trace_gen(seed, smoke),
         bench_end_to_end(seed, smoke),
         bench_timeseries(seed, smoke),
+        bench_tracing(seed, smoke),
     ]
     # Deterministic (non-timing) metrics of the reference run — the
     # regression sentinel's pinned baseline, direct-path and front-end

@@ -2,17 +2,25 @@
 
 Every interesting moment in the simulator — request lifecycle steps,
 RoW/WoW scheduling decisions, rollbacks, write pauses, chip reservations —
-is an :class:`TraceEvent` with a type from :class:`EventType` plus a small
-set of integer coordinates (channel/rank/chip/bank/request) and an
-optional free-form ``extra`` mapping.
+is an event with a type from :class:`EventType` plus a small set of
+integer coordinates (channel/rank/chip/bank/request) and an optional
+free-form ``extra`` mapping.
 
 Emit-site contract: hot paths guard every emission with::
 
     if self.tracer.enabled:
-        self.tracer.emit(TraceEvent(...))
+        self.tracer.emit(EventType.X, tick, channel=..., req_id=...)
 
 so a disabled run (:data:`NULL_TRACER`) pays exactly one attribute check
-per site — no event object is built, no string is formatted.
+per site — no record is built, no string is formatted.
+
+An enabled run stores each event as a *record*: one plain tuple of
+:class:`TraceEvent`'s fields in declaration order, with the type as its
+string value.  It holds only ints, strs, ``None`` and the ``extra`` dict,
+so the garbage collector untracks every record without ``extra`` (chip
+occupancy, the bulk of a trace) instead of scanning it.  Sinks keep
+records; :class:`TraceEvent` objects are built only when a sink's
+``events`` is read, or a line is written to a JSONL file.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Iterable, List, Optional, Union
+from typing import Deque, Iterable, List, Optional, Sequence, Union
 
 from repro.telemetry.registry import MetricsRegistry
 
@@ -55,15 +63,13 @@ class EventType(str, enum.Enum):
     DRAIN_EXIT = "drain.exit"
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
-    """One structured trace record.
+    """One structured trace event: the read-side view of a record.
 
     ``tick`` is the engine time the event was emitted; occupancy events
     additionally carry the reserved ``[start, end)`` span.  Unset integer
     coordinates stay at -1 so records serialise compactly and uniformly.
-    (Events are only constructed when tracing is on, so the dataclass
-    stays a plain one — no ``slots`` micro-tuning needed.)
     """
 
     type: EventType
@@ -112,17 +118,32 @@ class TraceEvent:
         )
 
 
+_TYPES = {event_type.value: event_type for event_type in EventType}
+_RESERVE = EventType.CHIP_RESERVE.value
+_RELEASE = EventType.CHIP_RELEASE.value
+
+
+def _views(records: Iterable[tuple]) -> List[TraceEvent]:
+    """The :class:`TraceEvent` of each record, in order."""
+    types = _TYPES
+    return [TraceEvent(types[record[0]], *record[1:]) for record in records]
+
+
 # ======================================================================
-# Sinks
+# Sinks: each keeps records (``append`` one, ``extend`` a batch)
 # ======================================================================
 class ListSink:
     """Unbounded in-memory sink (tests, short traced runs)."""
 
     def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
+        self.records: List[tuple] = []
+        # The list's own methods: a record costs one builtin call.
+        self.append = self.records.append
+        self.extend = self.records.extend
 
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
+    @property
+    def events(self) -> List[TraceEvent]:
+        return _views(self.records)
 
     def close(self) -> None:
         pass
@@ -135,21 +156,29 @@ class RingBufferSink:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._buffer: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._records: Deque[tuple] = deque(maxlen=capacity)
         #: Total events ever offered, including the evicted ones.
         self.total_seen = 0
 
-    def append(self, event: TraceEvent) -> None:
-        self._buffer.append(event)
+    def append(self, record: tuple) -> None:
+        self._records.append(record)
         self.total_seen += 1
+
+    def extend(self, records: Sequence[tuple]) -> None:
+        self._records.extend(records)
+        self.total_seen += len(records)
+
+    def __len__(self) -> int:
+        """Events retained (at most ``capacity``)."""
+        return len(self._records)
 
     @property
     def events(self) -> List[TraceEvent]:
-        return list(self._buffer)
+        return _views(self._records)
 
     @property
     def evicted(self) -> int:
-        return self.total_seen - len(self._buffer)
+        return self.total_seen - len(self._records)
 
     def close(self) -> None:
         pass
@@ -163,10 +192,15 @@ class JsonlSink:
         self._handle = open(self.path, "w")
         self.written = 0
 
-    def append(self, event: TraceEvent) -> None:
-        json.dump(event.to_dict(), self._handle, separators=(",", ":"))
-        self._handle.write("\n")
-        self.written += 1
+    def append(self, record: tuple) -> None:
+        self.extend((record,))
+
+    def extend(self, records: Iterable[tuple]) -> None:
+        handle = self._handle
+        for event in _views(records):
+            json.dump(event.to_dict(), handle, separators=(",", ":"))
+            handle.write("\n")
+            self.written += 1
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -196,14 +230,18 @@ def read_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
 class NullTracer:
     """Disabled tracer: emit sites see ``enabled == False`` and skip.
 
-    ``emit`` still exists (and discards) so non-hot-path callers may emit
-    unconditionally, but instrumented hot paths must check ``enabled``
-    first — tests/telemetry/test_overhead.py enforces that discipline.
+    ``emit``/``emit_reservation`` still exist (and discard) so non-hot-path
+    callers may emit unconditionally, but instrumented hot paths must check
+    ``enabled`` first — tests/telemetry/test_overhead.py enforces that
+    discipline.
     """
 
     enabled = False
 
-    def emit(self, event: TraceEvent) -> None:
+    def emit(self, *fields, **named) -> None:
+        pass
+
+    def emit_reservation(self, *fields, **named) -> None:
         pass
 
     def close(self) -> None:
@@ -215,7 +253,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Fans emitted events out to one or more sinks."""
+    """Fans emitted records out to one or more sinks."""
 
     enabled = True
 
@@ -223,17 +261,47 @@ class Tracer:
         self.sinks = list(sinks) if sinks is not None else [ListSink()]
         self.emitted = 0
 
-    def emit(self, event: TraceEvent) -> None:
+    def emit(
+        self, type: EventType, tick: int, channel: int = -1, rank: int = -1,
+        chip: int = -1, bank: int = -1, req_id: int = -1, start: int = -1,
+        end: int = -1, kind: str = "", reason: str = "",
+        extra: Optional[dict] = None,
+    ) -> None:
+        """Record one event; the arguments are :class:`TraceEvent`'s fields."""
+        # ``_value_`` is the plain attribute behind the ``value`` property.
+        record = (
+            type._value_, tick, channel, rank, chip, bank, req_id,
+            start, end, kind, reason, extra,
+        )
         self.emitted += 1
         for sink in self.sinks:
-            sink.append(event)
+            sink.append(record)
+
+    def emit_reservation(
+        self, kind: str, chips: Iterable[int], bank: int, start: int, end: int,
+        channel: int, rank: int, reason: str,
+    ) -> None:
+        """Record one rank reservation: a ``chip.reserve``/``chip.release``
+        pair per chip, handed to each sink in one batch."""
+        tick = start if start >= 0 else end
+        records: List[tuple] = []
+        for chip in chips:
+            records += (
+                (_RESERVE, tick, channel, rank, chip, bank, -1,
+                 start, end, kind, reason, None),
+                (_RELEASE, end, channel, rank, chip, bank, -1,
+                 start, end, kind, reason, None),
+            )
+        self.emitted += len(records)
+        for sink in self.sinks:
+            sink.extend(records)
 
     def events(self) -> List[TraceEvent]:
-        """Events from the first sink exposing an ``events`` collection."""
+        """Events (a fresh list) from the first sink exposing ``events``."""
         for sink in self.sinks:
             events = getattr(sink, "events", None)
             if events is not None:
-                return list(events)
+                return events
         return []
 
     def close(self) -> None:

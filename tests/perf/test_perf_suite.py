@@ -27,8 +27,13 @@ TOP_LEVEL_KEYS = {
 
 BENCHMARK_NAMES = [
     "codec", "batch_codec", "frontend_access", "storage", "engine",
-    "trace_gen", "end_to_end", "timeseries",
+    "trace_gen", "end_to_end", "timeseries", "tracing",
 ]
+
+#: Trace events of the smoke end-to-end run (rwow-rde/canneal, 600
+#: requests) at seed 3; the full-budget seed-7 run records 55,701
+#: (tests/perf/test_trace_records.py).
+SMOKE_TRACE_EVENTS_SEED3 = 16_398
 
 
 def _run_cli_json(capsys, seed: int) -> dict:
@@ -87,6 +92,12 @@ def test_perf_payload_schema(capsys):
     assert end_to_end["system"] == "rwow-rde"
     assert end_to_end["workload"] == "canneal"
     assert end_to_end["seed"] == 3
+    # The tracing report times the same run with the tracer on and off;
+    # its event count is deterministic, its ratio recorded but ungated.
+    tracing = by_name["tracing"]
+    assert tracing["config"]["target_requests"] == 600
+    assert tracing["metrics"]["events"] == SMOKE_TRACE_EVENTS_SEED3
+    assert tracing["metrics"]["overhead_ratio"] > 0
     # The batch report declares which path it measured; on numpy builds
     # it must carry the gated vectorization ratios.
     batch_codec = by_name["batch_codec"]

@@ -1,7 +1,7 @@
 """Guards on the cost of telemetry when tracing is off.
 
 The emit-site contract is ``if self.tracer.enabled: self.tracer.emit(...)``
-— a disabled run must never construct or emit an event.  The counting
+— a disabled run must never build or emit a record.  The counting
 tracer below would catch any unguarded ``emit`` call; the wall-clock test
 bounds the always-on metrics cost with a deliberately generous factor so
 it stays robust on loaded CI machines.
@@ -11,18 +11,21 @@ import time
 
 from repro.core.systems import make_system
 from repro.sim.simulator import SimulationParams, simulate
-from repro.telemetry import NullTracer, Telemetry, TraceEvent
+from repro.telemetry import EventType, NullTracer, Telemetry
 
 PARAMS = SimulationParams(target_requests=150, n_cores=2, seed=2)
 
 
 class CountingNullTracer(NullTracer):
-    """Disabled tracer that records any emit() call reaching it."""
+    """Disabled tracer that records any emit call reaching it."""
 
     def __init__(self) -> None:
         self.calls = 0
 
-    def emit(self, event: TraceEvent) -> None:
+    def emit(self, type: EventType, tick: int, *fields, **named) -> None:
+        self.calls += 1
+
+    def emit_reservation(self, *fields, **named) -> None:
         self.calls += 1
 
 

@@ -1,5 +1,11 @@
 """Unit tests for trace events, sinks and tracers."""
 
+import gc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.telemetry import (
     NULL_TRACER,
     EventType,
@@ -13,11 +19,18 @@ from repro.telemetry import (
     read_jsonl,
 )
 
-import pytest
-
 
 def _event(tick=100, **kwargs):
     return TraceEvent(type=EventType.REQUEST_ISSUE, tick=tick, **kwargs)
+
+
+def _reservation(
+    tracer, kind="write", chips=(0, 3, 9), start=10, end=1210, reason="Wr-1"
+):
+    tracer.emit_reservation(
+        kind, chips, bank=2, start=start, end=end, channel=0, rank=1,
+        reason=reason,
+    )
 
 
 def test_event_to_dict_is_compact():
@@ -42,9 +55,11 @@ def test_event_dict_round_trip():
 
 def test_ring_buffer_eviction():
     sink = RingBufferSink(capacity=3)
+    tracer = Tracer([sink])
     for tick in range(5):
-        sink.append(_event(tick=tick))
+        tracer.emit(EventType.REQUEST_ISSUE, tick)
     assert sink.total_seen == 5
+    assert len(sink) == 3
     assert sink.evicted == 2
     assert [e.tick for e in sink.events] == [2, 3, 4]
     with pytest.raises(ValueError):
@@ -59,8 +74,10 @@ def test_jsonl_round_trip(tmp_path):
         TraceEvent(type=EventType.WOW_OPEN, tick=3, extra={"group_size": 3}),
     ]
     with JsonlSink(path) as sink:
-        for event in events:
-            sink.append(event)
+        tracer = Tracer([sink])
+        tracer.emit(EventType.REQUEST_ISSUE, 1, req_id=1)
+        tracer.emit(EventType.ROW_DECLINE, 2, reason="write-pressure")
+        tracer.emit(EventType.WOW_OPEN, 3, extra={"group_size": 3})
     assert sink.written == 3
     assert read_jsonl(path) == events
 
@@ -68,8 +85,8 @@ def test_jsonl_round_trip(tmp_path):
 def test_tracer_fans_out_to_all_sinks():
     a, b = ListSink(), ListSink()
     tracer = Tracer([a, b])
-    tracer.emit(_event())
-    tracer.emit(_event(tick=200))
+    tracer.emit(EventType.REQUEST_ISSUE, 100)
+    tracer.emit(EventType.REQUEST_ISSUE, 200)
     assert tracer.emitted == 2
     assert len(a.events) == len(b.events) == 2
     assert [e.tick for e in tracer.events()] == [100, 200]
@@ -78,7 +95,8 @@ def test_tracer_fans_out_to_all_sinks():
 def test_null_tracer_is_disabled():
     assert NULL_TRACER.enabled is False
     assert isinstance(NULL_TRACER, NullTracer)
-    NULL_TRACER.emit(_event())  # discards silently
+    NULL_TRACER.emit(EventType.REQUEST_ISSUE, 100)  # discards silently
+    _reservation(NULL_TRACER)
     NULL_TRACER.close()
 
 
@@ -89,7 +107,110 @@ def test_telemetry_bundle_defaults():
 
     recording = Telemetry.recording()
     assert recording.tracer.enabled is True
-    recording.tracer.emit(_event())
-    assert len(recording.tracer.events()) == 1
+    recording.tracer.emit(EventType.REQUEST_ISSUE, 100)
+    assert recording.tracer.events() == [_event()]
     # Each bundle gets its own registry.
     assert recording.metrics is not disabled.metrics
+
+
+# ----------------------------------------------------------------------
+# Records are stored; views are built on read
+# ----------------------------------------------------------------------
+_COORDINATE = st.integers(0, 2**40)
+
+#: TraceEvent's fields after ``type``; a field left out keeps its default.
+_FIELDS = st.fixed_dictionaries(
+    {"tick": st.integers(0, 2**40)},
+    optional={
+        "channel": _COORDINATE,
+        "rank": _COORDINATE,
+        "chip": _COORDINATE,
+        "bank": _COORDINATE,
+        "req_id": st.integers(0, 2**63),
+        "start": _COORDINATE,
+        "end": _COORDINATE,
+        "kind": st.sampled_from(["read", "write"]),
+        "reason": st.text(max_size=16),
+        "extra": st.one_of(
+            st.none(),
+            st.dictionaries(st.text(max_size=8), st.integers(), max_size=3),
+        ),
+    },
+)
+
+
+@pytest.mark.parametrize("event_type", list(EventType))
+@settings(max_examples=40, deadline=None)
+@given(fields=_FIELDS)
+def test_record_view_equals_the_event_of_the_same_fields(event_type, fields):
+    sink = ListSink()
+    Tracer([sink]).emit(event_type, **fields)
+    (record,) = sink.records
+    assert type(record[0]) is str and record[0] == event_type.value
+    (view,) = sink.events
+    assert view == TraceEvent(event_type, **fields)
+    assert view.type is event_type
+
+
+def test_records_without_extra_are_untracked_by_the_collector():
+    sink = ListSink()
+    tracer = Tracer([sink])
+    tracer.emit(EventType.REQUEST_ISSUE, 5, channel=1, req_id=9,
+                kind="read", reason="row-overlap")
+    _reservation(tracer)
+    gc.collect()
+    assert not any(gc.is_tracked(record) for record in sink.records)
+
+
+def test_reservation_hands_off_a_pair_per_chip():
+    sink = ListSink()
+    tracer = Tracer([sink])
+    _reservation(tracer, chips=(0, 3))
+    _reservation(tracer, kind="read", chips=(4,), start=-1, end=50,
+                 reason="Rd-2")
+    assert tracer.emitted == 6
+    assert sink.events == [
+        TraceEvent(EventType.CHIP_RESERVE, 10, 0, 1, 0, 2, -1, 10, 1210,
+                   "write", "Wr-1"),
+        TraceEvent(EventType.CHIP_RELEASE, 1210, 0, 1, 0, 2, -1, 10, 1210,
+                   "write", "Wr-1"),
+        TraceEvent(EventType.CHIP_RESERVE, 10, 0, 1, 3, 2, -1, 10, 1210,
+                   "write", "Wr-1"),
+        TraceEvent(EventType.CHIP_RELEASE, 1210, 0, 1, 3, 2, -1, 10, 1210,
+                   "write", "Wr-1"),
+        # No start: the reservation is stamped at its end.
+        TraceEvent(EventType.CHIP_RESERVE, 50, 0, 1, 4, 2, -1, -1, 50,
+                   "read", "Rd-2"),
+        TraceEvent(EventType.CHIP_RELEASE, 50, 0, 1, 4, 2, -1, -1, 50,
+                   "read", "Rd-2"),
+    ]
+
+
+@pytest.mark.parametrize("capacity", [1, 4, 5, 11, 64])
+def test_ring_keeps_the_last_events_across_emits_and_hand_offs(capacity):
+    ring, full = RingBufferSink(capacity=capacity), ListSink()
+    tracer = Tracer([ring, full])
+    tracer.emit(EventType.REQUEST_ENQUEUE, 1, req_id=1)
+    _reservation(tracer)  # six records, more than some rings hold
+    tracer.emit(EventType.REQUEST_ISSUE, 10, req_id=1)
+    _reservation(tracer, kind="read", chips=(4,), start=20, end=50)
+    tracer.emit(EventType.REQUEST_COMPLETE, 60, req_id=1)
+    assert tracer.emitted == ring.total_seen == len(full.records) == 11
+    kept = min(capacity, 11)
+    assert len(ring) == kept
+    assert ring.evicted == 11 - kept
+    assert ring.events == full.events[-kept:]
+
+
+def test_read_jsonl_returns_the_emitted_events(tmp_path):
+    path = tmp_path / "events.jsonl"
+    full = ListSink()
+    with JsonlSink(path) as jsonl:
+        tracer = Tracer([jsonl, full])
+        tracer.emit(EventType.WRITE_PAUSE, 424, channel=3, rank=0, req_id=7,
+                    end=2074, extra={"remaining_ticks": 900, "pauses_used": 1})
+        _reservation(tracer)
+        tracer.emit(EventType.DRAIN_EXIT, 500, channel=3,
+                    extra={"write_queue_depth": 2})
+    assert jsonl.written == tracer.emitted == 8
+    assert read_jsonl(path) == full.events

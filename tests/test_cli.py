@@ -125,6 +125,44 @@ def test_trace_command_writes_chrome_trace(tmp_path, capsys):
     assert len(read_jsonl(jsonl_file)) > 0
 
 
+def test_trace_command_reports_ring_eviction(tmp_path, capsys):
+    jsonl_file = tmp_path / "run.jsonl"
+    assert main([
+        "trace", "--workload", "canneal", "--system", "rwow-rde",
+        "--requests", "200", "--cores", "2", "--buffer", "100",
+        "--out", str(tmp_path / "run.trace.json"), "--jsonl", str(jsonl_file),
+    ]) == 0
+    out = capsys.readouterr().out
+    # The JSONL sink keeps every event; the ring only the last 100.
+    recorded = len(jsonl_file.read_text().splitlines())
+    assert recorded > 100
+    assert (
+        f"recorded {recorded} events (kept last 100, {recorded - 100} evicted)"
+        in out
+    )
+
+
+def test_trace_command_closes_jsonl_when_the_run_fails(tmp_path, monkeypatch):
+    import repro.cli
+    from repro.telemetry import JsonlSink
+
+    sinks = []
+
+    def failing_run(workload, system, params, telemetry):
+        sinks.extend(telemetry.tracer.sinks)
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(repro.cli, "run_workload", failing_run)
+    with pytest.raises(RuntimeError, match="run failed"):
+        main([
+            "trace", "--workload", "canneal", "--system", "rwow-rde",
+            "--out", str(tmp_path / "run.trace.json"),
+            "--jsonl", str(tmp_path / "run.jsonl"),
+        ])
+    (jsonl,) = [sink for sink in sinks if isinstance(sink, JsonlSink)]
+    assert jsonl._handle.closed
+
+
 def test_stats_command_json(capsys):
     import json
 
