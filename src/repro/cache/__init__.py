@@ -1,4 +1,8 @@
-"""Cache substrate: functional L1/L2/DRAM stack plus the timed DRAM tier."""
+"""Cache substrate: functional L1/L2/DRAM stack plus the timed DRAM tier.
+
+The functional stack (:mod:`repro.cache.hierarchy`) loads on first use:
+no simulator run builds it, so ``import repro`` skips its module body.
+"""
 
 from repro.cache.cacheline import CacheLine, line_base, word_index
 from repro.cache.dram_cache import DramCache, DramCacheConfig
@@ -8,7 +12,6 @@ from repro.cache.frontend import (
     FrontEndConfig,
     FrontEndStats,
 )
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, HierarchyOutcome
 from repro.cache.replacement import (
     REPLACEMENT_POLICIES,
     REPLACEMENT_POLICY_NAMES,
@@ -56,3 +59,14 @@ __all__ = [
     "SetAssociativeCache",
     "make_set_cache",
 ]
+
+
+_HIERARCHY_NAMES = ("CacheHierarchy", "HierarchyConfig", "HierarchyOutcome")
+
+
+def __getattr__(name: str):
+    if name in _HIERARCHY_NAMES:
+        from repro.cache import hierarchy
+
+        return getattr(hierarchy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

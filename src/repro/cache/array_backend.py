@@ -17,7 +17,7 @@ installing appends at ``count`` — mirroring the object backend's per-set
 list exactly, so policy tie-breaks, CLOCK hand positions and eviction
 streams are bit-identical.  The scalar path needs only the ``array``
 module (the ``REPRO_NO_NUMPY`` fallback); when numpy is present the
-columns are additionally exposed as zero-copy ``np.frombuffer`` views
+first batch call exposes the columns as zero-copy ``np.frombuffer`` views
 and the batch entry points (:meth:`ArraySetCache.classify_batch`,
 :meth:`ArraySetCache.access_batch`) classify a whole epoch of accesses
 in a handful of vector operations, replaying only the sets that contain
@@ -43,7 +43,7 @@ from repro.cache.replacement import (
     make_replacement_policy,
 )
 from repro.cache.set_assoc import CacheStats, Eviction
-from repro.ecc.batch import HAS_NUMPY, np
+from repro.ecc import batch
 from repro.memory.request import LINE_BYTES, WORDS_PER_LINE
 
 #: Below this many accesses the vector path's array setup costs more
@@ -123,24 +123,36 @@ class ArraySetCache:
         )
         self._clock = 0
         self.stats = CacheStats()
+        #: Whether :meth:`_vector_ready` has built the numpy views.  The
+        #: first vector batch call builds them, so a cache that never
+        #: batches never loads numpy.
+        self._np_ready = False
 
-        if HAS_NUMPY:
-            self._np_tags = np.frombuffer(self._tags, dtype=np.int64)
-            self._np_last_use = np.frombuffer(self._last_use, dtype=np.int64)
-            self._np_dirty = np.frombuffer(self._dirty, dtype=np.uint8)
-            self._np_policy = np.frombuffer(self._policy, dtype=np.int32)
-            #: (n_sets, ways) view of the tag slab: one row-gather pulls
-            #: a whole set's candidate tags per access.
-            self._np_tags_2d = self._np_tags.reshape(self.n_sets, associativity)
-            #: When ways matches an unsigned dtype width, a per-row
-            #: reinterpret of the bool match matrix replaces the (much
-            #: slower) ``any(axis=1)`` reduction.
-            self._row_dtype = {
-                1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64
-            }.get(associativity)
-            self._bit_lut = np.uint8(1) << np.arange(
-                WORDS_PER_LINE, dtype=np.uint8
-            )
+    def _vector_ready(self) -> bool:
+        """Build the zero-copy numpy views once; ``False`` without numpy."""
+        if self._np_ready or not batch.HAS_NUMPY:
+            return self._np_ready
+        np = batch.np
+        self._np_tags = np.frombuffer(self._tags, dtype=np.int64)
+        self._np_last_use = np.frombuffer(self._last_use, dtype=np.int64)
+        self._np_dirty = np.frombuffer(self._dirty, dtype=np.uint8)
+        self._np_policy = np.frombuffer(self._policy, dtype=np.int32)
+        #: (n_sets, ways) view of the tag slab: one row-gather pulls a
+        #: whole set's candidate tags per access.
+        self._np_tags_2d = self._np_tags.reshape(
+            self.n_sets, self.associativity
+        )
+        #: When ways matches an unsigned dtype width, a per-row
+        #: reinterpret of the bool match matrix replaces the (much
+        #: slower) ``any(axis=1)`` reduction.
+        self._row_dtype = {
+            1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64
+        }.get(self.associativity)
+        self._bit_lut = np.uint8(1) << np.arange(
+            WORDS_PER_LINE, dtype=np.uint8
+        )
+        self._np_ready = True
+        return True
 
     # ------------------------------------------------------------------
     # Scalar lookups (array-module only; the REPRO_NO_NUMPY path)
@@ -405,6 +417,7 @@ class ArraySetCache:
     @staticmethod
     def _bool_vector(flags: Sequence[bool], n: int):
         """Bool sequence -> bool vector, via the raw-bytes fast path."""
+        np = batch.np
         try:
             return np.frombuffer(bytes(flags), dtype=np.bool_)
         except (TypeError, ValueError):
@@ -422,7 +435,7 @@ class ArraySetCache:
         fixed-cost numpy ops per epoch.
         """
         lines = addrs // LINE_BYTES
-        tags, set_idx = np.divmod(lines, self.n_sets)
+        tags, set_idx = batch.np.divmod(lines, self.n_sets)
         base = set_idx * self.associativity
         cand = self._np_tags_2d.take(set_idx, axis=0, mode="clip")
         match = cand == tags[:, None]
@@ -440,8 +453,9 @@ class ArraySetCache:
         steering (prefetch) while the real probes still run per event.
         """
         n = len(addresses)
-        if not HAS_NUMPY or n < BATCH_MIN_ACCESSES:
+        if n < BATCH_MIN_ACCESSES or not self._vector_ready():
             return [self.contains(a) for a in addresses]
+        np = batch.np
         addrs = np.fromiter(addresses, dtype=np.int64, count=n)
         hit, _, _, _ = self._classify_vector(addrs)
         return hit.tolist()
@@ -467,9 +481,9 @@ class ArraySetCache:
         """
         n = len(addresses)
         scalar = (
-            not HAS_NUMPY
-            or n < BATCH_MIN_ACCESSES
+            n < BATCH_MIN_ACCESSES
             or (self._words is not None and values is not None)
+            or not self._vector_ready()
         )
         if scalar:
             hits: List[bool] = []
@@ -481,6 +495,7 @@ class ArraySetCache:
                 evictions.append(evicted)
             return hits, evictions
 
+        np = batch.np
         clock0 = self._clock
         addrs = np.asarray(addresses, dtype=np.int64)
         hit, match, set_idx, base = self._classify_vector(addrs)

@@ -89,6 +89,39 @@ from repro.trace.trace_io import save_trace
 from repro.trace.workloads import ALL_WORKLOADS, get_workload, workload_names
 
 
+def _number(parse, accept, expected: str):
+    """argparse ``type=`` that rejects out-of-range values with exit 2."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
+
+
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _number(float, lambda v: v > 0, "a positive number")
+_probability = _number(
+    float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]"
+)
+
+
+def _frontend_mb(text: str) -> float:
+    """``--frontend-mb``: a size :func:`make_front_end` accepts."""
+    capacity_mb = _positive_float(text)
+    try:
+        make_front_end("dram", capacity_mb=capacity_mb)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return capacity_mb
+
+
 def _front_end(args: argparse.Namespace):
     """Front-end config from the common CLI flags (default: direct path)."""
     return make_front_end(
@@ -734,10 +767,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-systems").set_defaults(func=cmd_list_systems)
 
     def add_common(p):
-        p.add_argument("--requests", type=int, default=4_000,
+        p.add_argument("--requests", type=_positive_int, default=4_000,
                        help="total main-memory requests to simulate")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--cores", type=int, default=8)
+        p.add_argument("--cores", type=_positive_int, default=8)
         p.add_argument("--front-end", dest="front_end",
                        choices=FRONT_END_NAMES, default="none",
                        help="simulated cache tier in front of PCM "
@@ -747,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="front-end replacement policy "
                             "(only meaningful with --front-end dram)")
         p.add_argument("--frontend-mb", dest="frontend_mb",
-                       type=float, default=None, metavar="MB",
+                       type=_frontend_mb, default=None, metavar="MB",
                        help="front-end tier capacity in MiB (e.g. 256 "
                             "for the paper-scale Table I tier; default: "
                             "the tier's built-in 256 MB). Sets/ways are "
@@ -783,13 +816,16 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{DEFAULT_STORE_PATH})")
 
     def add_lease_knobs(p):
-        p.add_argument("--lease", type=float, default=None, metavar="S",
+        p.add_argument("--lease", type=_positive_float, default=None,
+                       metavar="S",
                        help="lease seconds before a silent worker's job "
                             "is reclaimed (default: 30)")
-        p.add_argument("--max-attempts", type=int, default=None,
+        p.add_argument("--max-attempts", type=_positive_int,
+                       default=None,
                        help="lease acquisitions before a job dead-letters "
                             "(default: 4)")
-        p.add_argument("--timeout", type=float, default=None, metavar="S",
+        p.add_argument("--timeout", type=_positive_float, default=None,
+                       metavar="S",
                        help="per-job wall-clock cap; an overdue job is "
                             "killed and retried (default: none)")
 
@@ -801,7 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated workload names "
                               "(required unless --resume)")
     sweep_p.add_argument("--systems", help="comma-separated system names")
-    sweep_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    sweep_p.add_argument("--jobs", type=_positive_int,
+                         default=os.cpu_count() or 1,
                          help="worker processes (default: all cores)")
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="always re-simulate; do not read or write "
@@ -809,11 +846,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_dir(sweep_p)
     sweep_p.add_argument("--quiet", action="store_true",
                          help="suppress per-job progress lines on stderr")
-    sweep_p.add_argument("--timeout", type=float, default=None, metavar="S",
+    sweep_p.add_argument("--timeout", type=_positive_float, default=None,
+                         metavar="S",
                          help="per-job wall-clock cap; an overdue job is "
                               "killed and retried instead of wedging the "
                               "sweep (default: none)")
-    sweep_p.add_argument("--retries", type=int, default=0,
+    sweep_p.add_argument("--retries", type=_non_negative_int, default=0,
                          help="extra attempts per failed/hung job "
                               "(default: 0)")
     sweep_p.add_argument("--digest", action="store_true",
@@ -826,9 +864,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --resume: give dead-lettered jobs a "
                               "fresh attempt budget")
     add_store(sweep_p)
-    sweep_p.add_argument("--lease", type=float, default=None,
+    sweep_p.add_argument("--lease", type=_positive_float, default=None,
                          help=argparse.SUPPRESS)
-    sweep_p.add_argument("--max-attempts", type=int, default=None,
+    sweep_p.add_argument("--max-attempts", type=_positive_int,
+                         default=None,
                          help=argparse.SUPPRESS)
     add_common(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
@@ -864,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "polling forever")
     worker_p.add_argument("--worker-id",
                           help="lease-owner label (default: host:pid)")
-    worker_p.add_argument("--poll", type=float, default=0.25,
+    worker_p.add_argument("--poll", type=_positive_float, default=0.25,
                           help="idle poll interval in seconds")
     add_lease_knobs(worker_p)
     worker_p.set_defaults(func=cmd_worker)
@@ -875,7 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_store(serve_p)
     add_cache_dir(serve_p)
-    serve_p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    serve_p.add_argument("--workers", type=_positive_int,
+                         default=os.cpu_count() or 1,
                          help="worker subprocesses (default: all cores)")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=0,
@@ -913,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Chrome trace JSON output path")
     trace_p.add_argument("--jsonl",
                          help="also stream raw events to this JSONL file")
-    trace_p.add_argument("--buffer", type=int, default=1_000_000,
+    trace_p.add_argument("--buffer", type=_positive_int, default=1_000_000,
                          help="ring-buffer capacity (most recent events kept)")
     add_common(trace_p)
     trace_p.set_defaults(func=cmd_trace)
@@ -938,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics_p.add_argument("--workload", default="canneal")
     metrics_p.add_argument("--system", default="rwow-rde")
-    metrics_p.add_argument("--cadence", type=int,
+    metrics_p.add_argument("--cadence", type=_positive_int,
                            default=DEFAULT_CADENCE_TICKS,
                            help="time-series sample cadence in simulated "
                                 f"ticks (default: {DEFAULT_CADENCE_TICKS})")
@@ -962,11 +1002,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--systems",
         help="comma-separated system names (default: all six paper systems)",
     )
-    report_p.add_argument("--requests", type=int, default=3_000,
+    report_p.add_argument("--requests", type=_positive_int, default=3_000,
                           help="main-memory requests per system")
     report_p.add_argument("--seed", type=int, default=7)
-    report_p.add_argument("--cores", type=int, default=8)
-    report_p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    report_p.add_argument("--cores", type=_positive_int, default=8)
+    report_p.add_argument("--jobs", type=_positive_int,
+                          default=os.cpu_count() or 1,
                           help="worker processes (default: all cores)")
     report_p.add_argument("--title", help="report title")
     report_p.set_defaults(func=cmd_report)
@@ -1014,13 +1055,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults_p.add_argument("--workload", default="canneal")
     faults_p.add_argument("--system", default="rwow-rde")
-    faults_p.add_argument("--read-disturb", type=float, default=None,
+    faults_p.add_argument("--read-disturb", type=_probability,
+                          default=None,
                           help="per-read transient bit-flip probability")
-    faults_p.add_argument("--write-fail", type=float, default=None,
+    faults_p.add_argument("--write-fail", type=_probability, default=None,
                           help="per-committed-word bit-failure probability")
-    faults_p.add_argument("--stuck-threshold", type=int, default=None,
+    faults_p.add_argument("--stuck-threshold", type=_non_negative_int,
+                          default=None,
                           help="writes per line before stuck-at cells appear")
-    faults_p.add_argument("--stuck-cells", type=int, default=None,
+    faults_p.add_argument("--stuck-cells", type=_positive_int,
+                          default=None,
                           help="stuck cells per worn-out line")
     faults_p.add_argument("--smoke", action="store_true",
                           help="small CI budget (2000 requests)")
@@ -1038,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen-trace", help="export a synthetic trace file")
     gen_p.add_argument("--workload", required=True)
-    gen_p.add_argument("--count", type=int, default=10_000)
+    gen_p.add_argument("--count", type=_positive_int, default=10_000)
     gen_p.add_argument("--out", required=True)
     gen_p.add_argument("--seed", type=int, default=1)
     gen_p.set_defaults(func=cmd_gen_trace)

@@ -26,23 +26,27 @@ encoded or decoded in a handful of array operations:
   it vectorises exactly (``uint64`` arithmetic wraps mod 2**64 just like
   the masked Python-int arithmetic).
 
-numpy is an *optional* dependency (``pip install repro[fast]``).  When it
-is missing — or when ``REPRO_NO_NUMPY`` is set in the environment, which
-CI's fallback leg uses to exercise this path deliberately — the module
-still imports, ``HAS_NUMPY`` is ``False``, and every caller falls back to
-the scalar implementations.  The scalar and vector paths are held
-bit-identical by the parity fuzz suite (``tests/ecc/test_batch.py``),
-which is what lets the storage layer switch between them freely without
-moving the golden traces.
+numpy is an *optional* dependency (``pip install repro[fast]``) and loads
+on first use: the first read of ``HAS_NUMPY`` or ``np``, or the first
+vector call, imports it, never ``import repro``.  When it is missing or
+broken — or when ``REPRO_NO_NUMPY`` is set in the environment, which CI's
+fallback leg uses to exercise this path deliberately — ``HAS_NUMPY`` is
+``False`` and every caller falls back to the scalar implementations.
+The scalar and vector paths are held bit-identical by the parity fuzz
+suite (``tests/ecc/test_batch.py``), which is what lets the storage layer
+switch between them freely without moving the golden traces.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.ecc import hamming
 from repro.ecc.hamming import DecodeResult, DecodeStatus
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HAS_NUMPY",
@@ -75,60 +79,95 @@ STATUS_TO_ENUM: Tuple[DecodeStatus, ...] = (
 
 _WORD_MASK = (1 << 64) - 1
 
-np = None
+# numpy resolves on first use, never at import: ``import repro`` and every
+# timing-only run skip it.  :func:`_load_numpy` decides the path once and
+# binds the names below (``HAS_NUMPY`` and ``np`` are served by the module
+# ``__getattr__`` until then).
+_loaded = False
+_np: Any = None
 _disabled_reason: Optional[str] = None
-if os.environ.get("REPRO_NO_NUMPY"):
-    _disabled_reason = "REPRO_NO_NUMPY is set in the environment"
-else:
-    try:
-        import numpy as np  # type: ignore[no-redef]
-    except ImportError:
-        _disabled_reason = "numpy is not installed (pip install repro[fast])"
+#: (8, 256) stacked byte-contribution tables — row ``b`` is the check
+#: byte of the word whose byte ``b`` is the column value (all other
+#: bytes zero); GF(2)-linearity makes encode the XOR of eight rows.
+_ENC_TABLE: Any = None
+#: Syndrome (7 bits, 0..127) -> data-bit index, or -1 for check-bit
+#: positions *and* for syndromes outside the 72-bit codeword; the
+#: out-of-codeword distinction is re-applied via a >= 72 compare.
+_SYNDROME_TO_BIT: Any = None
+_U64: Any = None
+_SHIFTS: Any = None
+_BYTE: Any = None
+#: Per-byte popcounts, only for numpy < 2.0 (no ``np.bitwise_count``).
+_POP8: Any = None
 
-HAS_NUMPY = np is not None
+
+def __getattr__(name: str) -> Any:
+    """``HAS_NUMPY`` and ``np`` resolve on their first read (PEP 562)."""
+    if name in ("HAS_NUMPY", "np"):
+        _load_numpy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load_numpy() -> Any:
+    """numpy, or ``None`` when it is absent, disabled or broken.
+
+    Decided once, on the first read of ``HAS_NUMPY``/``np`` or the first
+    vector call, after which both are plain module attributes.
+    """
+    global _loaded, _np, _disabled_reason
+    global _ENC_TABLE, _SYNDROME_TO_BIT, _U64, _SHIFTS, _BYTE, _POP8
+    if _loaded:
+        return _np
+    if os.environ.get("REPRO_NO_NUMPY"):
+        _disabled_reason = "REPRO_NO_NUMPY is set in the environment"
+    else:
+        try:
+            import numpy as _np
+        except ImportError as error:
+            _disabled_reason = (
+                f"numpy cannot be imported ({error}); pip install repro[fast]"
+            )
+    if _np is not None:
+        np = _np
+        _ENC_TABLE = np.array(hamming._ENC_TABLE, dtype=np.uint8)
+        _SYNDROME_TO_BIT = np.full(128, -1, dtype=np.int8)
+        for pos, bit in enumerate(hamming._SYNDROME_TO_DATA_BIT):
+            _SYNDROME_TO_BIT[pos] = bit
+        _U64 = np.uint64
+        _SHIFTS = tuple(_U64(8 * b) for b in range(8))
+        _BYTE = _U64(0xFF)
+        if not hasattr(np, "bitwise_count"):  # numpy < 2.0
+            _POP8 = np.array(
+                [bin(v).count("1") for v in range(256)], dtype=np.uint8
+            )
+    globals().update(HAS_NUMPY=_np is not None, np=_np)
+    _loaded = True
+    return _np
 
 
 def numpy_disabled_reason() -> Optional[str]:
     """Why the vector path is unavailable, or ``None`` when it is live."""
+    _load_numpy()
     return _disabled_reason
 
 
-if HAS_NUMPY:
-    #: (8, 256) stacked byte-contribution tables — row ``b`` is the check
-    #: byte of the word whose byte ``b`` is the column value (all other
-    #: bytes zero); GF(2)-linearity makes encode the XOR of eight rows.
-    _ENC_TABLE = np.array(hamming._ENC_TABLE, dtype=np.uint8)
-
-    #: Syndrome (7 bits, 0..127) -> data-bit index, or -1 for check-bit
-    #: positions *and* for syndromes outside the 72-bit codeword; the
-    #: out-of-codeword distinction is re-applied via a >= 72 compare.
-    _SYNDROME_TO_BIT = np.full(128, -1, dtype=np.int8)
-    for _pos, _bit in enumerate(hamming._SYNDROME_TO_DATA_BIT):
-        _SYNDROME_TO_BIT[_pos] = _bit
-
-    _U64 = np.uint64
-    _SHIFTS = tuple(_U64(8 * b) for b in range(8))
-    _BYTE = _U64(0xFF)
-
-    if hasattr(np, "bitwise_count"):
-        def _popcount(values: "np.ndarray") -> "np.ndarray":
-            return np.bitwise_count(values)
-    else:  # pragma: no cover - numpy < 2.0 fallback
-        _POP8 = np.array(
-            [bin(v).count("1") for v in range(256)], dtype=np.uint8
-        )
-
-        def _popcount(values: "np.ndarray") -> "np.ndarray":
-            as_bytes = values.reshape(-1).view(np.uint8)
-            counts = _POP8[as_bytes].reshape(values.shape + (-1,))
-            return counts.sum(axis=-1, dtype=np.uint8)
-
-
-def _require_numpy() -> None:
-    if not HAS_NUMPY:
+def _require_numpy() -> Any:
+    """numpy for a vector entry point; raises on the scalar path."""
+    np = _load_numpy()
+    if np is None:
         raise RuntimeError(
             f"repro.ecc.batch vector path unavailable: {_disabled_reason}"
         )
+    return np
+
+
+def _popcount(values: "np.ndarray") -> "np.ndarray":
+    """Per-element popcount (``np.bitwise_count`` from numpy 2.0 on)."""
+    if _POP8 is None:
+        return _np.bitwise_count(values)
+    counts = _POP8[values.reshape(-1).view(_np.uint8)]  # numpy < 2.0
+    return counts.reshape(values.shape + (-1,)).sum(axis=-1, dtype=_np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +179,7 @@ def encode_words(words: "np.ndarray") -> "np.ndarray":
     Accepts any shape; returns ``uint8`` of the same shape.  Mirrors
     :func:`repro.ecc.hamming.encode` (eight table lookups XORed).
     """
-    _require_numpy()
+    np = _require_numpy()
     w = np.ascontiguousarray(words, dtype=_U64)
     flat = w.reshape(-1)
     out = np.take(_ENC_TABLE[0], (flat & _BYTE).astype(np.intp))
@@ -162,7 +201,7 @@ def decode_words(
     decision table of :func:`repro.ecc.hamming.decode`, evaluated
     branch-free over the whole batch.
     """
-    _require_numpy()
+    np = _require_numpy()
     w = np.ascontiguousarray(words, dtype=_U64)
     c = np.ascontiguousarray(checks, dtype=np.uint8)
     if w.shape != c.shape:
@@ -208,7 +247,7 @@ def encode_lines(lines: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
     and ``pcc`` drops the word axis — the XOR of the eight data words,
     i.e. :func:`repro.ecc.parity.compute_parity` over every line at once.
     """
-    _require_numpy()
+    np = _require_numpy()
     arr = np.ascontiguousarray(lines, dtype=_U64)
     if arr.shape[-1] != 8:
         raise ValueError(f"last axis must hold 8 words, got {arr.shape}")
@@ -232,7 +271,7 @@ def cold_line_words(line_addresses: "np.ndarray") -> "np.ndarray":
     arithmetic wraps modulo 2**64 exactly like the masked Python-int
     splitmix64 mix.
     """
-    _require_numpy()
+    np = _require_numpy()
     addresses = np.ascontiguousarray(line_addresses, dtype=_U64)
     z = (
         addresses[..., None] * _U64(8)
@@ -258,7 +297,8 @@ def decode_words_py(
     """
     if len(words) != len(checks):
         raise ValueError("words and checks length mismatch")
-    if not HAS_NUMPY:
+    np = _load_numpy()
+    if np is None:
         return [hamming.decode(w, c) for w, c in zip(words, checks)]
     data, status, flipped = decode_words(
         np.array(words, dtype=_U64), np.array(checks, dtype=np.uint8)

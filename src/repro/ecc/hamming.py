@@ -144,9 +144,23 @@ def _decode_reference(data: int, check: int) -> DecodeResult:
 # full check byte of the word with byte value ``v`` in byte position
 # ``b``; linearity makes encode an XOR of eight lookups.
 # ----------------------------------------------------------------------
+def _byte_table(byte: int) -> Tuple[int, ...]:
+    """Check bytes of every value of one byte slice, by linearity.
+
+    Only the eight single-bit words go through the reference encoder;
+    every other entry is an earlier entry XOR one of those, which keeps
+    building all eight tables at import to a few thousand XORs.
+    """
+    bits = [_encode_reference(1 << (8 * byte + i)) for i in range(8)]
+    table = [0] * 256
+    for value in range(1, 256):
+        low = value & -value
+        table[value] = table[value ^ low] ^ bits[low.bit_length() - 1]
+    return tuple(table)
+
+
 _ENC_TABLE: Tuple[Tuple[int, ...], ...] = tuple(
-    tuple(_encode_reference(value << (8 * byte)) for value in range(256))
-    for byte in range(8)
+    _byte_table(byte) for byte in range(8)
 )
 
 #: Syndrome (a codeword position in 1..71) -> data-bit index, or -1 when

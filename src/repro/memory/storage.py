@@ -7,7 +7,9 @@ Only touched lines are materialised; untouched lines read as a
 deterministic pseudo-random pattern derived from the line address so that
 "cold" reads still produce stable, checkable data.
 
-Timing-only simulations skip this module entirely.
+Timing-only simulations never build a store, so they never import numpy:
+:class:`MemoryStorage` resolves :mod:`repro.ecc.batch`'s optional vector
+path when it is constructed.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ class MemoryStorage:
 
     def __init__(self, keep_pcc: bool = True):
         self.keep_pcc = keep_pcc
+        #: Whether the batch methods may take the vector path.  Reading
+        #: ``batch.HAS_NUMPY`` here imports numpy while a functional run
+        #: is built, never inside its run.
+        self._vector = batch.HAS_NUMPY
         self._lines: Dict[int, StoredLine] = {}
         #: Writes whose per-word comparison found no change (silent words).
         self.silent_word_writes = 0
@@ -183,7 +189,7 @@ class MemoryStorage:
         missing = [a for a in line_addresses if a not in lines]
         if not missing:
             return 0
-        if batch.HAS_NUMPY and len(missing) >= _BATCH_MIN_LINES:
+        if self._vector and len(missing) >= _BATCH_MIN_LINES:
             np = batch.np
             addresses = np.array(missing, dtype=np.uint64)
             words = batch.cold_line_words(addresses)
@@ -212,9 +218,7 @@ class MemoryStorage:
         """
         if len(line_addresses) != len(new_lines):
             raise ValueError("line_addresses and new_lines length mismatch")
-        if not (
-            batch.HAS_NUMPY and len(line_addresses) >= _BATCH_MIN_LINES
-        ):
+        if not (self._vector and len(line_addresses) >= _BATCH_MIN_LINES):
             return [
                 self.diff_mask(address, words)
                 for address, words in zip(line_addresses, new_lines)
@@ -263,7 +267,7 @@ class MemoryStorage:
         if (
             scalar_override
             or mixed_masks
-            or not batch.HAS_NUMPY
+            or not self._vector
             or len(line_addresses) < _BATCH_MIN_LINES
         ):
             return [

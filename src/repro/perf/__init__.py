@@ -16,8 +16,6 @@ Entry points: the ``repro perf`` CLI command and the thin wrappers in
 
 from repro.perf.microbench import BenchReport, time_call
 from repro.perf.suites import (
-    PR6_BASELINE,
-    PRE_PR_BASELINE,
     SCHEMA_VERSION,
     TIMESERIES_OVERHEAD_CEILING,
     bench_batch_codec,
@@ -36,8 +34,6 @@ from repro.perf.suites import (
 
 __all__ = [
     "BenchReport",
-    "PR6_BASELINE",
-    "PRE_PR_BASELINE",
     "SCHEMA_VERSION",
     "TIMESERIES_OVERHEAD_CEILING",
     "bench_batch_codec",

@@ -5,9 +5,11 @@ whose ``config`` is a pure function of ``(seed, smoke)`` — the determinism
 test holds configs and metric *keys* identical across same-seed runs,
 while the timing *values* are free to vary.
 
-``run_suite`` stitches the reports into the ``BENCH_perf.json`` payload:
-seed- and git-stamped, carrying the committed pre-optimisation baseline
-block so the headline speedups stay attributable to a concrete revision.
+``run_suite`` stitches the reports into the seed- and git-stamped
+``BENCH_perf.json`` payload.  Its speedups are same-process ratios only
+(fast path against its in-process reference), so they hold across
+machines; cross-revision wall-clock comparisons go through the
+interleaved end-to-end pairs instead (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -17,53 +19,9 @@ from typing import Dict, List, Optional
 
 from repro.perf.microbench import BenchReport, time_call
 
-SCHEMA_VERSION = 1
-
-#: Hot-path numbers measured at the pre-optimisation revision (full
-#: budgets, seed 7, development machine).  The end-to-end entry is the
-#: suite's own rwow-rde/canneal/3000-request run.  These are the
-#: denominators of the ``*_vs_pre_pr`` speedups; they are machine-bound,
-#: so cross-machine comparisons should use the ``*_vs_reference`` ratios
-#: instead.
-PRE_PR_BASELINE: Dict[str, object] = {
-    "code_version": "46cee17",
-    "note": (
-        "Measured at the pre-optimization commit with full (non-smoke) "
-        "budgets, seed 7, on the development machine."
-    ),
-    "metrics": {
-        "codec.encode_us": 4.143,
-        "codec.decode_us": 14.510,
-        "storage.cold_line_us": 41.889,
-        "engine.dispatch_us": 2.664,
-        "end_to_end.wall_seconds": 0.901,
-        "end_to_end.events_per_second": 6920.0,
-    },
-}
-
-#: The suite's own numbers as committed at the end of the previous PR
-#: (the scalar-scheduler revision the vectorized codec/storage PR starts
-#: from).  Denominators of the ``*_vs_pr6`` speedups.  Single-shot wall
-#: ratios on a shared box carry ±20% noise; interleaved same-box A/B
-#: pairs against this revision measured a ~1.7x median end-to-end
-#: speedup (10 pairs, per-pair ratios 1.5-1.9).
-PR6_BASELINE: Dict[str, object] = {
-    "code_version": "a696ba5",
-    "note": (
-        "Suite results committed at the previous PR head (full budgets, "
-        "seed 7, development machine)."
-    ),
-    "metrics": {
-        "codec.encode_us": 0.529,
-        "codec.decode_us": 1.531,
-        "storage.cold_line_us": 11.350,
-        "storage.write_line_us": 3.823,
-        "storage.diff_mask_us": 0.919,
-        "engine.dispatch_us": 1.270,
-        "end_to_end.wall_seconds": 0.29692,
-        "end_to_end.events_per_second": 20712.5,
-    },
-}
+#: Payload format version: bump it whenever a top-level or speedup key
+#: changes meaning or goes away.
+SCHEMA_VERSION = 2
 
 
 def _repeats(smoke: bool) -> int:
@@ -661,54 +619,12 @@ def run_suite(seed: int = 7, smoke: bool = False) -> dict:
         speedups["frontend_access.batch_vs_object"] = (
             frontend_metrics["batch_vs_object"]
         )
-    if not smoke:
-        # Machine-bound ratios against the committed pre-optimisation
-        # numbers; only meaningful at full budgets (the baseline was
-        # measured with them).
-        baseline = PRE_PR_BASELINE["metrics"]
-        speedups["codec.encode_vs_pre_pr"] = (
-            baseline["codec.encode_us"] / by_name["codec"].metrics["encode_us"]
-        )
-        speedups["codec.decode_vs_pre_pr"] = (
-            baseline["codec.decode_us"] / by_name["codec"].metrics["decode_us"]
-        )
-        speedups["storage.cold_line_vs_pre_pr"] = (
-            baseline["storage.cold_line_us"]
-            / by_name["storage"].metrics["cold_line_us"]
-        )
-        speedups["engine.dispatch_vs_pre_pr"] = (
-            baseline["engine.dispatch_us"]
-            / by_name["engine"].metrics["dispatch_us"]
-        )
-        speedups["end_to_end.vs_pre_pr"] = (
-            baseline["end_to_end.wall_seconds"]
-            / by_name["end_to_end"].metrics["wall_seconds"]
-        )
-        pr6 = PR6_BASELINE["metrics"]
-        speedups["storage.cold_line_vs_pr6"] = (
-            pr6["storage.cold_line_us"]
-            / by_name["storage"].metrics["cold_line_us"]
-        )
-        speedups["storage.write_line_vs_pr6"] = (
-            pr6["storage.write_line_us"]
-            / by_name["storage"].metrics["write_line_us"]
-        )
-        speedups["engine.dispatch_vs_pr6"] = (
-            pr6["engine.dispatch_us"]
-            / by_name["engine"].metrics["dispatch_us"]
-        )
-        speedups["end_to_end.vs_pr6"] = (
-            pr6["end_to_end.wall_seconds"]
-            / by_name["end_to_end"].metrics["wall_seconds"]
-        )
     return {
         "schema": SCHEMA_VERSION,
         "suite": "perf",
         "seed": seed,
         "smoke": smoke,
         "code_version": code_version(),
-        "baseline": PRE_PR_BASELINE,
-        "baseline_pr6": PR6_BASELINE,
         "benchmarks": [report.to_dict() for report in reports],
         "speedups": {k: speedups[k] for k in sorted(speedups)},
         "metrics_fingerprint": fingerprints,
@@ -723,8 +639,7 @@ def check_payload(payload: dict) -> List[str]:
     across machines.  Typical values are ~2.5x (encode — the reference's
     eight ``bit_count`` parities are themselves cheap) and ~6-8x (decode);
     the floors sit far below those, so tripping one means the fast path
-    grossly regressed or the suite timed the wrong function.  The
-    machine-bound ``*_vs_pre_pr`` numbers are recorded but never gated.
+    grossly regressed or the suite timed the wrong function.
     """
     failures: List[str] = []
     speedups = payload.get("speedups", {})
@@ -819,7 +734,7 @@ def format_payload(payload: dict) -> str:
         format_table(
             ["speedup", "ratio"],
             [[k, f"{v:.2f}x"] for k, v in payload["speedups"].items()],
-            title=f"speedups (baseline: {payload['baseline']['code_version']})",
+            title="speedups (same-process ratios)",
         ),
     ]
     return "\n".join(lines)

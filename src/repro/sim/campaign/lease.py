@@ -43,6 +43,10 @@ class LeasePolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ValueError("backoff delays cannot be negative")
+        if self.job_timeout is not None and self.job_timeout <= 0:
+            raise ValueError(
+                f"job_timeout must be positive, got {self.job_timeout}"
+            )
 
     def backoff(self, attempts: int) -> float:
         """Retry delay after the ``attempts``-th lease ended badly."""

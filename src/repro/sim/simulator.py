@@ -58,6 +58,14 @@ class SimulationParams:
     #: PCM, dirty evictions issue write-backs into the controller queues.
     front_end: FrontEndConfig = FrontEndConfig()
 
+    def __post_init__(self) -> None:
+        if self.n_cores < 1:
+            raise ValueError(f"n_cores must be >= 1, got {self.n_cores}")
+        if self.target_requests is not None and self.target_requests < 1:
+            raise ValueError(
+                f"target_requests must be >= 1, got {self.target_requests}"
+            )
+
     def resolve_instructions(self, workload: WorkloadProfile) -> int:
         """Per-core instruction budget for ``workload``."""
         if self.target_requests is None:

@@ -131,6 +131,12 @@ def test_backoff_is_capped_exponential():
     assert policy.backoff(50) == 3.0
 
 
+@pytest.mark.parametrize("timeout", [0.0, -2.0])
+def test_policy_rejects_a_timeout_that_kills_every_job(timeout):
+    with pytest.raises(ValueError, match="job_timeout"):
+        LeasePolicy(job_timeout=timeout)
+
+
 def test_heartbeat_renews_and_expiry_reclaims(store):
     store.submit("c1", job_pool(2))
     leased = store.lease("w1", "c1", now=100.0)

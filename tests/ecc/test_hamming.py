@@ -157,6 +157,16 @@ def test_property_distinct_words_rarely_share_codewords(a, b):
 # ----------------------------------------------------------------------
 # Table-driven fast path vs the bit-loop reference (the tables' spec)
 # ----------------------------------------------------------------------
+def test_tables_match_reference_on_every_byte_slice():
+    # The tables are built by linearity from the single-bit words; every
+    # entry must still be the reference encoder's check byte.
+    for byte in range(8):
+        for value in range(256):
+            assert hamming._ENC_TABLE[byte][value] == (
+                hamming._encode_reference(value << (8 * byte))
+            ), (byte, value)
+
+
 @given(WORDS)
 @settings(max_examples=300)
 def test_property_encode_matches_reference(data):

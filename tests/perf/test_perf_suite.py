@@ -7,22 +7,25 @@ the JSON schema, the benchmark names and configs, and the metric *keys*
 """
 
 import json
+from pathlib import Path
 
 from repro import cli
 from repro.ecc import batch
-from repro.perf import (
-    PR6_BASELINE,
-    PRE_PR_BASELINE,
-    SCHEMA_VERSION,
-    check_payload,
-    run_suite,
-)
+from repro.perf import SCHEMA_VERSION, check_payload, run_suite
 
 #: Top-level keys of the BENCH_perf.json payload, in any order.
 TOP_LEVEL_KEYS = {
     "schema", "suite", "seed", "smoke", "code_version",
-    "baseline", "baseline_pr6", "benchmarks", "speedups",
-    "metrics_fingerprint",
+    "benchmarks", "speedups", "metrics_fingerprint",
+}
+
+#: Every speedup is a same-process ratio; the vector-path ones exist only
+#: on numpy builds.
+SAME_PROCESS_SPEEDUPS = {"codec.encode_vs_reference", "codec.decode_vs_reference"}
+NUMPY_SPEEDUPS = {
+    "batch_codec.encode_vs_scalar",
+    "batch_codec.decode_vs_scalar",
+    "frontend_access.batch_vs_object",
 }
 
 BENCHMARK_NAMES = [
@@ -49,7 +52,6 @@ def _shape(payload: dict) -> dict:
         "suite": payload["suite"],
         "seed": payload["seed"],
         "smoke": payload["smoke"],
-        "baseline": payload["baseline"],
         "benchmarks": [
             {
                 "name": bench["name"],
@@ -79,8 +81,6 @@ def test_perf_payload_schema(capsys):
     assert payload["seed"] == 3
     assert payload["smoke"] is True
     assert isinstance(payload["code_version"], str) and payload["code_version"]
-    assert payload["baseline"] == PRE_PR_BASELINE
-    assert payload["baseline_pr6"] == PR6_BASELINE
     assert [b["name"] for b in payload["benchmarks"]] == BENCHMARK_NAMES
     by_name = {b["name"]: b for b in payload["benchmarks"]}
     for bench in payload["benchmarks"]:
@@ -118,9 +118,9 @@ def test_perf_payload_schema(capsys):
     else:
         assert "batch_vs_object" not in frontend_access["metrics"]
         assert "frontend_access.batch_vs_object" not in payload["speedups"]
-    # Smoke budgets never mix with the full-budget pre-PR/PR6 ratios.
-    assert all("vs_pre_pr" not in key for key in payload["speedups"])
-    assert all("vs_pr6" not in key for key in payload["speedups"])
+    assert set(payload["speedups"]) == SAME_PROCESS_SPEEDUPS | (
+        NUMPY_SPEEDUPS if batch.HAS_NUMPY else set()
+    )
     # Smoke suites pin only the smoke-budget legs (the full ones need
     # full-budget runs); the reference configs match the suite seed.
     fingerprint = payload["metrics_fingerprint"]
@@ -136,6 +136,14 @@ def test_perf_payload_schema(capsys):
     # The 16 KiB tier evicts, so its write-backs reach PCM's RoW/WoW path.
     for name in ("writes.completed", "wow.groups", "row.reads"):
         assert frontend_leg["metrics"][name] > 0, name
+
+
+def test_committed_payload_has_the_current_schema():
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+    payload = json.loads((path / "BENCH_perf.json").read_text())
+    assert payload["schema"] == SCHEMA_VERSION
+    assert set(payload) == TOP_LEVEL_KEYS
+    assert set(payload["speedups"]) == SAME_PROCESS_SPEEDUPS | NUMPY_SPEEDUPS
 
 
 def test_run_suite_passes_its_own_regression_gate():

@@ -58,6 +58,15 @@ def test_resolve_instructions_floor():
     assert params.resolve_instructions(get_workload("canneal")) == 5_000
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_cores", 0), ("n_cores", -1),
+    ("target_requests", 0), ("target_requests", -5),
+])
+def test_params_reject_empty_runs_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimulationParams(**{field: value})
+
+
 def test_run_twice_is_an_error_free_fresh_build():
     # Each SystemSimulator is single-use; building two is independent.
     a = SystemSimulator(make_system("baseline"), "MP3", FAST).run()

@@ -460,3 +460,31 @@ def test_unknown_names_exit_2_listing_valid_names(argv, listed, capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "unknown" in err and "'nope'" in err and listed in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(["run", "--workload", "MP3", "--cores", "0"], "--cores", id="run-cores-0"),
+    pytest.param(["compare", "--workload", "MP3", "--cores", "-1"], "--cores", id="compare-cores-negative"),
+    pytest.param(["run", "--workload", "MP3", "--requests", "0"], "--requests", id="run-requests-0"),
+    pytest.param(["run", "--workload", "MP3", "--requests", "-5"], "--requests", id="run-requests-negative"),
+    pytest.param(["worker", "--store", "unused.sqlite", "--once", "--timeout", "0"], "--timeout", id="worker-timeout-0"),
+    pytest.param(["worker", "--store", "unused.sqlite", "--once", "--timeout", "-2"], "--timeout", id="worker-timeout-negative"),
+    pytest.param(["gen-trace", "--workload", "MP1", "--out", "unused.trace", "--count", "-1"], "--count", id="gen-trace-count"),
+    pytest.param(["run", "--workload", "MP3", "--front-end", "dram", "--frontend-mb", "0.3"], "--frontend-mb", id="frontend-mb-partial-kib"),
+    pytest.param(["trace", "--workload", "MP3", "--out", "unused.json", "--buffer", "0"], "--buffer", id="trace-buffer"),
+    pytest.param(["sweep", "--workloads", "MP3", "--jobs", "0"], "--jobs", id="sweep-jobs"),
+    pytest.param(["report", "--out", "unused.html", "--jobs", "0"], "--jobs", id="report-jobs"),
+    pytest.param(["sweep", "--workloads", "MP3", "--retries", "-1"], "--retries", id="sweep-retries"),
+    pytest.param(["metrics", "--cadence", "0"], "--cadence", id="metrics-cadence"),
+    pytest.param(["submit", "--workloads", "MP3", "--lease", "-1"], "--lease", id="submit-lease"),
+    pytest.param(["submit", "--workloads", "MP3", "--max-attempts", "0"], "--max-attempts", id="submit-max-attempts"),
+    pytest.param(["faults", "--read-disturb", "2"], "--read-disturb", id="faults-read-disturb"),
+    pytest.param(["faults", "--write-fail", "-0.5"], "--write-fail", id="faults-write-fail"),
+    pytest.param(["faults", "--stuck-cells", "-3"], "--stuck-cells", id="faults-stuck-cells"),
+])
+def test_bad_numbers_exit_2_naming_the_option(argv, option, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}:" in err and "Traceback" not in err
