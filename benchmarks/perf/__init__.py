@@ -1,4 +1,4 @@
-"""Hot-path microbenchmarks (codec, storage, engine dispatch, end-to-end).
+"""Hot-path microbenchmarks (codec, storage, engine dispatch, trace generation).
 
 Thin pytest wrappers over :mod:`repro.perf`: each module runs one suite
 member at full budget, writes its report to ``benchmarks/results/``, and

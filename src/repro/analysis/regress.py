@@ -26,9 +26,9 @@ from typing import Dict, List, Optional, Union
 from repro.sim.metrics import SimulationResult
 from repro.telemetry.timeseries import DEFAULT_CADENCE_TICKS
 
-#: The reference configuration, matching the perf suite's end_to_end
-#: benchmark (full budget) so the pinned engine fingerprints are the
-#: same numbers BENCH_perf.json already tracks.
+#: The reference configuration (rwow-rde on canneal, timing-only) that
+#: the perf suite's timeseries and tracing benchmarks also run; at full
+#: budget it is the 6150-event / 364931-tick reference run.
 FINGERPRINT_SEED = 7
 FULL_TARGET_REQUESTS = 3000
 SMOKE_TARGET_REQUESTS = 600
@@ -155,9 +155,10 @@ def collect_frontend_fingerprint(
     ``front_end=dram`` at :data:`FRONTEND_CAPACITY_MB` (recorded in the
     config), so the pinned metrics additionally carry the tier's
     hit/miss/fill/write-back scoreboard and the PCM writes behind it.
-    This is the leg that holds the array tier — and the
-    batched epoch classification riding the on_epoch hook —
-    behaviourally frozen across revisions.
+    This is the leg that holds the tier's probe/install/evict path
+    behaviourally frozen across revisions.  The run is timing-only, so
+    the epoch classification hook (functional runs only) does not run
+    here.
     """
     from repro.core.systems import make_front_end, make_rwow_rde
     from repro.sim.simulator import simulate

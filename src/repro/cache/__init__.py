@@ -18,18 +18,9 @@ from repro.cache.replacement import (
     ClockReplacement,
     LruReplacement,
     MacReplacement,
-    ReplacementPolicy,
     make_replacement_policy,
-    register_replacement_policy,
 )
-from repro.cache.array_backend import ArraySetCache
-from repro.cache.set_assoc import (
-    CACHE_BACKENDS,
-    CacheStats,
-    Eviction,
-    SetAssociativeCache,
-    make_set_cache,
-)
+from repro.cache.set_assoc import ArraySetCache, CacheStats, Eviction
 
 __all__ = [
     "CacheLine",
@@ -49,15 +40,10 @@ __all__ = [
     "ClockReplacement",
     "LruReplacement",
     "MacReplacement",
-    "ReplacementPolicy",
     "make_replacement_policy",
-    "register_replacement_policy",
     "ArraySetCache",
-    "CACHE_BACKENDS",
     "CacheStats",
     "Eviction",
-    "SetAssociativeCache",
-    "make_set_cache",
 ]
 
 

@@ -6,10 +6,11 @@ It is the component that *generates* the write-back stream whose
 dirty-word statistics Figure 2 analyses, so its lines track per-word
 dirty masks (and, in functional mode, real words).
 
-This wraps :class:`SetAssociativeCache` with the Table I geometry and the
-write-back plumbing its consumers need.  Two consumers exist: the
-functional :class:`~repro.cache.hierarchy.CacheHierarchy` (mask
-derivation, no timing) and the timed
+This wraps :class:`~repro.cache.set_assoc.ArraySetCache` with the
+Table I geometry and the write-back plumbing its consumers need.  Two
+consumers exist: the functional
+:class:`~repro.cache.hierarchy.CacheHierarchy` (mask derivation, no
+timing) and the timed
 :class:`~repro.cache.frontend.DramCacheFrontEnd`, which schedules
 ``access_cycles`` hit latencies on the simulation engine.
 """
@@ -17,10 +18,9 @@ derivation, no timing) and the timed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
-from repro.cache.replacement import ReplacementPolicy
-from repro.cache.set_assoc import Eviction, make_set_cache
+from repro.cache.set_assoc import ArraySetCache, Eviction
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,15 @@ class DramCache:
         self,
         config: Optional[DramCacheConfig] = None,
         track_words: bool = False,
-        policy: Union[str, ReplacementPolicy, None] = None,
-        backend: str = "auto",
+        policy: Optional[str] = None,
     ):
         self.config = config or DramCacheConfig()
-        self.cache = make_set_cache(
+        self.cache = ArraySetCache(
             self.config.size_bytes,
             self.config.associativity,
             name="dram-cache",
             track_words=track_words,
             policy=policy,
-            backend=backend,
         )
         #: Dirty evictions produced so far (the PCM write-back stream).
         self.write_backs: int = 0
@@ -92,10 +90,8 @@ class DramCache:
     def flush(self) -> List[Eviction]:
         """Evict every dirty line (end-of-run write-back drain).
 
-        Backend-agnostic: both backends enumerate dirty lines in the
-        same canonical order (first-fill order of sets, residency order
-        within each set), so the drained stream is identical whichever
-        representation backs the cache.
+        Drains in :meth:`ArraySetCache.dirty_lines` order: first-fill
+        order of sets, residency order within each set.
         """
         drained: List[Eviction] = []
         for line_address in self.cache.dirty_lines():

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
 from repro.cache.dram_cache import DramCache, DramCacheConfig
 from repro.cache.replacement import REPLACEMENT_POLICIES
-from repro.cache.set_assoc import CACHE_BACKENDS, Eviction
+from repro.cache.set_assoc import Eviction
 from repro.memory.request import MemoryRequest, RequestKind
 from repro.telemetry import Telemetry
 
@@ -76,12 +76,6 @@ class FrontEndConfig:
     #: Tier-side write-back buffer entries (evictions waiting to enter a
     #: controller write queue).
     writeback_buffer: int = 16
-    #: Storage backend of the tier's cache (``repro.cache.set_assoc.
-    #: CACHE_BACKENDS``): ``"auto"`` uses the columnar array backend for
-    #: the builtin replacement policies (the only practical choice at
-    #: the paper-scale 256 MB configuration) and the object backend for
-    #: custom registered policies; both produce bit-identical streams.
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.kind not in FRONT_END_KINDS:
@@ -98,11 +92,6 @@ class FrontEndConfig:
             raise ValueError("front end needs at least one MSHR")
         if self.writeback_buffer < 1:
             raise ValueError("front end needs at least one write-back slot")
-        if self.backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {self.backend!r}; "
-                f"expected one of {CACHE_BACKENDS}"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -196,9 +185,7 @@ class DramCacheFrontEnd:
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry.disabled()
         )
-        self.dram = DramCache(
-            config.dram, policy=config.replacement, backend=config.backend
-        )
+        self.dram = DramCache(config.dram, policy=config.replacement)
         #: Engine ticks a tier hit takes — ``access_cycles`` expressed in
         #: CPU cycles of the core clock this tier serves.
         self.hit_ticks = config.dram.access_cycles * cycle_ticks

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from repro.cache.cacheline import line_base
 from repro.cache.dram_cache import DramCache, DramCacheConfig
-from repro.cache.set_assoc import Eviction, SetAssociativeCache
+from repro.cache.set_assoc import ArraySetCache, Eviction
 from repro.trace.record import AccessKind, TraceRecord
 
 
@@ -65,7 +65,7 @@ class CacheHierarchy:
         self.config = config or HierarchyConfig()
         self.n_cores = n_cores
         self.l1s = [
-            SetAssociativeCache(
+            ArraySetCache(
                 self.config.l1_size,
                 self.config.l1_associativity,
                 name=f"l1-{core}",
@@ -74,7 +74,7 @@ class CacheHierarchy:
             )
             for core in range(n_cores)
         ]
-        self.l2 = SetAssociativeCache(
+        self.l2 = ArraySetCache(
             self.config.l2_size,
             self.config.l2_associativity,
             name="l2",

@@ -1,14 +1,11 @@
-"""Pluggable replacement policies for the set-associative caches.
+"""Replacement policies for the set-associative caches.
 
-`SetAssociativeCache` used to hard-code LRU victim selection; this module
-extracts the choice behind a small protocol so the DRAM tier (and the
-functional hierarchy) can swap policies the same way the memory
-controllers swap scheduler policies via ``systems.build_policies``.
+The policy decides which resident line of a full set to evict, the way
+the memory controllers' scheduler policies are chosen by name via
+``systems.build_policies``.  Three policies ship, keyed by name in
+:data:`REPLACEMENT_POLICIES`:
 
-Three policies ship:
-
-* ``lru``   — least-recently-used, byte-identical to the historical
-  behaviour (victim = minimum ``last_use`` stamp).
+* ``lru``   — least-recently-used (victim = minimum ``last_use`` stamp).
 * ``clock`` — second-chance/CLOCK: one reference bit per line, a per-set
   hand sweeps residency order and clears bits until it finds a line
   whose bit is already clear.
@@ -18,182 +15,37 @@ Three policies ship:
   LRU as the tie-break.  When every resident line has been promoted the
   levels are renormalised, so the counters adapt instead of saturating.
 
-Per-line state lives in :attr:`CacheLine.policy_state` (an int the cache
-never interprets); per-set state lives inside the policy object.  All
-three are deterministic — no hash-order iteration, no RNG — so traces
-stay byte-identical across ``PYTHONHASHSEED`` values.
+Each policy works on :class:`~repro.cache.set_assoc.ArraySetCache`'s
+flat columns: per-line state lives in its ``policy`` column (the CLOCK
+reference bit or the MAC level) and the per-set CLOCK hands in its
+``hands`` column.  :meth:`victim` walks ``[base, base + count)`` of the
+set's residency-ordered slab and returns the victim's way.  All three
+are deterministic — no hash-order iteration, no RNG — so traces stay
+byte-identical across ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
+from typing import Dict, Optional, Tuple
 
-from repro.cache.cacheline import CacheLine
-
-
-class ReplacementPolicy:
-    """Victim selection + bookkeeping hooks for one cache instance.
-
-    One policy object serves one cache (it may keep per-set state), and
-    the cache calls exactly these hooks:
-
-    * :meth:`on_fill` — a line was allocated into ``set_index``.
-    * :meth:`on_hit` — a resident line was referenced.
-    * :meth:`victim` — pick which of ``entries`` to evict (the cache
-      removes it; ``entries`` is the set's residency-ordered list).
-    * :meth:`on_evict` — a line left the set (eviction or invalidation).
-    """
-
-    name = "base"
-
-    def on_fill(self, set_index: int, entry: CacheLine) -> None:
-        pass
-
-    def on_hit(self, set_index: int, entry: CacheLine) -> None:
-        pass
-
-    def victim(self, set_index: int, entries: List[CacheLine]) -> CacheLine:
-        raise NotImplementedError
-
-    def on_evict(self, set_index: int, entry: CacheLine) -> None:
-        pass
-
-
-class LruReplacement(ReplacementPolicy):
-    """Least-recently-used: evict the minimum ``last_use`` stamp.
-
-    The cache already stamps ``last_use`` on every access, so LRU needs
-    no hooks — this is exactly the victim rule ``SetAssociativeCache``
-    hard-coded before the protocol was extracted.
-    """
-
-    name = "lru"
-
-    def victim(self, set_index: int, entries: List[CacheLine]) -> CacheLine:
-        return min(entries, key=lambda e: e.last_use)
-
-
-class ClockReplacement(ReplacementPolicy):
-    """Second-chance (CLOCK): a per-set hand sweeps reference bits.
-
-    ``policy_state`` is the reference bit (set on fill and on hit).  The
-    hand walks the set's residency order, clearing set bits; the first
-    line found with a clear bit is the victim.  Bounded: after one full
-    sweep every bit is clear, so the walk terminates.
-    """
-
-    name = "clock"
-
-    def __init__(self) -> None:
-        self._hands: Dict[int, int] = {}
-
-    def on_fill(self, set_index: int, entry: CacheLine) -> None:
-        entry.policy_state = 1
-
-    def on_hit(self, set_index: int, entry: CacheLine) -> None:
-        entry.policy_state = 1
-
-    def victim(self, set_index: int, entries: List[CacheLine]) -> CacheLine:
-        n = len(entries)
-        hand = self._hands.get(set_index, 0) % n
-        for _ in range(2 * n):
-            entry = entries[hand]
-            if not entry.policy_state:
-                self._hands[set_index] = hand
-                return entry
-            entry.policy_state = 0
-            hand = (hand + 1) % n
-        # Unreachable (one sweep clears every bit); keep a safe fallback.
-        return entries[hand]
-
-
-class MacReplacement(ReplacementPolicy):
-    """Multilevel access-counter policy (MAC-style, arXiv 1606.03248).
-
-    ``policy_state`` is the line's access level (0..levels-1): lines fill
-    at level 0, each hit promotes one level, and the victim is the line
-    with the lowest (level, last_use) pair — frequency first, recency as
-    the tie-break.  When the whole set has been promoted off level 0,
-    every level is shifted down by the set's minimum so the counters keep
-    discriminating instead of pinning at the ceiling.
-    """
-
-    name = "mac"
-
-    def __init__(self, levels: int = 4) -> None:
-        if levels < 2:
-            raise ValueError("mac replacement needs at least 2 levels")
-        self.levels = levels
-
-    def on_fill(self, set_index: int, entry: CacheLine) -> None:
-        entry.policy_state = 0
-
-    def on_hit(self, set_index: int, entry: CacheLine) -> None:
-        if entry.policy_state < self.levels - 1:
-            entry.policy_state += 1
-
-    def victim(self, set_index: int, entries: List[CacheLine]) -> CacheLine:
-        floor = min(e.policy_state for e in entries)
-        if floor > 0:
-            for entry in entries:
-                entry.policy_state -= floor
-        return min(entries, key=lambda e: (e.policy_state, e.last_use))
-
-
-#: name -> factory, mirroring how ``systems.build_policies`` maps feature
-#: flags to scheduler-policy chains.  Extend via
-#: :func:`register_replacement_policy`.
-REPLACEMENT_POLICIES: Dict[str, Callable[[], ReplacementPolicy]] = {
-    "lru": LruReplacement,
-    "clock": ClockReplacement,
-    "mac": MacReplacement,
-}
-
-#: Stable listing for CLI choices and docs.
-REPLACEMENT_POLICY_NAMES: List[str] = ["lru", "clock", "mac"]
-
-
-def register_replacement_policy(
-    name: str, factory: Callable[[], ReplacementPolicy]
-) -> None:
-    """Register a custom policy under ``name`` (overwrites existing)."""
-    REPLACEMENT_POLICIES[name] = factory
-    if name not in REPLACEMENT_POLICY_NAMES:
-        REPLACEMENT_POLICY_NAMES.append(name)
-
-
-# ======================================================================
-# Array-resident mirrors of the builtin policies
-# ======================================================================
-# The columnar :class:`~repro.cache.array_backend.ArraySetCache` keeps
-# per-line policy state in a flat int array (the same information
-# :attr:`CacheLine.policy_state` carries) and per-set CLOCK hands in an
-# array indexed by set.  These ops objects are the builtin policies
-# re-expressed as index arithmetic over those slabs — victim selection
-# walks ``[base, base + count)`` of the set's residency-ordered slab, so
-# the choice (including first-minimum tie-breaks and hand positions) is
-# bit-identical to the object policies walking the per-set list.
-#
-# The registry itself is unchanged: caches still resolve policies via
-# :data:`REPLACEMENT_POLICIES` / :func:`make_replacement_policy`; the
-# array backend merely asks :func:`array_policy_ops` whether the
-# *resolved* policy has an array mirror.  Custom registered policies
-# return ``None`` and fall back to the object backend.
-
-#: Per-hit state transitions the array cache inlines (no method call on
-#: the hit path): 0 — none (LRU), 1 — set reference bit (CLOCK),
-#: 2 — saturating level increment (MAC, bound in ``mac_top``).
+#: Per-hit state transitions the cache inlines (no method call on the
+#: hit path): 0 — none (LRU), 1 — set the reference bit (CLOCK),
+#: 2 — saturating level increment up to ``MAC_LEVELS - 1`` (MAC).
 HIT_NONE, HIT_CLOCK, HIT_MAC = 0, 1, 2
 
+#: MAC access levels per line (0..MAC_LEVELS-1).
+MAC_LEVELS = 4
 
-class _LruArrayOps:
-    """LRU over the slab: victim = first way with minimal ``last_use``."""
 
+class LruReplacement:
+    """Least-recently-used: the first way with the minimal ``last_use``."""
+
+    name = "lru"
     hit_code = HIT_NONE
     fill_state = 0
-    mac_top = 0
 
-    def victim(self, last_use, policy, hands, set_index, base, count) -> int:
+    @staticmethod
+    def victim(last_use, policy, hands, set_index, base, count) -> int:
         best = base
         best_use = last_use[base]
         for i in range(base + 1, base + count):
@@ -203,43 +55,52 @@ class _LruArrayOps:
         return best - base
 
 
-class _ClockArrayOps:
-    """CLOCK over the slab: the per-set hand lives in ``hands[set_index]``.
+class ClockReplacement:
+    """Second-chance (CLOCK): a per-set hand sweeps reference bits.
 
-    Identical to :class:`ClockReplacement` including its quirk that the
-    stored hand is *not* adjusted when the victim's removal shifts the
-    residency order — the object policy keeps the raw index too, so the
-    sweeps stay in lockstep.
+    The reference bit is set on fill and on hit.  The hand walks the
+    set's residency order, clearing set bits; the first line found with a
+    clear bit is the victim.  Bounded: after one full sweep every bit is
+    clear, so the walk terminates.  The stored hand is the raw way index
+    and is not adjusted when the victim's removal shifts the residency
+    order.
     """
 
+    name = "clock"
     hit_code = HIT_CLOCK
     fill_state = 1
-    mac_top = 0
 
-    def victim(self, last_use, policy, hands, set_index, base, count) -> int:
-        n = count
-        hand = hands[set_index] % n
-        for _ in range(2 * n):
+    @staticmethod
+    def victim(last_use, policy, hands, set_index, base, count) -> int:
+        hand = hands[set_index] % count
+        for _ in range(2 * count):
             i = base + hand
             if not policy[i]:
                 hands[set_index] = hand
                 return hand
             policy[i] = 0
-            hand = (hand + 1) % n
+            hand = (hand + 1) % count
         # Unreachable (one sweep clears every bit); keep a safe fallback.
         return hand
 
 
-class _MacArrayOps:
-    """MAC over the slab: renormalise by the floor, then (level, last_use)."""
+class MacReplacement:
+    """Multilevel access counters (MAC-style, arXiv 1606.03248).
 
+    Lines fill at level 0 and each hit promotes one level, up to
+    ``MAC_LEVELS - 1``.  The victim is the line with the lowest
+    ``(level, last_use)`` pair: frequency first, then least-recent use.
+    When the whole set has been promoted off level 0, every level is
+    first shifted down by the set's minimum so the counters keep
+    discriminating instead of pinning at the ceiling.
+    """
+
+    name = "mac"
     hit_code = HIT_MAC
     fill_state = 0
 
-    def __init__(self, levels: int):
-        self.mac_top = levels - 1
-
-    def victim(self, last_use, policy, hands, set_index, base, count) -> int:
+    @staticmethod
+    def victim(last_use, policy, hands, set_index, base, count) -> int:
         end = base + count
         floor = min(policy[base:end])
         if floor > 0:
@@ -259,36 +120,24 @@ class _MacArrayOps:
         return best - base
 
 
-def array_policy_ops(policy: ReplacementPolicy):
-    """Array mirror for a *resolved* builtin policy, or ``None``.
+#: name -> policy class, mirroring how ``systems.build_policies`` maps
+#: feature flags to scheduler-policy chains.
+REPLACEMENT_POLICIES: Dict[str, type] = {
+    policy.name: policy
+    for policy in (LruReplacement, ClockReplacement, MacReplacement)
+}
 
-    Exact-type matches only: a subclass may override hooks the mirror
-    would silently drop, so anything but the three builtins (custom
-    registrations included) stays on the object backend.
-    """
-    kind = type(policy)
-    if kind is LruReplacement:
-        return _LruArrayOps()
-    if kind is ClockReplacement:
-        return _ClockArrayOps()
-    if kind is MacReplacement:
-        return _MacArrayOps(policy.levels)
-    return None
+#: Stable listing for CLI choices and docs.
+REPLACEMENT_POLICY_NAMES: Tuple[str, ...] = tuple(REPLACEMENT_POLICIES)
 
 
-def make_replacement_policy(
-    spec: Union[str, ReplacementPolicy, None],
-) -> ReplacementPolicy:
-    """Resolve a policy spec: a name, a ready policy object, or None (LRU)."""
-    if spec is None:
+def make_replacement_policy(name: Optional[str]):
+    """The policy registered under ``name`` (``None`` means LRU)."""
+    if name is None:
         return LruReplacement()
-    if isinstance(spec, ReplacementPolicy):
-        return spec
-    try:
-        factory = REPLACEMENT_POLICIES[spec]
-    except KeyError:
+    if name not in REPLACEMENT_POLICIES:
         raise ValueError(
-            f"unknown replacement policy {spec!r}; "
+            f"unknown replacement policy {name!r}; "
             f"known: {sorted(REPLACEMENT_POLICIES)}"
-        ) from None
-    return factory()
+        )
+    return REPLACEMENT_POLICIES[name]()

@@ -1,4 +1,4 @@
-"""Generic set-associative write-back cache with pluggable replacement.
+"""Set-associative write-back cache over flat columns.
 
 Used for the L1s, the shared L2, and the 256 MB DRAM cache of Table I.
 The model is functional (hit/miss/eviction): what the memory study needs
@@ -7,19 +7,48 @@ dirty masks of evicted lines.  Timing belongs to the tier that wraps it —
 :class:`repro.cache.frontend.DramCacheFrontEnd` schedules hit/fill/
 write-back events on the shared engine (docs/FRONTEND.md).
 
-Victim selection is delegated to a :class:`ReplacementPolicy` (LRU by
-default, byte-identical to the historical hard-coded behaviour; CLOCK
-and MAC ship as alternatives — see :mod:`repro.cache.replacement`).
+A ``CacheLine`` object and a per-set list for every resident line would
+cost ~800 MB of Python objects at Table I's 256 MB, so the state lives
+in flat columns indexed by ``set_index * ways + way``:
+
+* ``tags`` / ``last_use`` — ``array('q')`` (64-bit signed),
+* ``dirty`` — ``array('B')`` (one bit per 8-byte word, 8 words),
+* ``policy`` — ``array('i')`` (CLOCK reference bit / MAC level),
+* ``count`` — lines resident per set; ``hands`` — per-set CLOCK hands.
+
+Each set's slab prefix ``[base, base + count)`` is kept compacted in
+residency (insertion) order — evicting way ``v`` shifts the tail left,
+installing appends at ``count`` — which fixes the policies' tie-breaks,
+the CLOCK hand positions and the drain order.  Victim selection is the
+named :mod:`repro.cache.replacement` policy (LRU by default).  Every
+access path needs only the ``array`` module (the ``REPRO_NO_NUMPY``
+build); when numpy is present, :meth:`ArraySetCache.classify_batch`
+classifies a whole epoch of addresses in a handful of vector operations
+over a zero-copy view of the tag column.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from repro.cache.cacheline import CacheLine, line_base, word_index
-from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
+from repro.cache.cacheline import CacheLine, word_index
+from repro.cache.replacement import (
+    HIT_CLOCK,
+    HIT_MAC,
+    MAC_LEVELS,
+    make_replacement_policy,
+)
+from repro.ecc import batch
 from repro.memory.request import LINE_BYTES, WORDS_PER_LINE
+
+#: Below this many addresses the vector classification's array setup
+#: costs more than it saves; the scalar scan gives the same answer.
+BATCH_MIN_ACCESSES = 16
+
+_MAC_TOP = MAC_LEVELS - 1
+_ZERO_WORDS = (0,) * WORDS_PER_LINE
 
 
 @dataclass(frozen=True)
@@ -61,8 +90,18 @@ class CacheStats:
         return self.hits / self.accesses
 
 
-class SetAssociativeCache:
-    """Set-associative cache over 64-byte lines."""
+class ArraySetCache:
+    """Set-associative cache over 64-byte lines, stored as flat columns.
+
+    Two results are not live line objects:
+
+    * :meth:`probe` returns the hit line's flat slab index (an ``int``,
+      possibly ``0``) — callers test ``is not None``; a per-hit line
+      object would give back the allocation the columns exist to remove.
+    * :meth:`line_state` returns a *snapshot* ``CacheLine``; mutating it
+      does not write through.  State-changing callers use
+      :meth:`merge_dirty`.
+    """
 
     def __init__(
         self,
@@ -70,7 +109,7 @@ class SetAssociativeCache:
         associativity: int,
         name: str = "cache",
         track_words: bool = False,
-        policy: Union[str, ReplacementPolicy, None] = None,
+        policy: Optional[str] = None,
     ):
         if size_bytes % (LINE_BYTES * associativity):
             raise ValueError(
@@ -84,43 +123,108 @@ class SetAssociativeCache:
             raise ValueError(f"{name}: no sets")
         self.track_words = track_words
         self.policy = make_replacement_policy(policy)
-        self._sets: Dict[int, List[CacheLine]] = {}
+        self._victim = self.policy.victim
+        self._hit_code = self.policy.hit_code
+        self._fill_state = self.policy.fill_state
+
+        n_lines = self.n_sets * associativity
+        # Preallocated, never resized: the numpy view of the tags stays
+        # valid for the cache's lifetime (resizing an exporting buffer
+        # would raise).  Tag slots outside a set's resident prefix hold
+        # the -1 sentinel (no real tag is negative), so the vector hit
+        # test needs no per-way residency mask.
+        self._tags = array("q", b"\xff" * (8 * n_lines))
+        self._last_use = array("q", bytes(8 * n_lines))
+        self._dirty = array("B", bytes(n_lines))
+        self._policy = array("i", bytes(4 * n_lines))
+        self._count = array("i", bytes(4 * self.n_sets))
+        self._hands = array("i", bytes(4 * self.n_sets))
+        #: First-fill order of sets, the order :meth:`dirty_lines`
+        #: drains in.
+        self._set_order: List[int] = []
+        self._set_seen = bytearray(self.n_sets)
+        #: Functional payloads, one slot per slab index; allocated only
+        #: when the words are actually tracked.
+        self._words: Optional[List[Optional[Tuple[int, ...]]]] = (
+            [None] * n_lines if track_words else None
+        )
         self._clock = 0
         self.stats = CacheStats()
+        #: Whether :meth:`_vector_ready` has built the numpy view.  The
+        #: first vector classification builds it, so a cache that never
+        #: classifies a batch never loads numpy.
+        self._np_ready = False
+
+    def _vector_ready(self) -> bool:
+        """Build the zero-copy numpy tag view once; ``False`` without numpy."""
+        if self._np_ready or not batch.HAS_NUMPY:
+            return self._np_ready
+        np = batch.np
+        #: (n_sets, ways) view of the tag slab: one row-gather pulls a
+        #: whole set's candidate tags per address.
+        self._np_tags_2d = np.frombuffer(self._tags, dtype=np.int64).reshape(
+            self.n_sets, self.associativity
+        )
+        #: When ways matches an unsigned dtype width, a per-row
+        #: reinterpret of the bool match matrix replaces the (much
+        #: slower) ``any(axis=1)`` reduction.
+        self._row_dtype = {
+            1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64
+        }.get(self.associativity)
+        self._np_ready = True
+        return True
 
     # ------------------------------------------------------------------
-    def _locate(self, address: int) -> Tuple[int, int]:
-        line = line_base(address) // LINE_BYTES
-        return line % self.n_sets, line // self.n_sets
-
-    def _find(self, set_index: int, tag: int) -> Optional[CacheLine]:
-        for entry in self._sets.get(set_index, ()):
-            if entry.valid and entry.tag == tag:
-                return entry
-        return None
+    # Lookups
+    # ------------------------------------------------------------------
+    def _find(self, set_index: int, tag: int) -> int:
+        """Flat slab index of (set, tag), or -1 when not resident."""
+        base = set_index * self.associativity
+        try:
+            return self._tags.index(tag, base, base + self._count[set_index])
+        except ValueError:
+            return -1
 
     def contains(self, address: int) -> bool:
-        set_index, tag = self._locate(address)
-        return self._find(set_index, tag) is not None
+        line = address // LINE_BYTES
+        n_sets = self.n_sets
+        return self._find(line % n_sets, line // n_sets) >= 0
 
     def line_state(self, address: int) -> Optional[CacheLine]:
-        """The resident line (for tests/introspection), or None."""
-        set_index, tag = self._locate(address)
-        return self._find(set_index, tag)
+        """A *snapshot* of the resident line (for tests), or ``None``.
+
+        The snapshot is a copy — use :meth:`merge_dirty` to change a
+        resident line's dirty mask.
+        """
+        line = address // LINE_BYTES
+        n_sets = self.n_sets
+        idx = self._find(line % n_sets, line // n_sets)
+        if idx < 0:
+            return None
+        return CacheLine(
+            tag=self._tags[idx],
+            valid=True,
+            dirty_mask=self._dirty[idx],
+            words=self._words[idx] if self._words is not None else None,
+            last_use=self._last_use[idx],
+            policy_state=self._policy[idx],
+        )
 
     def merge_dirty(self, address: int, dirty_mask: int) -> None:
         """OR ``dirty_mask`` into the resident line (no-op on a miss).
 
-        The backend-neutral way to inherit dirty words (spills, MSHR
-        pending masks): the array backend's ``line_state`` returns a
-        snapshot, so callers must not mutate that.
+        How a line inherits dirty words (spills, MSHR pending masks).
         """
         if not dirty_mask:
             return
-        entry = self.line_state(address)
-        if entry is not None:
-            entry.dirty_mask |= dirty_mask
+        line = address // LINE_BYTES
+        n_sets = self.n_sets
+        idx = self._find(line % n_sets, line // n_sets)
+        if idx >= 0:
+            self._dirty[idx] |= dirty_mask
 
+    # ------------------------------------------------------------------
+    # Accesses
     # ------------------------------------------------------------------
     def access(
         self,
@@ -136,198 +240,217 @@ class SetAssociativeCache:
         victims return ``None`` (counted in ``stats.clean_evictions``).
         """
         self._clock += 1
-        set_index, tag = self._locate(address)
-        entry = self._find(set_index, tag)
+        stamp = self._clock
+        line = address // LINE_BYTES
+        n_sets = self.n_sets
+        set_index = line % n_sets
+        tag = line // n_sets
+        idx = self._find(set_index, tag)
         evicted: Optional[Eviction] = None
-        hit = entry is not None
-        if entry is None:
+        hit = idx >= 0
+        if not hit:
             self.stats.misses += 1
-            evicted = self._fill(set_index, tag)
-            entry = self._find(set_index, tag)
-            assert entry is not None
+            evicted = self._fill(set_index, tag, stamp)
+            idx = set_index * self.associativity + self._count[set_index] - 1
         else:
             self.stats.hits += 1
-            self.policy.on_hit(set_index, entry)
-        entry.touch(self._clock)
+            hit_code = self._hit_code
+            if hit_code == HIT_CLOCK:
+                self._policy[idx] = 1
+            elif hit_code == HIT_MAC and self._policy[idx] < _MAC_TOP:
+                self._policy[idx] += 1
+        self._last_use[idx] = stamp
         if is_write:
             word = word_index(address)
-            if self.track_words and value is not None:
-                entry.write_word(word, value)
+            if self._words is not None and value is not None:
+                self._write_word(idx, word, value)
             else:
-                entry.mark_dirty(word)
+                self._dirty[idx] |= 1 << word
         return hit, evicted
 
-    def probe(self, address: int, dirty_mask: int = 0) -> Optional[CacheLine]:
+    def probe(self, address: int, dirty_mask: int = 0) -> Optional[int]:
         """Line-granularity lookup for the timed tier.
 
-        On a hit: touch recency, run the policy's hit hook, merge
-        ``dirty_mask`` into the line, count a hit, and return the line.
-        On a miss: count a miss and return ``None`` *without allocating*
-        — the timed tier installs lines only when their PCM fill
-        completes (:meth:`install`), so a line is never visible before
-        its data could exist.
+        On a hit: touch recency, apply the policy's hit update, merge
+        ``dirty_mask`` into the line, count a hit, and return the line's
+        flat slab index.  On a miss: count a miss and return ``None``
+        *without allocating* — the timed tier installs lines only when
+        their PCM fill completes (:meth:`install`), so a line is never
+        visible before its data could exist.
         """
         self._clock += 1
-        set_index, tag = self._locate(address)
-        entry = self._find(set_index, tag)
-        if entry is None:
+        line = address // LINE_BYTES
+        n_sets = self.n_sets
+        idx = self._find(line % n_sets, line // n_sets)
+        if idx < 0:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        entry.touch(self._clock)
+        self._last_use[idx] = self._clock
         if dirty_mask:
-            entry.dirty_mask |= dirty_mask
-        self.policy.on_hit(set_index, entry)
-        return entry
+            self._dirty[idx] |= dirty_mask
+        hit_code = self._hit_code
+        if hit_code == HIT_CLOCK:
+            self._policy[idx] = 1
+        elif hit_code == HIT_MAC and self._policy[idx] < _MAC_TOP:
+            self._policy[idx] += 1
+        return idx
 
-    def _fill(self, set_index: int, tag: int) -> Optional[Eviction]:
-        """Allocate (tag) in the set; returns the dirty eviction if any."""
-        entries = self._sets.setdefault(set_index, [])
-        evicted: Optional[Eviction] = None
-        if len(entries) >= self.associativity:
-            victim = self.policy.victim(set_index, entries)
-            entries.remove(victim)
-            self.policy.on_evict(set_index, victim)
-            self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.dirty_evictions += 1
-                victim_line = (
-                    victim.tag * self.n_sets + set_index
-                ) * LINE_BYTES
-                evicted = Eviction(
-                    victim_line, victim.dirty_mask, victim.words
-                )
-            else:
-                self.stats.clean_evictions += 1
-        words = None
-        if self.track_words:
-            words = tuple([0] * WORDS_PER_LINE)
-        entry = CacheLine(tag=tag, words=words, last_use=self._clock)
-        entries.append(entry)
-        self.policy.on_fill(set_index, entry)
-        return evicted
-
-    # ------------------------------------------------------------------
-    def install(
-        self, address: int, words: Optional[Tuple[int, ...]] = None
-    ) -> Optional[Eviction]:
+    def install(self, address: int) -> Optional[Eviction]:
         """Fill a line without an access (fill completion, back-fill)."""
         self._clock += 1
-        set_index, tag = self._locate(address)
-        if self._find(set_index, tag) is not None:
+        line = address // LINE_BYTES
+        n_sets = self.n_sets
+        set_index = line % n_sets
+        tag = line // n_sets
+        if self._find(set_index, tag) >= 0:
             return None
-        return self._fill(set_index, tag)
+        return self._fill(set_index, tag, self._clock)
 
     def invalidate(self, address: int) -> Optional[Eviction]:
         """Drop a line; returns its eviction record when it was dirty."""
-        set_index, tag = self._locate(address)
-        entry = self._find(set_index, tag)
-        if entry is None:
+        line = address // LINE_BYTES
+        n_sets = self.n_sets
+        set_index = line % n_sets
+        tag = line // n_sets
+        idx = self._find(set_index, tag)
+        if idx < 0:
             return None
-        self._sets[set_index].remove(entry)
-        self.policy.on_evict(set_index, entry)
-        if entry.dirty:
+        dirty_mask = self._dirty[idx]
+        words = self._words[idx] if self._words is not None else None
+        self._remove(set_index, idx)
+        if dirty_mask:
             self.stats.evictions += 1
             self.stats.dirty_evictions += 1
             return Eviction(
-                (tag * self.n_sets + set_index) * LINE_BYTES,
-                entry.dirty_mask,
-                entry.words,
+                (tag * n_sets + set_index) * LINE_BYTES, dirty_mask, words
             )
         return None
 
+    # ------------------------------------------------------------------
+    # Fill / evict internals
+    # ------------------------------------------------------------------
+    def _fill(self, set_index: int, tag: int, stamp: int) -> Optional[Eviction]:
+        """Allocate (tag) at the slab's tail; returns any dirty eviction."""
+        ways = self.associativity
+        base = set_index * ways
+        count = self._count[set_index]
+        evicted: Optional[Eviction] = None
+        if count >= ways:
+            way = self._victim(
+                self._last_use, self._policy, self._hands,
+                set_index, base, count,
+            )
+            idx = base + way
+            self.stats.evictions += 1
+            dirty_mask = self._dirty[idx]
+            if dirty_mask:
+                self.stats.dirty_evictions += 1
+                victim_words = (
+                    self._words[idx] if self._words is not None else None
+                )
+                evicted = Eviction(
+                    (self._tags[idx] * self.n_sets + set_index) * LINE_BYTES,
+                    dirty_mask,
+                    victim_words,
+                )
+            else:
+                self.stats.clean_evictions += 1
+            self._remove(set_index, idx)
+            count = ways - 1
+        idx = base + count
+        self._tags[idx] = tag
+        self._last_use[idx] = stamp
+        self._dirty[idx] = 0
+        self._policy[idx] = self._fill_state
+        if self._words is not None:
+            self._words[idx] = _ZERO_WORDS
+        self._count[set_index] = count + 1
+        if not self._set_seen[set_index]:
+            self._set_seen[set_index] = 1
+            self._set_order.append(set_index)
+        return evicted
+
+    def _remove(self, set_index: int, idx: int) -> None:
+        """Drop slab entry ``idx``, compacting the set's residency order."""
+        base = set_index * self.associativity
+        last = base + self._count[set_index]  # one past the tail
+        if idx + 1 < last:
+            self._tags[idx:last - 1] = self._tags[idx + 1:last]
+            self._last_use[idx:last - 1] = self._last_use[idx + 1:last]
+            self._dirty[idx:last - 1] = self._dirty[idx + 1:last]
+            self._policy[idx:last - 1] = self._policy[idx + 1:last]
+            if self._words is not None:
+                self._words[idx:last - 1] = self._words[idx + 1:last]
+        elif self._words is not None:
+            self._words[idx] = None
+        self._tags[last - 1] = -1  # restore the vacated slot's sentinel
+        self._count[set_index] -= 1
+
+    def _write_word(self, idx: int, word: int, value: int) -> None:
+        """Functional store, matching ``CacheLine.write_word`` exactly.
+
+        The store makes the word architecturally dirty even when the
+        value is unchanged — detecting such silent stores is main
+        memory's job (paper §III-B).
+        """
+        words = self._words[idx] if self._words is not None else None
+        if words is None:
+            raise ValueError("line carries no functional payload")
+        if not 0 <= value < (1 << 64):
+            raise ValueError(f"word value out of range: {value:#x}")
+        if words[word] != value:
+            updated = list(words)
+            updated[word] = value
+            self._words[idx] = tuple(updated)
+        if not 0 <= word < WORDS_PER_LINE:
+            raise ValueError(f"word index out of range: {word}")
+        self._dirty[idx] |= 1 << word
+
+    # ------------------------------------------------------------------
+    # Introspection / drain
+    # ------------------------------------------------------------------
     def resident_lines(self) -> int:
-        return sum(len(entries) for entries in self._sets.values())
+        return sum(self._count)
 
     def dirty_lines(self) -> List[int]:
         """Addresses of dirty resident lines, in drain order.
 
-        Order is first-fill order of sets (dict insertion order), then
-        residency order within each set — the order the DRAM cache's
-        flush has always used, and the order the array backend mirrors.
+        Order is first-fill order of sets, then residency order within
+        each set — the order the DRAM cache's flush drains in.
         """
         addresses: List[int] = []
-        for set_index, entries in self._sets.items():
-            for entry in entries:
-                if entry.dirty:
+        ways = self.associativity
+        n_sets = self.n_sets
+        for set_index in self._set_order:
+            base = set_index * ways
+            for idx in range(base, base + self._count[set_index]):
+                if self._dirty[idx]:
                     addresses.append(
-                        (entry.tag * self.n_sets + set_index) * LINE_BYTES
+                        (self._tags[idx] * n_sets + set_index) * LINE_BYTES
                     )
         return addresses
 
     # ------------------------------------------------------------------
-    # Batch entry points (scalar here; vectorized on the array backend)
+    # Epoch classification (vectorized when numpy is present)
     # ------------------------------------------------------------------
-    def classify_batch(self, addresses: List[int]) -> List[bool]:
-        """Advisory hit/miss classification (read-only, no bookkeeping)."""
-        return [self.contains(address) for address in addresses]
+    def classify_batch(self, addresses: Sequence[int]) -> List[bool]:
+        """Advisory hit/miss classification of a batch (read-only).
 
-    def access_batch(
-        self,
-        addresses: List[int],
-        writes: List[bool],
-        values: Optional[List[Optional[int]]] = None,
-    ) -> Tuple[List[bool], List[Optional[Eviction]]]:
-        """Run a batch of accesses; per-access (hits, evictions) aligned
-        with the input — definitionally the scalar loop."""
-        hits: List[bool] = []
-        evictions: List[Optional[Eviction]] = []
-        for i, address in enumerate(addresses):
-            value = values[i] if values is not None else None
-            hit, evicted = self.access(address, writes[i], value)
-            hits.append(hit)
-            evictions.append(evicted)
-        return hits, evictions
-
-
-# ======================================================================
-# Backend selection
-# ======================================================================
-#: Recognised backend specs for :func:`make_set_cache`.
-CACHE_BACKENDS = ("auto", "array", "object")
-
-
-def make_set_cache(
-    size_bytes: int,
-    associativity: int,
-    name: str = "cache",
-    track_words: bool = False,
-    policy: Union[str, ReplacementPolicy, None] = None,
-    backend: str = "auto",
-):
-    """Build a set-associative cache, choosing the storage backend.
-
-    ``"array"`` is the columnar backend
-    (:class:`~repro.cache.array_backend.ArraySetCache`): flat
-    tag/recency/dirty/policy columns, index-arithmetic probes, batched
-    classification — the only practical representation at Table I's
-    256 MB scale.  ``"object"`` is the historical per-line
-    :class:`CacheLine` representation.  ``"auto"`` (the default) picks
-    the array backend whenever the resolved replacement policy is one
-    of the three builtins it mirrors bit-identically, and falls back to
-    the object backend for custom registered policies.  Direct
-    ``SetAssociativeCache(...)`` construction remains object-backed.
-    """
-    if backend not in CACHE_BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; "
-            f"expected one of {CACHE_BACKENDS}"
-        )
-    if backend == "object":
-        return SetAssociativeCache(
-            size_bytes, associativity, name=name,
-            track_words=track_words, policy=policy,
-        )
-    from repro.cache.array_backend import ArraySetCache
-    from repro.cache.replacement import array_policy_ops
-
-    resolved = make_replacement_policy(policy)
-    if backend == "auto" and array_policy_ops(resolved) is None:
-        return SetAssociativeCache(
-            size_bytes, associativity, name=name,
-            track_words=track_words, policy=resolved,
-        )
-    return ArraySetCache(
-        size_bytes, associativity, name=name,
-        track_words=track_words, policy=resolved,
-    )
+        One vectorized pass when numpy is present; no stats, clock or
+        state are touched, so the classification is safe to use for
+        steering (prefetch) while the real probes still run per event.
+        Non-resident slots hold the -1 tag sentinel, so the raw equality
+        test against each set's row of tags is the residency test.
+        """
+        n = len(addresses)
+        if n < BATCH_MIN_ACCESSES or not self._vector_ready():
+            return [self.contains(a) for a in addresses]
+        np = batch.np
+        lines = np.fromiter(addresses, dtype=np.int64, count=n) // LINE_BYTES
+        tags, set_idx = np.divmod(lines, self.n_sets)
+        cand = self._np_tags_2d.take(set_idx, axis=0, mode="clip")
+        match = cand == tags[:, None]
+        if self._row_dtype is not None:
+            return (match.view(self._row_dtype).ravel() != 0).tolist()
+        return match.any(axis=1).tolist()

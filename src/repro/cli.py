@@ -290,11 +290,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _store_missing(command: str, path: str) -> bool:
+    """Report a read-only command's missing store (exit 2, create nothing)."""
+    if os.path.exists(path):
+        return False
+    print(f"repro {command}: no campaign store at {path}", file=sys.stderr)
+    return True
+
+
 def _sweep_resume(args: argparse.Namespace) -> int:
     """Finish a partially-run campaign; compute only what's missing."""
     from repro.sim.campaign import CampaignStore, resume_campaign
     from repro.sim.results_io import results_digest
 
+    if _store_missing("sweep", args.store):
+        return 2
     store = CampaignStore(args.store, policy=_lease_policy(args))
     if args.resume not in store.campaigns():
         print(f"repro sweep: unknown campaign {args.resume!r} in "
@@ -406,6 +416,8 @@ def cmd_status(args: argparse.Namespace) -> int:
     )
     from repro.sim.results_io import results_digest
 
+    if _store_missing("status", args.store):
+        return 2
     store = CampaignStore(args.store)
     names = [args.campaign] if args.campaign else store.campaigns()
     if args.campaign and args.campaign not in store.campaigns():

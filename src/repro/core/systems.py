@@ -158,8 +158,8 @@ def make_front_end(
     and the set/way geometry is validated by
     :class:`~repro.cache.dram_cache.DramCacheConfig` — the size must
     yield at least one whole set of 64-byte lines.  Keyword overrides
-    forward to :class:`FrontEndConfig` (``mshrs``, ``writeback_buffer``,
-    ``backend``) or, via ``dram_overrides`` semantics below, to the
+    forward to :class:`FrontEndConfig` (``mshrs``, ``writeback_buffer``)
+    or, via ``dram_overrides`` semantics below, to the
     embedded :class:`DramCacheConfig` (``size_bytes``,
     ``associativity``, ``access_cycles``).
     """

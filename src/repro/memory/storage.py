@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.ecc import batch, hamming, parity
 from repro.memory.request import WORDS_PER_LINE
@@ -75,7 +75,7 @@ class MemoryStorage:
 
     def __init__(self, keep_pcc: bool = True):
         self.keep_pcc = keep_pcc
-        #: Whether the batch methods may take the vector path.  Reading
+        #: Whether :meth:`prefetch` may take the vector path.  Reading
         #: ``batch.HAS_NUMPY`` here imports numpy while a functional run
         #: is built, never inside its run.
         self._vector = batch.HAS_NUMPY
@@ -168,7 +168,7 @@ class MemoryStorage:
         return dirty_mask
 
     # ------------------------------------------------------------------
-    # Batch fast path (repro.ecc.batch; scalar fallback is automatic)
+    # Epoch prefetch (repro.ecc.batch; scalar fallback is automatic)
     # ------------------------------------------------------------------
     def prefetch(self, line_addresses: Iterable[int]) -> int:
         """Materialise many cold lines at once; returns how many were new.
@@ -205,138 +205,6 @@ class MemoryStorage:
             for address in missing:
                 self._materialise(address)
         return len(missing)
-
-    def diff_masks(
-        self,
-        line_addresses: Sequence[int],
-        new_lines: Sequence[Tuple[int, ...]],
-    ) -> List[int]:
-        """Batch :meth:`diff_mask`: dirty-word masks for many write-backs.
-
-        Same read-before-write comparison and ``silent_word_writes``
-        accounting as the scalar call, vectorised when numpy is present.
-        """
-        if len(line_addresses) != len(new_lines):
-            raise ValueError("line_addresses and new_lines length mismatch")
-        if not (self._vector and len(line_addresses) >= _BATCH_MIN_LINES):
-            return [
-                self.diff_mask(address, words)
-                for address, words in zip(line_addresses, new_lines)
-            ]
-        self.prefetch(line_addresses)
-        np = batch.np
-        old = np.array(
-            [self._lines[a].words for a in line_addresses], dtype=np.uint64
-        )
-        new = np.array(new_lines, dtype=np.uint64)
-        if new.shape != old.shape:
-            raise ValueError("expected 8 words per line")
-        changed = old != new
-        masks = np.packbits(changed, axis=-1, bitorder="little")[:, 0]
-        self.silent_word_writes += int(changed.size - changed.sum())
-        return masks.tolist()
-
-    def write_lines(
-        self,
-        line_addresses: Sequence[int],
-        new_lines: Sequence[Tuple[int, ...]],
-        dirty_masks: Optional[Sequence[Optional[int]]] = None,
-    ) -> List[int]:
-        """Batch :meth:`write_line` over many independent write-backs.
-
-        The vector path recomputes check bytes with the batch encoder
-        and folds the PCC update (``pcc ^= old ^ new`` over the dirty
-        words) as one XOR reduction per line.  Subclasses that override
-        :meth:`write_line` (the fault-injecting storage's ledger
-        bookkeeping) automatically fall back to the per-line call, so
-        the batch API is always safe to use.
-
-        ``line_addresses`` must not repeat within one call on the vector
-        path: the commits are computed against a single snapshot.
-        """
-        if len(line_addresses) != len(new_lines):
-            raise ValueError("line_addresses and new_lines length mismatch")
-        if dirty_masks is not None and len(dirty_masks) != len(new_lines):
-            raise ValueError("dirty_masks length mismatch")
-        scalar_override = (
-            type(self).write_line is not MemoryStorage.write_line
-        )
-        mixed_masks = dirty_masks is not None and any(
-            m is None for m in dirty_masks
-        )
-        if (
-            scalar_override
-            or mixed_masks
-            or not self._vector
-            or len(line_addresses) < _BATCH_MIN_LINES
-        ):
-            return [
-                self.write_line(
-                    address,
-                    words,
-                    None if dirty_masks is None else dirty_masks[i],
-                )
-                for i, (address, words) in enumerate(
-                    zip(line_addresses, new_lines)
-                )
-            ]
-        if len(set(line_addresses)) != len(line_addresses):
-            raise ValueError(
-                "write_lines: duplicate line addresses in one batch"
-            )
-        self.prefetch(line_addresses)
-        np = batch.np
-        lines = self._lines
-        old = np.array(
-            [lines[a].words for a in line_addresses], dtype=np.uint64
-        )
-        old_checks = np.array(
-            [lines[a].checks for a in line_addresses], dtype=np.uint8
-        )
-        old_pcc = np.array(
-            [lines[a].pcc for a in line_addresses], dtype=np.uint64
-        )
-        new = np.array(new_lines, dtype=np.uint64)
-        if new.shape != old.shape:
-            raise ValueError("expected 8 words per line")
-        if dirty_masks is None:
-            changed = old != new
-            masks = np.packbits(changed, axis=-1, bitorder="little")[:, 0]
-            self.silent_word_writes += int(changed.size - changed.sum())
-            out_masks = masks.tolist()
-        else:
-            out_masks = [int(m) & 0xFF for m in dirty_masks]
-            masks = np.array(out_masks, dtype=np.uint8)
-            bits = np.arange(WORDS_PER_LINE, dtype=np.uint8)
-            changed = (masks[:, None] >> bits) & np.uint8(1)
-            changed = changed.astype(bool)
-        committed = int(changed.sum())
-        if committed:
-            words = np.where(changed, new, old)
-            checks = np.where(changed, batch.encode_words(new), old_checks)
-            if self.keep_pcc:
-                delta = np.bitwise_xor.reduce(
-                    np.where(changed, old ^ new, np.uint64(0)), axis=-1
-                )
-                pcc = (old_pcc ^ delta).tolist()
-            else:
-                pcc = old_pcc.tolist()
-            touched = changed.any(axis=-1).tolist()
-            for i, (address, is_dirty) in enumerate(
-                zip(line_addresses, touched)
-            ):
-                if is_dirty:
-                    lines[address] = StoredLine(
-                        tuple(words[i].tolist()),
-                        tuple(checks[i].tolist()),
-                        pcc[i],
-                    )
-            self.committed_words += committed
-        # Scalar write_line returns the caller's mask (pre-truncation)
-        # when one is supplied; mirror that exactly.
-        if dirty_masks is not None:
-            return [int(m) for m in dirty_masks]
-        return out_masks
 
     # ------------------------------------------------------------------
     # Fault injection (used to exercise RoW's deferred verification)

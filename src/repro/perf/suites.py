@@ -1,9 +1,11 @@
-"""The hot-path microbenchmarks and the suite assembler.
+"""The hot-path microbenchmarks, their timing primitives and the suite.
 
-Each ``bench_*`` function returns a :class:`~repro.perf.microbench.BenchReport`
-whose ``config`` is a pure function of ``(seed, smoke)`` — the determinism
-test holds configs and metric *keys* identical across same-seed runs,
-while the timing *values* are free to vary.
+Each ``bench_*`` function returns a :class:`BenchReport` whose ``config``
+is a pure function of ``(seed, smoke)`` — the determinism test holds
+configs and metric *keys* identical across same-seed runs, while the
+timing *values* are free to vary.  Timing is ``time.perf_counter`` only:
+the suite runs in CI's smoke job, so the measurement layer must work
+everywhere the simulator does.
 
 ``run_suite`` stitches the reports into the seed- and git-stamped
 ``BENCH_perf.json`` payload.  Its speedups are same-process ratios only
@@ -15,13 +17,56 @@ interleaved end-to-end pairs instead (docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
-
-from repro.perf.microbench import BenchReport, time_call
+import time
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional
 
 #: Payload format version: bump it whenever a top-level or speedup key
 #: changes meaning or goes away.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+
+def time_call(fn: Callable[[], object], repeats: int = 5) -> float:
+    """Best-of-``repeats`` wall time of one ``fn()`` call, in seconds.
+
+    ``fn`` is expected to loop over its own batch internally (so per-item
+    times are ``time_call(fn) / batch``).  Best-of rather than mean: the
+    minimum is the least noise-contaminated estimate of the code's cost.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    fn()  # untimed warmup: interpreter specialisation, memo fills, caches
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        elapsed = time.perf_counter() - t0
+        if elapsed < best:
+            best = elapsed
+    return best
+
+
+@dataclass
+class BenchReport:
+    """One microbenchmark's outcome.
+
+    ``config`` holds everything that determines *what* was measured (batch
+    sizes, seeds, workload names) — the determinism test asserts it is
+    identical across same-seed runs.  ``metrics`` holds the measured
+    numbers; timing entries naturally vary between runs, only their *keys*
+    are required to be stable.
+    """
+
+    name: str
+    config: Dict[str, object] = field(default_factory=dict)
+    metrics: Dict[str, float] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "config": dict(self.config),
+            "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
+        }
 
 
 def _repeats(smoke: bool) -> int:
@@ -90,20 +135,19 @@ def bench_codec(seed: int, smoke: bool = False) -> BenchReport:
 # Batch codec: repro.ecc.batch arrays vs the scalar word loop
 # ----------------------------------------------------------------------
 def bench_batch_codec(seed: int, smoke: bool = False) -> BenchReport:
-    """Vectorized SECDED throughput against the scalar per-word loop.
+    """Vectorized SECDED encode throughput against the scalar word loop.
 
     Both paths run in the same process on the same words, so the
-    ``*_vs_scalar`` ratios are machine independent — they are the
-    numbers the >=5x codec gate in :func:`check_payload` holds.  On a
-    scalar-only build (no numpy, or ``REPRO_NO_NUMPY``) the report
-    carries the scalar timings alone and the gate does not apply.
+    ``encode_vs_scalar`` ratio is machine independent — it is the number
+    the >=5x codec gate in :func:`check_payload` holds.  On a scalar-only
+    build (no numpy, or ``REPRO_NO_NUMPY``) the report carries the scalar
+    timing alone and the gate does not apply.
     """
     from repro.ecc import batch, hamming
 
     n_words = 2_000 if smoke else 20_000
     rng = random.Random(seed * 4243 + 17)
     words = [rng.getrandbits(64) for _ in range(n_words)]
-    checks = [hamming.encode(w) for w in words]
     repeats = _repeats(smoke)
     scale = 1e6 / n_words
 
@@ -111,36 +155,20 @@ def bench_batch_codec(seed: int, smoke: bool = False) -> BenchReport:
         for w in words:
             hamming.encode(w)
 
-    def run_scalar_decode() -> None:
-        for w, c in zip(words, checks):
-            hamming.decode(w, c)
-
     metrics: Dict[str, float] = {
         "scalar_encode_us": time_call(run_scalar_encode, repeats) * scale,
-        "scalar_decode_us": time_call(run_scalar_decode, repeats) * scale,
     }
     if batch.HAS_NUMPY:
-        np = batch.np
-        arr = np.array(words, dtype=np.uint64)
-        checks_arr = np.array(checks, dtype=np.uint8)
+        arr = batch.np.array(words, dtype=batch.np.uint64)
 
         def run_batch_encode() -> None:
             batch.encode_words(arr)
 
-        def run_batch_decode() -> None:
-            batch.decode_words(arr, checks_arr)
-
         metrics["batch_encode_us"] = (
             time_call(run_batch_encode, repeats) * scale
         )
-        metrics["batch_decode_us"] = (
-            time_call(run_batch_decode, repeats) * scale
-        )
         metrics["encode_vs_scalar"] = (
             metrics["scalar_encode_us"] / metrics["batch_encode_us"]
-        )
-        metrics["decode_vs_scalar"] = (
-            metrics["scalar_decode_us"] / metrics["batch_decode_us"]
         )
     return BenchReport(
         name="batch_codec",
@@ -149,111 +177,6 @@ def bench_batch_codec(seed: int, smoke: bool = False) -> BenchReport:
             "seed": seed,
             "repeats": repeats,
             "numpy": batch.HAS_NUMPY,
-        },
-        metrics=metrics,
-    )
-
-
-# ----------------------------------------------------------------------
-# Front-end tier: array-backed batched epochs vs the object access loop
-# ----------------------------------------------------------------------
-def bench_frontend_access(seed: int, smoke: bool = False) -> BenchReport:
-    """Warm-tier access cost at paper scale, object loop vs array epochs.
-
-    Builds the set-associative tier twice — once on the historical
-    dict-of-CacheLine backend, once on the columnar array backend —
-    warms both with the same working set, then streams identical
-    hit-heavy accesses through each: per-access :meth:`access` calls on
-    the object backend, :data:`~repro.cpu.multicore.ON_EPOCH_BATCH`-
-    sized :meth:`access_batch` epochs on the array backend (the same
-    windowing the simulator's on_epoch hook sees).  The equivalence
-    suite holds the two backends bit-identical, so ``batch_vs_object``
-    is a pure mechanism ratio, machine independent, and gated (>=5x) in
-    :func:`check_payload` on numpy builds.  Full budgets use the
-    paper's 256 MB Table I geometry; smoke shrinks the tier to 16 MB to
-    keep allocation light.
-    """
-    from repro.cache.set_assoc import make_set_cache
-    from repro.cpu.multicore import ON_EPOCH_BATCH
-    from repro.ecc.batch import HAS_NUMPY
-
-    capacity_mb = 16 if smoke else 256
-    size_bytes = capacity_mb * 1024 * 1024
-    ways = 8
-    epoch = ON_EPOCH_BATCH
-    n_lines = 2_048 if smoke else 8_192
-    n_accesses = 8_192 if smoke else 32_768
-    repeats = _repeats(smoke)
-
-    n_sets = size_bytes // (64 * ways)
-    rng = random.Random(seed * 6121 + 29)
-    # All ways of each sampled set resident: the warm stream stays
-    # eviction free (every timed access is a hit, repeats do identical
-    # work) while tag scans see realistic full-set depth.
-    lines = [
-        (tag * n_sets + set_index) * 64
-        for set_index in rng.sample(range(n_sets), n_lines // ways)
-        for tag in range(ways)
-    ]
-    addresses = rng.choices(lines, k=n_accesses)
-    writes = [rng.random() < 0.3 for _ in range(n_accesses)]
-    pairs = list(zip(addresses, writes))
-    chunks = [
-        (addresses[i:i + epoch], writes[i:i + epoch])
-        for i in range(0, n_accesses, epoch)
-    ]
-
-    obj = make_set_cache(size_bytes, ways, name="fe-object", backend="object")
-    arr = make_set_cache(size_bytes, ways, name="fe-array", backend="array")
-    obj_warm = [obj.access(address, False)[0] for address in lines]
-    arr_warm, _ = arr.access_batch(lines, [False] * n_lines)
-    # Untimed verification pass: the stream must be all-hits and the
-    # backends must agree, or the timing compares different work.
-    for address, is_write in pairs:
-        obj.access(address, is_write)
-    for chunk_addresses, chunk_writes in chunks:
-        arr.access_batch(chunk_addresses, chunk_writes)
-    if any(obj_warm) or any(arr_warm) or not (
-        obj.stats.hits == arr.stats.hits == n_accesses
-        and obj.stats.misses == arr.stats.misses == n_lines
-    ):
-        raise RuntimeError(
-            "frontend_access backends diverged: "
-            f"object {obj.stats.hits}/{obj.stats.misses} vs "
-            f"array {arr.stats.hits}/{arr.stats.misses} hits/misses"
-        )
-
-    def run_object() -> None:
-        access = obj.access
-        for address, is_write in pairs:
-            access(address, is_write)
-
-    scale = 1e6 / n_accesses
-    metrics: Dict[str, float] = {
-        "object_access_us": time_call(run_object, repeats) * scale,
-    }
-    if HAS_NUMPY:
-
-        def run_batch() -> None:
-            access_batch = arr.access_batch
-            for chunk_addresses, chunk_writes in chunks:
-                access_batch(chunk_addresses, chunk_writes)
-
-        metrics["batch_access_us"] = time_call(run_batch, repeats) * scale
-        metrics["batch_vs_object"] = (
-            metrics["object_access_us"] / metrics["batch_access_us"]
-        )
-    return BenchReport(
-        name="frontend_access",
-        config={
-            "capacity_mb": capacity_mb,
-            "associativity": ways,
-            "epoch": epoch,
-            "working_set_lines": n_lines,
-            "accesses": n_accesses,
-            "seed": seed,
-            "repeats": repeats,
-            "numpy": HAS_NUMPY,
         },
         metrics=metrics,
     )
@@ -408,55 +331,15 @@ def bench_engine_dispatch(seed: int, smoke: bool = False) -> BenchReport:
 
 
 # ----------------------------------------------------------------------
-# End to end: one full rwow-rde functional run
-# ----------------------------------------------------------------------
-def bench_end_to_end(seed: int, smoke: bool = False) -> BenchReport:
-    """One complete rwow-rde/canneal simulation, wall-clocked.
-
-    Single run (no best-of): the simulation itself dominates and the
-    events-per-second figure is the tracked number.  ``sim_ticks`` and
-    ``events_dispatched`` double as behavioural fingerprints — they are
-    deterministic for a given (seed, budget) and must not move under
-    purely mechanical optimisation.
-    """
-    import time
-
-    from repro.core.systems import make_rwow_rde
-    from repro.sim.simulator import SimulationParams, simulate
-
-    target_requests = 600 if smoke else 3000
-    params = SimulationParams(target_requests=target_requests, seed=seed)
-    t0 = time.perf_counter()
-    result = simulate(make_rwow_rde(), "canneal", params)
-    wall = time.perf_counter() - t0
-    events = result.profile.events_dispatched if result.profile else 0
-    return BenchReport(
-        name="end_to_end",
-        config={
-            "system": "rwow-rde",
-            "workload": "canneal",
-            "target_requests": target_requests,
-            "n_cores": params.n_cores,
-            "seed": seed,
-        },
-        metrics={
-            "wall_seconds": wall,
-            "events_dispatched": float(events),
-            "events_per_second": events / wall if wall > 0 else 0.0,
-            "sim_ticks": float(result.sim_ticks),
-        },
-    )
-
-
-# ----------------------------------------------------------------------
 # Time-series sampling overhead: the same run, telemetry off vs on
 # ----------------------------------------------------------------------
 def bench_timeseries(seed: int, smoke: bool = False) -> BenchReport:
     """Cost of enabling the time-series sampler at its default cadence.
 
-    Runs the end-to-end configuration twice — once plain, once with
-    ``sample_every_ticks`` + ``collect_metrics`` — and reports the wall
-    ratio.  ``samples`` is the deterministic sample count, so the
+    Runs the timing-only reference configuration (rwow-rde on canneal,
+    600 requests at smoke budget, 3000 at full) twice — once plain, once
+    with ``sample_every_ticks`` + ``collect_metrics`` — and reports the
+    wall ratio.  ``samples`` is the deterministic sample count, so the
     determinism test pins the sampler's cadence behaviour for free.  The
     ``overhead_ratio`` ceiling is gated in :func:`check_payload` at full
     budgets only; smoke runs are too short for a stable ratio.
@@ -508,13 +391,13 @@ def bench_timeseries(seed: int, smoke: bool = False) -> BenchReport:
 # Tracing overhead: the same run, tracer off vs on
 # ----------------------------------------------------------------------
 def bench_tracing(seed: int, smoke: bool = False) -> BenchReport:
-    """Cost of recording every trace event of the end-to-end run.
+    """Cost of recording every trace event of the reference run.
 
-    Runs the end-to-end configuration twice in the same process — once
-    plain, once recording into a default ``RingBufferSink`` — and reports
-    the wall ratio.  ``events`` is the deterministic trace-event count.
-    The ratio is recorded but not gated: best-of-3 on a shared VM
-    spreads too widely for a ceiling.
+    Runs the same configuration as :func:`bench_timeseries` twice in the
+    same process — once plain, once recording into a default
+    ``RingBufferSink`` — and reports the wall ratio.  ``events`` is the
+    deterministic trace-event count.  The ratio is recorded but not
+    gated: best-of-3 on a shared VM spreads too widely for a ceiling.
     """
     from repro.core.systems import make_rwow_rde
     from repro.sim.simulator import SimulationParams, simulate
@@ -565,7 +448,7 @@ TIMESERIES_OVERHEAD_CEILING = 1.15
 # Suite assembly
 # ----------------------------------------------------------------------
 def run_suite(seed: int = 7, smoke: bool = False) -> dict:
-    """Run all nine benchmarks; returns the ``BENCH_perf.json`` payload."""
+    """Run all seven benchmarks; returns the ``BENCH_perf.json`` payload."""
     from repro.analysis.regress import (
         collect_fingerprint,
         collect_frontend_fingerprint,
@@ -575,11 +458,9 @@ def run_suite(seed: int = 7, smoke: bool = False) -> dict:
     reports = [
         bench_codec(seed, smoke),
         bench_batch_codec(seed, smoke),
-        bench_frontend_access(seed, smoke),
         bench_storage(seed, smoke),
         bench_engine_dispatch(seed, smoke),
         bench_trace_gen(seed, smoke),
-        bench_end_to_end(seed, smoke),
         bench_timeseries(seed, smoke),
         bench_tracing(seed, smoke),
     ]
@@ -610,14 +491,6 @@ def run_suite(seed: int = 7, smoke: bool = False) -> dict:
     if "encode_vs_scalar" in batch_metrics:
         speedups["batch_codec.encode_vs_scalar"] = (
             batch_metrics["encode_vs_scalar"]
-        )
-        speedups["batch_codec.decode_vs_scalar"] = (
-            batch_metrics["decode_vs_scalar"]
-        )
-    frontend_metrics = by_name["frontend_access"].metrics
-    if "batch_vs_object" in frontend_metrics:
-        speedups["frontend_access.batch_vs_object"] = (
-            frontend_metrics["batch_vs_object"]
         )
     return {
         "schema": SCHEMA_VERSION,
@@ -666,40 +539,20 @@ def check_payload(payload: dict) -> List[str]:
         if report.get("name") == "batch_codec" and report.get(
             "config", {}
         ).get("numpy"):
-            # The vectorized codec's headline contract: >=5x over the
-            # scalar loop whenever numpy is present.  Same-process
-            # ratios, so the gate is machine independent; measured
-            # values sit at ~20-40x, far above the floor.
-            for key in ("encode_vs_scalar", "decode_vs_scalar"):
-                ratio = report.get("metrics", {}).get(key)
-                if ratio is None:
-                    failures.append(
-                        f"batch_codec missing metric {key!r} on a numpy "
-                        "build"
-                    )
-                elif ratio < 5.0:
-                    failures.append(
-                        f"batch_codec.{key} = {ratio:.2f}x, below the 5x "
-                        "vectorization floor"
-                    )
-        if report.get("name") == "frontend_access" and report.get(
-            "config", {}
-        ).get("numpy"):
-            # The array tier's headline contract: batched epochs through
-            # the columnar backend cost >=5x less per access than the
-            # object loop whenever numpy is present.  Same-process,
-            # same-stream ratio, so the gate is machine independent;
-            # measured values sit near ~10x at the 256 MB geometry.
-            ratio = report.get("metrics", {}).get("batch_vs_object")
+            # The vectorized encoder's headline contract: >=5x over the
+            # scalar loop whenever numpy is present.  A same-process
+            # ratio, so the gate is machine independent; measured values
+            # sit at ~20-40x, far above the floor.
+            ratio = report.get("metrics", {}).get("encode_vs_scalar")
             if ratio is None:
                 failures.append(
-                    "frontend_access missing metric 'batch_vs_object' on "
-                    "a numpy build"
+                    "batch_codec missing metric 'encode_vs_scalar' on a "
+                    "numpy build"
                 )
             elif ratio < 5.0:
                 failures.append(
-                    f"frontend_access.batch_vs_object = {ratio:.2f}x, "
-                    "below the 5x array-tier floor"
+                    f"batch_codec.encode_vs_scalar = {ratio:.2f}x, below "
+                    "the 5x vectorization floor"
                 )
         if report.get("name") == "timeseries" and not payload.get("smoke"):
             ratio = report.get("metrics", {}).get("overhead_ratio")

@@ -12,11 +12,11 @@ import hashlib
 import json
 import os
 import platform as platform_module
+import stat
 import subprocess
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import List, Union
+from typing import List, Optional, Union
 
 from repro.sim.metrics import MemoryStats, SimulationResult
 
@@ -161,15 +161,24 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
     Readers either see the previous complete file or the new complete
     file, never a truncated one — a crash mid-dump must not leave a
     results file (or sweep-cache entry) that ``json.load`` chokes on.
+    A new file gets the process umask's usual mode (0644 under umask
+    022); a replaced file keeps its permission bits.
     """
     path = Path(path)
     directory = path.parent if str(path.parent) else Path(".")
     directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(directory), prefix=f".{path.name}.", suffix=".tmp"
-    )
+    try:
+        keep_mode: Optional[int] = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        keep_mode = None
+    tmp_name = str(directory / f".{path.name}.{os.urandom(8).hex()}.tmp")
+    # Mode 0o666 lets the umask apply, as for any file open() creates
+    # (mkstemp would force 0600).
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            if keep_mode is not None:
+                os.chmod(tmp_name, keep_mode)
             handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:

@@ -1,14 +1,15 @@
-"""Unit tests for the columnar (array-backed) set-associative cache."""
+"""Unit tests for the columnar set-associative cache's own contracts.
+
+Slab indices from ``probe``, snapshot ``line_state``, sentinel hygiene in
+the vector classification, drain order and functional payloads.
+"""
 
 import pytest
 
-from repro.cache.array_backend import BATCH_MIN_ACCESSES, ArraySetCache
-from repro.cache.replacement import ReplacementPolicy, register_replacement_policy
-from repro.cache.set_assoc import (
-    CACHE_BACKENDS,
-    SetAssociativeCache,
-    make_set_cache,
-)
+from repro.cache.dram_cache import DramCache, DramCacheConfig
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.cache.set_assoc import BATCH_MIN_ACCESSES, ArraySetCache
+from tests.cache.reference import SetAssociativeCache
 
 LINE = 64
 
@@ -26,18 +27,32 @@ def test_geometry_validation():
 
 
 def test_custom_policy_instance_is_rejected():
-    class Weird(ReplacementPolicy):
-        def on_fill(self, line, tick):
+    """Policies are chosen by name only; there is no extension point."""
+
+    class Weird:
+        name = "weird"
+        hit_code = 0
+        fill_state = 0
+
+        @staticmethod
+        def victim(last_use, policy, hands, set_index, base, count):
             return 0
 
-        def on_hit(self, line, tick):
-            return None
-
-        def victim(self, lines, tick):
-            return 0
-
-    with pytest.raises(ValueError, match="no array mirror"):
+    with pytest.raises(ValueError, match="unknown replacement policy"):
         ArraySetCache(LINE * 8, 2, policy=Weird())
+
+
+def test_every_level_builds_the_columnar_cache():
+    dram = DramCache(DramCacheConfig(size_bytes=LINE * 16, associativity=4))
+    assert isinstance(dram.cache, ArraySetCache)
+    hierarchy = CacheHierarchy(n_cores=2, config=HierarchyConfig(
+        l1_size=LINE * 4, l2_size=LINE * 16,
+        dram_cache=DramCacheConfig(size_bytes=LINE * 64, associativity=2),
+        replacement="mac",
+    ))
+    levels = hierarchy.l1s + [hierarchy.l2, hierarchy.dram.cache]
+    assert all(isinstance(level, ArraySetCache) for level in levels)
+    assert {level.policy.name for level in levels} == {"mac"}
 
 
 # ----------------------------------------------------------------------
@@ -136,18 +151,8 @@ def test_dirty_lines_matches_object_backend_drain_order():
 
 
 # ----------------------------------------------------------------------
-# Scalar fallback and functional payloads
+# Functional payloads
 # ----------------------------------------------------------------------
-def test_access_batch_small_batches_take_scalar_path():
-    cache = _small_cache(sets=2, assoc=2)
-    addresses = [0, LINE, 0]
-    assert len(addresses) < BATCH_MIN_ACCESSES
-    hits, evictions = cache.access_batch(addresses, [False, True, True])
-    assert hits == [False, False, True]
-    assert evictions == [None, None, None]
-    assert cache.stats.hits == 1 and cache.stats.misses == 2
-
-
 def test_track_words_stores_values_and_validates():
     cache = _small_cache(sets=1, assoc=2, track_words=True)
     cache.access(0 + 8 * 3, is_write=True, value=0xDEAD)
@@ -176,63 +181,3 @@ def test_invalidate_dirty_returns_eviction_record():
     assert evicted.address == 2 * LINE
     assert evicted.dirty_mask == 1 << 1
     assert cache.stats.dirty_evictions == 1
-
-
-# ----------------------------------------------------------------------
-# Factory selection
-# ----------------------------------------------------------------------
-def test_factory_auto_picks_array_for_builtin_policies():
-    for name in ("lru", "clock", "mac"):
-        cache = make_set_cache(LINE * 16, 4, policy=name)
-        assert isinstance(cache, ArraySetCache)
-
-
-def test_factory_auto_falls_back_to_object_for_custom_policy():
-    class Custom(ReplacementPolicy):
-        def on_fill(self, line, tick):
-            return 0
-
-        def on_hit(self, line, tick):
-            return None
-
-        def victim(self, lines, tick):
-            return 0
-
-    cache = make_set_cache(LINE * 16, 4, policy=Custom())
-    assert isinstance(cache, SetAssociativeCache)
-
-
-def test_factory_array_with_custom_policy_raises():
-    class Custom(ReplacementPolicy):
-        def on_fill(self, line, tick):
-            return 0
-
-        def on_hit(self, line, tick):
-            return None
-
-        def victim(self, lines, tick):
-            return 0
-
-    with pytest.raises(ValueError, match="no array mirror"):
-        make_set_cache(LINE * 16, 4, policy=Custom(), backend="array")
-
-
-def test_factory_object_forced_and_bad_backend_rejected():
-    cache = make_set_cache(LINE * 16, 4, backend="object")
-    assert isinstance(cache, SetAssociativeCache)
-    with pytest.raises(ValueError, match="unknown cache backend"):
-        make_set_cache(LINE * 16, 4, backend="rowmajor")
-    assert CACHE_BACKENDS == ("auto", "array", "object")
-
-
-def test_factory_lru_subclass_falls_back_to_object():
-    """A *subclass* of a builtin must not silently get the builtin's
-    array mirror — its overridden hooks would never run."""
-    from repro.cache.replacement import LruReplacement
-
-    class Pinned(LruReplacement):
-        def victim(self, lines, tick):
-            return 0
-
-    cache = make_set_cache(LINE * 16, 4, policy=Pinned())
-    assert isinstance(cache, SetAssociativeCache)

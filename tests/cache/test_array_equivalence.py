@@ -1,15 +1,15 @@
-"""Property tests: the array backend is bit-identical to the object one.
+"""Property tests: the columnar cache is bit-identical to the reference.
 
-The columnar :class:`~repro.cache.array_backend.ArraySetCache` claims to
-reproduce the object-backed
-:class:`~repro.cache.set_assoc.SetAssociativeCache` stream for stream —
-every hit/miss verdict, every victim choice, every write-back record,
-under all three builtin replacement policies.  Hypothesis drives random
-access streams (and mixed probe/install/invalidate/merge_dirty op
-sequences) through both backends on a tiny eviction-heavy geometry and
-asserts the observable sequences match exactly.  A subprocess leg
-re-runs a seeded subset under ``REPRO_NO_NUMPY=1`` so the ``array``
--module scalar path is held to the same bar as the vectorized one.
+:class:`~repro.cache.set_assoc.ArraySetCache` must reproduce the
+object-per-line reference model (:mod:`tests.cache.reference`) stream
+for stream — every hit/miss verdict, every victim choice, every
+write-back record, under all three replacement policies.  Hypothesis
+drives random access streams (and mixed probe/install/invalidate/
+merge_dirty/classify op sequences) through both on a tiny
+eviction-heavy geometry and asserts the observable sequences match
+exactly.  A subprocess leg re-runs a seeded subset under
+``REPRO_NO_NUMPY=1`` so the scalar classification is held to the same
+bar as the vectorized one.
 """
 
 import os
@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.array_backend import ArraySetCache
-from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.set_assoc import ArraySetCache
+from tests.cache.reference import SetAssociativeCache
 
 LINE = 64
 SETS = 4
@@ -74,37 +74,6 @@ def test_access_streams_are_bit_identical(policy, stream):
     _assert_same_stats(obj, arr)
     assert arr.dirty_lines() == obj.dirty_lines()
     assert arr.resident_lines() == obj.resident_lines()
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-@settings(max_examples=25, deadline=None)
-@given(stream=accesses, chunk=st.integers(1, 64))
-def test_chunked_access_batch_matches_object_loop(policy, stream, chunk):
-    """The batch entry point (vector path included) equals the scalar
-    loop no matter how the stream is chunked into epochs."""
-    obj, arr = _pair(policy)
-    addresses = [line * LINE for line, _ in stream]
-    writes = [is_write for _, is_write in stream]
-    obj_hits, obj_evs = [], []
-    for address, is_write in zip(addresses, writes):
-        hit, ev = obj.access(address, is_write)
-        obj_hits.append(hit)
-        obj_evs.append(ev)
-    arr_hits, arr_evs = [], []
-    for start in range(0, len(addresses), chunk):
-        hits, evs = arr.access_batch(
-            addresses[start:start + chunk], writes[start:start + chunk]
-        )
-        arr_hits.extend(hits)
-        arr_evs.extend(evs)
-    assert arr_hits == obj_hits
-    assert [
-        (ev.address, ev.dirty_mask) if ev else None for ev in arr_evs
-    ] == [
-        (ev.address, ev.dirty_mask) if ev else None for ev in obj_evs
-    ]
-    _assert_same_stats(obj, arr)
-    assert arr.dirty_lines() == obj.dirty_lines()
 
 
 #: One mixed operation: (op_code, line, mask_or_write).
@@ -175,11 +144,11 @@ _NO_NUMPY_PROBE = textwrap.dedent(
     """
     import random
 
-    from repro.cache.array_backend import ArraySetCache
-    from repro.cache.set_assoc import SetAssociativeCache
-    from repro.ecc.batch import HAS_NUMPY
+    from repro.cache.set_assoc import ArraySetCache
+    from repro.ecc import batch
+    from tests.cache.reference import SetAssociativeCache
 
-    assert not HAS_NUMPY, "probe must run on the scalar build"
+    assert not batch.HAS_NUMPY, "probe must run on the scalar build"
     LINE = 64
     for policy in ("lru", "clock", "mac"):
         rng = random.Random(1234)
@@ -200,14 +169,9 @@ _NO_NUMPY_PROBE = textwrap.dedent(
         assert arr.dirty_lines() == obj.dirty_lines()
         assert arr.stats.hits == obj.stats.hits
         assert arr.stats.misses == obj.stats.misses
-        # access_batch must fall back to the scalar loop, identically.
-        obj2 = SetAssociativeCache(LINE * 8, 2, policy=policy)
-        arr2 = ArraySetCache(LINE * 8, 2, policy=policy)
-        addresses = [a for a, _ in stream]
-        writes = [w for _, w in stream]
-        expect = [obj2.access(a, w)[0] for a, w in stream]
-        hits, _ = arr2.access_batch(addresses, writes)
-        assert hits == expect
+        # classify_batch must fall back to the scalar scan, identically.
+        addresses = [a for a, _ in stream[:64]]
+        assert arr.classify_batch(addresses) == obj.classify_batch(addresses)
     print("SCALAR-EQUIV-OK")
     """
 )
@@ -215,8 +179,10 @@ _NO_NUMPY_PROBE = textwrap.dedent(
 
 def test_no_numpy_equivalence_subprocess():
     env = dict(os.environ, REPRO_NO_NUMPY="1")
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    env["PYTHONPATH"] = os.pathsep.join(
+        os.path.abspath(os.path.join(root, path)) for path in ("src", ".")
+    )
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_PROBE],
         capture_output=True,

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.set_assoc import ArraySetCache
 
 LINE = 64
 
 
 def _small_cache(sets=4, assoc=2, **kwargs):
-    return SetAssociativeCache(LINE * sets * assoc, assoc, **kwargs)
+    return ArraySetCache(LINE * sets * assoc, assoc, **kwargs)
 
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        SetAssociativeCache(100, 2)
+        ArraySetCache(100, 2)
 
 
 def test_miss_then_hit():

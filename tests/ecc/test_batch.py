@@ -1,25 +1,24 @@
-"""Scalar/vector parity suite for the batch codec and storage fast path.
+"""Scalar/vector parity suite for the batch encoder and storage prefetch.
 
 The contract under test: every ``repro.ecc.batch`` array operation and
-every ``MemoryStorage`` batch method is **bit-identical** to the scalar
-implementation it accelerates.  That equivalence is what lets the
+``MemoryStorage.prefetch`` are **bit-identical** to the scalar
+implementation they accelerate.  That equivalence is what lets the
 storage layer pick whichever path is available without moving golden
 traces or perf fingerprints.
 
-Three layers of evidence:
+Two layers of evidence:
 
-* hypothesis fuzz over random words/checks (encode and decode parity),
-* exhaustive corruption classes (all 1-bit and 2-bit flips over the
-  72-bit codeword, sampled 3-bit flips) compared against the scalar
-  decoder's verdicts,
-* storage-level batch-vs-scalar differential runs, plus a subprocess
+* hypothesis fuzz over random words, lines and line addresses,
+* storage-level prefetch-vs-lazy differential runs, plus a subprocess
   leg that re-imports everything under ``REPRO_NO_NUMPY=1`` and proves
   the fallback produces the same bytes.
+
+The exhaustive corruption classes of the decoder live with it, in
+``tests/ecc/test_hamming.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import subprocess
@@ -32,25 +31,14 @@ from hypothesis import strategies as st
 
 from repro.ecc import batch, hamming, parity
 from repro.ecc.hamming import DecodeStatus
-from repro.memory.storage import MemoryStorage, _cold_line, _cold_pattern
+from repro.memory.storage import MemoryStorage, _cold_pattern
 
 requires_numpy = pytest.mark.skipif(
     not batch.HAS_NUMPY, reason="numpy unavailable (scalar-only build)"
 )
 
 WORD = st.integers(min_value=0, max_value=(1 << 64) - 1)
-CHECK = st.integers(min_value=0, max_value=0xFF)
 LINE = st.tuples(*([WORD] * 8))
-
-
-def scalar_decode_triplet(word: int, check: int):
-    """Scalar decode as the (data, status-code, flipped) triple."""
-    result = hamming.decode(word, check)
-    return (
-        result.data,
-        batch.STATUS_TO_ENUM.index(result.status),
-        result.flipped_position,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -66,31 +54,16 @@ def test_encode_words_matches_scalar(words):
 
 
 @requires_numpy
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(WORD, CHECK), min_size=1, max_size=64))
-def test_decode_words_matches_scalar_on_random_checks(pairs):
-    """Random (word, check) pairs — mostly garbage checks, so every
-    status class is exercised, not just CLEAN."""
-    np = batch.np
-    words = np.array([w for w, _ in pairs], dtype=np.uint64)
-    checks = np.array([c for _, c in pairs], dtype=np.uint8)
-    data, status, flipped = batch.decode_words(words, checks)
-    expected = [scalar_decode_triplet(w, c) for w, c in pairs]
-    assert (
-        list(zip(data.tolist(), status.tolist(), flipped.tolist())) == expected
-    )
-
-
-@requires_numpy
 @settings(max_examples=100, deadline=None)
 @given(st.lists(WORD, min_size=1, max_size=32))
 def test_decode_of_clean_encoding_is_clean(words):
+    """Batch-encoded check bytes are valid codewords for the decoder."""
     np = batch.np
-    arr = np.array(words, dtype=np.uint64)
-    data, status, flipped = batch.decode_words(arr, batch.encode_words(arr))
-    assert data.tolist() == words
-    assert set(status.tolist()) == {batch.STATUS_CLEAN}
-    assert set(flipped.tolist()) == {-1}
+    checks = batch.encode_words(np.array(words, dtype=np.uint64)).tolist()
+    for word, check in zip(words, checks):
+        assert hamming.decode(word, check) == hamming.DecodeResult(
+            word, DecodeStatus.CLEAN, -1
+        )
 
 
 @requires_numpy
@@ -113,100 +86,6 @@ def test_cold_line_words_matches_scalar_pattern(addresses):
     assert got.tolist() == [list(_cold_pattern(a)) for a in addresses]
 
 
-# ----------------------------------------------------------------------
-# Exhaustive corruption classes over the 72-bit codeword
-# ----------------------------------------------------------------------
-def _flip(word: int, check: int, position: int):
-    """Flip one of the 72 codeword bits (0..63 data, 64..71 check)."""
-    if position < 64:
-        return word ^ (1 << position), check
-    return word, check ^ (1 << (position - 64))
-
-
-def _corrupt(word: int, check: int, positions):
-    for position in positions:
-        word, check = _flip(word, check, position)
-    return word, check
-
-
-CORRUPTION_SEEDS = [0, (1 << 64) - 1, 0xDEADBEEFCAFEBABE, 0x0123456789ABCDEF]
-
-
-@requires_numpy
-@pytest.mark.parametrize("seed_word", CORRUPTION_SEEDS)
-def test_every_single_bit_error_corrects(seed_word):
-    """All 72 one-bit flips: data flips correct back to the original,
-    check flips leave data intact — vector verdicts equal scalar's."""
-    np = batch.np
-    check = hamming.encode(seed_word)
-    corrupted = [_corrupt(seed_word, check, (p,)) for p in range(72)]
-    words = np.array([w for w, _ in corrupted], dtype=np.uint64)
-    checks = np.array([c for _, c in corrupted], dtype=np.uint8)
-    data, status, flipped = batch.decode_words(words, checks)
-
-    for position in range(72):
-        w, c = corrupted[position]
-        assert (
-            data[position],
-            status[position],
-            flipped[position],
-        ) == scalar_decode_triplet(w, c)
-        if position < 64:
-            assert status[position] == batch.STATUS_CORRECTED_DATA
-            assert int(data[position]) == seed_word
-        else:
-            assert status[position] == batch.STATUS_CORRECTED_CHECK
-            assert int(data[position]) == w  # data untouched
-        assert flipped[position] >= 0
-
-
-@requires_numpy
-@pytest.mark.parametrize("seed_word", CORRUPTION_SEEDS[:2])
-def test_every_double_bit_error_detects(seed_word):
-    """All C(72,2) = 2556 two-bit flips are flagged DOUBLE_ERROR and the
-    vector verdict matches the scalar decoder on every one."""
-    np = batch.np
-    check = hamming.encode(seed_word)
-    combos = list(itertools.combinations(range(72), 2))
-    corrupted = [_corrupt(seed_word, check, pair) for pair in combos]
-    words = np.array([w for w, _ in corrupted], dtype=np.uint64)
-    checks = np.array([c for _, c in corrupted], dtype=np.uint8)
-    data, status, flipped = batch.decode_words(words, checks)
-
-    assert set(status.tolist()) == {batch.STATUS_DOUBLE_ERROR}
-    for i, (w, c) in enumerate(corrupted):
-        assert (data[i], status[i], flipped[i]) == scalar_decode_triplet(w, c)
-
-
-@requires_numpy
-def test_sampled_triple_bit_errors_match_scalar():
-    """Three-bit flips exceed SECDED's guarantee — the only contract is
-    that the vector path mirrors the scalar decoder's verdict exactly
-    (including any miscorrection)."""
-    np = batch.np
-    rng = random.Random(1234)
-    cases = []
-    for seed_word in CORRUPTION_SEEDS:
-        check = hamming.encode(seed_word)
-        for _ in range(250):
-            positions = rng.sample(range(72), 3)
-            cases.append(_corrupt(seed_word, check, positions))
-    words = np.array([w for w, _ in cases], dtype=np.uint64)
-    checks = np.array([c for _, c in cases], dtype=np.uint8)
-    data, status, flipped = batch.decode_words(words, checks)
-    for i, (w, c) in enumerate(cases):
-        assert (data[i], status[i], flipped[i]) == scalar_decode_triplet(w, c)
-
-
-@requires_numpy
-def test_decode_words_shape_mismatch_raises():
-    np = batch.np
-    with pytest.raises(ValueError, match="shape mismatch"):
-        batch.decode_words(
-            np.zeros(4, dtype=np.uint64), np.zeros(5, dtype=np.uint8)
-        )
-
-
 @requires_numpy
 def test_encode_lines_requires_eight_words():
     np = batch.np
@@ -215,35 +94,8 @@ def test_encode_lines_requires_eight_words():
 
 
 # ----------------------------------------------------------------------
-# decode_words_py — the path-agnostic convenience
+# Storage prefetch vs lazy materialisation
 # ----------------------------------------------------------------------
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(WORD, CHECK), min_size=0, max_size=32))
-def test_decode_words_py_matches_scalar(pairs):
-    """Works on both builds; on the vector build this pins the wrapper's
-    re-boxing of array results into scalar DecodeResult objects."""
-    words = [w for w, _ in pairs]
-    checks = [c for _, c in pairs]
-    got = batch.decode_words_py(words, checks)
-    assert got == [hamming.decode(w, c) for w, c in pairs]
-
-
-def test_decode_words_py_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        batch.decode_words_py([1, 2], [0])
-
-
-# ----------------------------------------------------------------------
-# Storage batch APIs vs their scalar twins
-# ----------------------------------------------------------------------
-def _random_lines(rng, count):
-    addresses = rng.sample(range(1, 1 << 30), count)
-    lines = [
-        tuple(rng.getrandbits(64) for _ in range(8)) for _ in range(count)
-    ]
-    return addresses, lines
-
-
 @requires_numpy
 def test_prefetch_matches_lazy_materialisation():
     rng = random.Random(7)
@@ -262,78 +114,9 @@ def test_prefetch_matches_lazy_materialisation():
 
 
 @requires_numpy
-def test_diff_masks_matches_scalar_diff_mask():
-    rng = random.Random(11)
-    addresses, _ = _random_lines(rng, 48)
-    # Perturb a random subset of each cold line's words so masks vary.
-    new_lines = []
-    for address in addresses:
-        words = list(_cold_line(address)[0])
-        for w in rng.sample(range(8), rng.randrange(9)):
-            words[w] ^= rng.getrandbits(64)
-        new_lines.append(tuple(words))
-    fast, slow = MemoryStorage(), MemoryStorage()
-    got = fast.diff_masks(addresses, new_lines)
-    want = [slow.diff_mask(a, l) for a, l in zip(addresses, new_lines)]
-    assert got == want
-    assert fast.silent_word_writes == slow.silent_word_writes
-
-
-@requires_numpy
-@pytest.mark.parametrize("with_masks", [False, True])
-def test_write_lines_matches_scalar_write_line(with_masks):
-    rng = random.Random(13)
-    addresses, new_lines = _random_lines(rng, 40)
-    masks = (
-        [rng.randrange(256) for _ in addresses] if with_masks else None
-    )
-    fast, slow = MemoryStorage(), MemoryStorage()
-    got = fast.write_lines(addresses, new_lines, masks)
-    want = [
-        slow.write_line(a, l, None if masks is None else masks[i])
-        for i, (a, l) in enumerate(zip(addresses, new_lines))
-    ]
-    assert got == want
-    for address in addresses:
-        assert fast.read_line(address) == slow.read_line(address)
-    assert fast.committed_words == slow.committed_words
-    assert fast.silent_word_writes == slow.silent_word_writes
-
-
-@requires_numpy
-def test_write_lines_rejects_duplicate_addresses():
-    addresses = [5] * 20
-    lines = [(0,) * 8] * 20
-    with pytest.raises(ValueError, match="duplicate line addresses"):
-        MemoryStorage().write_lines(addresses, lines)
-
-
-@requires_numpy
-def test_write_lines_falls_back_for_write_line_overrides():
-    """A subclass that hooks write_line (the fault-injecting storage)
-    must keep seeing every per-line call."""
-
-    class Recording(MemoryStorage):
-        def __init__(self):
-            super().__init__()
-            self.calls = 0
-
-        def write_line(self, line_address, new_words, dirty_mask=None):
-            self.calls += 1
-            return super().write_line(line_address, new_words, dirty_mask)
-
-    rng = random.Random(17)
-    addresses, new_lines = _random_lines(rng, 24)
-    recording = Recording()
-    plain = MemoryStorage()
-    assert recording.write_lines(addresses, new_lines) == plain.write_lines(
-        addresses, new_lines
-    )
-    assert recording.calls == len(addresses)
-
-
-@requires_numpy
 def test_corrupt_bit_then_batch_decode_reports_correctable():
+    """A vector-prefetched line's codes catch a flipped bit: the line
+    decode corrects that word and finds every other word clean."""
     storage = MemoryStorage()
     addresses = list(range(100, 132))
     storage.prefetch(addresses)
@@ -341,7 +124,7 @@ def test_corrupt_bit_then_batch_decode_reports_correctable():
     original = storage.read_line(victim).words[2]
     storage.corrupt_bit(victim, word=2, bit=17)
     line = storage.read_line(victim)
-    results = batch.decode_words_py(line.words, line.checks)
+    _, results = hamming.decode_line(line.words, line.checks)
     assert results[2].status is DecodeStatus.CORRECTED_DATA
     assert results[2].data == original
     for i, result in enumerate(results):
@@ -356,7 +139,7 @@ _FALLBACK_PROBE = textwrap.dedent(
     """
     import random
 
-    from repro.ecc import batch, hamming
+    from repro.ecc import batch
     from repro.memory.storage import MemoryStorage
 
     assert not batch.HAS_NUMPY
@@ -367,7 +150,6 @@ _FALLBACK_PROBE = textwrap.dedent(
     # Array entry points refuse loudly rather than half-working.
     for fn, args in (
         (batch.encode_words, ([1, 2],)),
-        (batch.decode_words, ([1], [0])),
         (batch.encode_lines, ([[0] * 8],)),
         (batch.cold_line_words, ([3],)),
     ):
@@ -378,24 +160,11 @@ _FALLBACK_PROBE = textwrap.dedent(
         else:
             raise AssertionError(f"{fn.__name__} did not raise")
 
-    # The path-agnostic conveniences silently take the scalar route.
-    words = [random.Random(3).getrandbits(64) for _ in range(32)]
-    checks = [hamming.encode(w) for w in words]
-    assert batch.decode_words_py(words, checks) == [
-        hamming.decode(w, c) for w, c in zip(words, checks)
-    ]
-
+    # Prefetch silently takes the scalar route.
     rng = random.Random(5)
     addresses = rng.sample(range(1 << 24), 32)
-    lines = [tuple(rng.getrandbits(64) for _ in range(8)) for _ in addresses]
     batched, scalar = MemoryStorage(), MemoryStorage()
     assert batched.prefetch(addresses) == len(addresses)
-    assert batched.diff_masks(addresses, lines) == [
-        scalar.diff_mask(a, l) for a, l in zip(addresses, lines)
-    ]
-    assert batched.write_lines(addresses, lines) == [
-        scalar.write_line(a, l) for a, l in zip(addresses, lines)
-    ]
     for address in addresses:
         assert batched.read_line(address) == scalar.read_line(address)
     print("FALLBACK-OK")
@@ -405,7 +174,7 @@ _FALLBACK_PROBE = textwrap.dedent(
 
 def test_no_numpy_fallback_subprocess():
     """Re-import the stack under REPRO_NO_NUMPY=1 and prove the scalar
-    fallback is complete and byte-identical for the storage batch APIs."""
+    fallback is complete and byte-identical for storage prefetch."""
     env = dict(os.environ, REPRO_NO_NUMPY="1")
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src)

@@ -1,5 +1,7 @@
 """Unit + property tests for the Hamming(72,64) SECDED code."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,6 +144,56 @@ def test_decode_line_corrects_one_word():
     decoded, results = hamming.decode_line(tuple(corrupted), checks)
     assert decoded == words
     assert results[5].status is DecodeStatus.CORRECTED_DATA
+
+
+# ----------------------------------------------------------------------
+# Exhaustive corruption classes over the 72 stored bits
+# ----------------------------------------------------------------------
+def _flip(word: int, check: int, position: int):
+    """Flip one of the 72 stored bits (0..63 data, 64..71 check byte)."""
+    if position < 64:
+        return word ^ (1 << position), check
+    return word, check ^ (1 << (position - 64))
+
+
+def _corrupt(word: int, check: int, positions):
+    for position in positions:
+        word, check = _flip(word, check, position)
+    return word, check
+
+
+CORRUPTION_SEEDS = [0, (1 << 64) - 1, 0xDEADBEEFCAFEBABE, 0x0123456789ABCDEF]
+
+
+@pytest.mark.parametrize("seed_word", CORRUPTION_SEEDS)
+def test_every_single_bit_error_corrects(seed_word):
+    """All 72 one-bit flips: data flips correct back to the original,
+    check flips leave data intact, and the table-driven decoder agrees
+    with the bit-loop reference on every one."""
+    check = hamming.encode(seed_word)
+    for position in range(72):
+        word, bad_check = _corrupt(seed_word, check, (position,))
+        result = hamming.decode(word, bad_check)
+        assert result == hamming._decode_reference(word, bad_check)
+        if position < 64:
+            assert result.status is DecodeStatus.CORRECTED_DATA
+            assert result.data == seed_word
+        else:
+            assert result.status is DecodeStatus.CORRECTED_CHECK
+            assert result.data == word  # data untouched
+        assert result.flipped_position >= 0
+
+
+@pytest.mark.parametrize("seed_word", CORRUPTION_SEEDS[:2])
+def test_every_double_bit_error_detects(seed_word):
+    """All C(72,2) = 2556 two-bit flips are flagged DOUBLE_ERROR, and the
+    table-driven decoder agrees with the bit-loop reference on every one."""
+    check = hamming.encode(seed_word)
+    for pair in itertools.combinations(range(72), 2):
+        word, bad_check = _corrupt(seed_word, check, pair)
+        result = hamming.decode(word, bad_check)
+        assert result.status is DecodeStatus.DOUBLE_ERROR, pair
+        assert result == hamming._decode_reference(word, bad_check)
 
 
 @given(WORDS, WORDS)

@@ -82,6 +82,35 @@ def test_atomic_write_text_creates_parents(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
 
 
+@pytest.mark.parametrize("existing_mode, expected_mode", [
+    pytest.param(None, 0o644, id="new-file"),
+    pytest.param(0o644, 0o644, id="replace-0644"),
+    pytest.param(0o600, 0o600, id="replace-0600"),
+])
+def test_atomic_write_text_keeps_normal_permissions(
+    tmp_path, existing_mode, expected_mode
+):
+    """Under umask 022 a new file is 0644 and a replaced file keeps its
+    mode — the temp file must not leak mkstemp's 0600."""
+    import os
+    import stat
+
+    from repro.sim.results_io import atomic_write_text
+
+    path = tmp_path / "out.json"
+    old_umask = os.umask(0o022)
+    try:
+        if existing_mode is not None:
+            path.write_text("old")
+            os.chmod(path, existing_mode)
+        atomic_write_text(path, "new")
+    finally:
+        os.umask(old_umask)
+    assert path.read_text() == "new"
+    assert stat.S_IMODE(path.stat().st_mode) == expected_mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 def test_convenience_fields_present():
     data = result_to_dict(_result())
     assert "ipc" in data and "write_throughput" in data

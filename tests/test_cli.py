@@ -417,11 +417,29 @@ def test_submit_refuses_changed_grid(tmp_path, capsys):
 
 @pytest.mark.campaign
 def test_sweep_resume_error_paths(tmp_path, capsys):
+    from repro.sim.campaign import CampaignStore
+
     store = str(tmp_path / "campaign.sqlite")
+    CampaignStore(store)  # an existing store without the campaign
     assert main(["sweep", "--resume", "ghost", "--store", store]) == 2
     assert "unknown campaign" in capsys.readouterr().err
     assert main(["sweep"]) == 2
     assert "--workloads is required" in capsys.readouterr().err
+
+
+@pytest.mark.campaign
+@pytest.mark.parametrize("argv", [
+    pytest.param(["status"], id="status"),
+    pytest.param(["status", "--json"], id="status-json"),
+    pytest.param(["sweep", "--resume", "ghost"], id="sweep-resume"),
+])
+def test_read_only_commands_refuse_a_missing_store(argv, tmp_path, capsys):
+    """A wrong --store path exits 2 naming it and creates nothing."""
+    store = tmp_path / "missing" / "campaign.sqlite"
+    assert main(argv + ["--store", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert f"no campaign store at {store}" in err and "Traceback" not in err
+    assert not store.parent.exists()
 
 
 @pytest.mark.campaign

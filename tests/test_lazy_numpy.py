@@ -116,6 +116,7 @@ BROKEN_NUMPY = 'raise ImportError("numpy stub: deliberately broken")\n'
 BROKEN_PROBE = """
     import random
 
+    from repro.cache.set_assoc import ArraySetCache
     from repro.ecc import batch
     from repro.memory.storage import MemoryStorage
 
@@ -126,17 +127,14 @@ BROKEN_PROBE = """
 
     rng = random.Random(5)
     addresses = rng.sample(range(1 << 24), 32)
-    lines = [tuple(rng.getrandbits(64) for _ in range(8)) for _ in addresses]
     batched, scalar = MemoryStorage(), MemoryStorage()
     assert batched.prefetch(addresses) == len(addresses)
-    assert batched.diff_masks(addresses, lines) == [
-        scalar.diff_mask(a, l) for a, l in zip(addresses, lines)
-    ]
-    assert batched.write_lines(addresses, lines) == [
-        scalar.write_line(a, l) for a, l in zip(addresses, lines)
-    ]
     for address in addresses:
         assert batched.read_line(address) == scalar.read_line(address)
+
+    cache = ArraySetCache(64 * 8, 2)
+    cache.install(0)
+    assert cache.classify_batch([0, 64] * 16) == [True, False] * 16
     print("BROKEN-NUMPY-OK")
 """
 
