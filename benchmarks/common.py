@@ -62,16 +62,6 @@ def sweep_cache() -> Optional[ResultCache]:
     return ResultCache(directory)
 
 
-def campaign_store_path() -> Optional[str]:
-    """Durable-campaign opt-in: ``REPRO_CAMPAIGN_DIR`` names a directory
-    holding the SQLite job store; unset (the default) keeps benchmark
-    sweeps on the in-memory one-shot runner."""
-    directory = os.environ.get("REPRO_CAMPAIGN_DIR", "").strip()
-    if not directory:
-        return None
-    return os.path.join(directory, "campaign.sqlite")
-
-
 def run_pairs(
     pairs: Sequence[Tuple[Union[str, WorkloadProfile], Union[str, SystemConfig]]],
     params: Optional[SimulationParams] = None,
@@ -80,28 +70,10 @@ def run_pairs(
 
     The entry point for benchmarks whose sweeps are not plain grids
     (timing sweeps, rollback ablations): results come back in pair order.
-    With ``REPRO_CAMPAIGN_DIR`` set, the same pairs run as a durable
-    campaign instead: progress persists in the SQLite store, a crashed
-    benchmark run resumes where it stopped, and the results are
-    byte-identical (each job's seed derives from its content).
     """
-    params = params if params is not None else SWEEP_PARAMS
-    store_path = campaign_store_path()
-    if store_path is not None:
-        from repro.sim.campaign import CampaignStore, run_pairs_durable
-
-        cache = sweep_cache()
-        if cache is None:
-            raise RuntimeError(
-                "REPRO_CAMPAIGN_DIR needs the result cache; unset "
-                "REPRO_SWEEP_NO_CACHE to run benchmarks durably"
-            )
-        return run_pairs_durable(
-            pairs, params, store=CampaignStore(store_path), cache=cache
-        )
     return _runner_run_pairs(
         pairs,
-        params,
+        params if params is not None else SWEEP_PARAMS,
         jobs=sweep_jobs_count(),
         cache=sweep_cache(),
     )

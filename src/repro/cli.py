@@ -9,13 +9,15 @@ Commands::
     python -m repro compare --workload canneal [--systems a,b,c]
     python -m repro sweep --workloads canneal,MP1 [--systems ...] \\
         [--jobs N] [--no-cache] [--cache-dir DIR] [--front-end dram] \\
-        [--timeout S] [--retries N] [--digest] [--resume CAMPAIGN --store DB]
+        [--timeout S] [--max-attempts N] [--digest]
+    python -m repro sweep --resume CAMPAIGN --store DB [--cache-dir DIR] \\
+        [--jobs N] [--timeout S] [--lease S] [--digest]
     python -m repro submit --workloads canneal,MP1 [--systems ...] \\
-        [--campaign NAME] [--store DB] [--requests N]
+        [--campaign NAME] [--store DB] [--requests N] [--max-attempts N]
     python -m repro worker --store DB --cache-dir DIR [--campaign NAME] \\
         [--once] [--lease S] [--timeout S]
     python -m repro serve --store DB --cache-dir DIR [--workers N] \\
-        [--port P] [--until-done CAMPAIGN]
+        [--port P] [--until-done CAMPAIGN] [--lease S] [--timeout S]
     python -m repro status --store DB [--campaign NAME] [--json] [--digest]
     python -m repro gen-trace --workload MP1 --count 1000 --out mp1.trace
     python -m repro trace --workload canneal --system rwow-rde \\
@@ -32,17 +34,20 @@ Commands::
     python -m repro faults [--workload W] [--system S] [--seed N] \\
         [--smoke] [--json] [--out report.json] [--selftest] [--convergence]
 
-``perf`` runs the tracked hot-path microbenchmark suite (codec, storage,
-engine dispatch, one end-to-end run, sampling overhead) and emits the
-seed- and git-stamped ``BENCH_perf.json`` payload; ``--check`` exits
-non-zero on gross (machine-independent) regressions and
-``REPRO_PERF_SMOKE=1`` (or ``--smoke``) shrinks the budgets for CI.  See
-docs/PERFORMANCE.md.
+``perf`` runs the tracked hot-path microbenchmark suite (scalar and batch
+codec, storage, engine dispatch, trace generation, sampling and tracing
+overhead) and emits the seed- and git-stamped ``BENCH_perf.json``
+payload; ``--check`` exits non-zero on gross (machine-independent)
+regressions and ``REPRO_PERF_SMOKE=1`` (or ``--smoke``) shrinks the
+budgets for CI.  See docs/PERFORMANCE.md.
 
 ``submit``/``worker``/``serve``/``status`` drive the durable campaign
 service (SQLite job queue, leased workers with crash recovery, HTTP
 status endpoint); ``sweep --resume`` finishes a partially-run campaign,
-computing only what's missing.  See docs/CAMPAIGNS.md.
+computing only what's missing.  A ``sweep`` given ``--timeout`` or
+``--max-attempts`` runs as a throwaway campaign in a temporary
+directory, with the campaign's retry rules.  Each command takes only the
+lease knobs it reads.  See docs/CAMPAIGNS.md.
 
 ``trace`` records the structured telemetry events of one run and exports
 them as a Chrome trace (open in ``chrome://tracing`` or Perfetto; chips
@@ -250,9 +255,17 @@ def _lease_policy(args: argparse.Namespace):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Workloads x systems grid through the parallel runner + cache."""
+    """Workloads x systems grid through the parallel runner + cache;
+    ``--timeout`` or ``--max-attempts`` makes it a throwaway campaign
+    (see ``_drain_campaign``)."""
     if args.resume:
         return _sweep_resume(args)
+    if args.lease:
+        # A throwaway campaign's lease only decides how long a crashed
+        # helper's job waits in a store deleted at exit.
+        print("repro sweep: --lease applies only to --resume",
+              file=sys.stderr)
+        return 2
     if not args.workloads:
         print("repro sweep: --workloads is required (unless --resume)",
               file=sys.stderr)
@@ -260,6 +273,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     systems = args.systems.split(",") if args.systems else None
     workloads = args.workloads.split(",")
     cache = None if args.no_cache else ResultCache(_sweep_cache_dir(args))
+    if args.timeout or args.max_attempts:
+        import tempfile
+
+        from repro.sim.campaign import CampaignStore, submit_pairs
+
+        pairs = [(w, s) for w in workloads for s in systems or SYSTEM_NAMES]
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+            store = CampaignStore(os.path.join(tmp, "campaign.sqlite"),
+                                  policy=_lease_policy(args))
+            try:
+                return _drain_campaign(
+                    args, store,
+                    cache or ResultCache(os.path.join(tmp, "cache")),
+                    submit_pairs(store, pairs, _params(args)),
+                )
+            finally:
+                store.close()
     comparisons = sweep_workloads(
         workloads,
         systems,
@@ -267,23 +297,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         progress=_progress_printer(args.quiet),
-        timeout=args.timeout,
-        retries=args.retries,
     )
-    for comparison in comparisons:
-        rows = [_result_row(r) for r in comparison.results.values()]
-        print(format_table(
-            _RESULT_HEADERS, rows, title=f"workload {comparison.workload_name}"
-        ))
-        print()
-    if args.digest:
-        from repro.sim.results_io import results_digest
+    return _print_sweep(args, [
+        (comparison.workload_name, list(comparison.results.values()))
+        for comparison in comparisons
+    ], cache)
 
-        flat = [
-            result
-            for comparison in comparisons
-            for result in comparison.results.values()
-        ]
+
+def _print_sweep(args: argparse.Namespace, groups, cache) -> int:
+    """A result table per ``(workload, results)`` group, then the
+    ``--digest`` line and (given a cache) the cache line."""
+    from repro.sim.results_io import results_digest
+
+    flat = []
+    for workload, results in groups:
+        rows = [_result_row(r) for r in results]
+        print(format_table(_RESULT_HEADERS, rows, title=f"workload {workload}"))
+        print()
+        flat.extend(results)
+    if args.digest:
         print(f"results digest: {results_digest(flat)}")
     if cache is not None:
         print(f"{cache.stats.summary()} ({cache.directory})")
@@ -300,9 +332,16 @@ def _store_missing(command: str, path: str) -> bool:
 
 def _sweep_resume(args: argparse.Namespace) -> int:
     """Finish a partially-run campaign; compute only what's missing."""
-    from repro.sim.campaign import CampaignStore, resume_campaign
-    from repro.sim.results_io import results_digest
+    from repro.sim.campaign import CampaignStore
 
+    # A campaign's rows keep the attempt budget they were submitted
+    # with, and its results live in the result cache.
+    for option, given in (("--max-attempts", args.max_attempts),
+                          ("--no-cache", args.no_cache)):
+        if given:
+            print(f"repro sweep: {option} does not apply to --resume",
+                  file=sys.stderr)
+            return 2
     if _store_missing("sweep", args.store):
         return 2
     store = CampaignStore(args.store, policy=_lease_policy(args))
@@ -312,23 +351,81 @@ def _sweep_resume(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     cache = ResultCache(_sweep_cache_dir(args))
+    return _drain_campaign(args, store, cache, args.resume)
+
+
+def _drain_campaign(args, store, cache, campaign: str) -> int:
+    """Drain ``campaign`` with up to ``--jobs`` workers and print it.
+
+    ``cache`` counts one lookup per job, as a plain sweep's does; the
+    drain reads through a second instance, so the campaign's own
+    bookkeeping stays out of the printed cache line.  The parent drains
+    in-process beside one ``repro worker --once`` helper per further
+    uncached job, at most ``--jobs`` - 1, all reaped before returning
+    (also on Ctrl-C).  A helper that fails on its own is reported with
+    the last line of its stderr, which is otherwise discarded.  Retries,
+    backoff and dead letters follow the store's ``LeasePolicy``; any dead
+    letter makes the exit code 1.
+    """
+    import signal
+    import tempfile
+    from itertools import groupby
+
+    from repro.sim.campaign import resume_campaign
+    from repro.sim.campaign.service import spawn_worker_process
+
+    missing = [str(row["key"]) for row in store.jobs_in_order(campaign)
+               if cache.get(str(row["key"])) is None]
+    helpers = []
     try:
-        results = resume_campaign(
-            store, cache, args.resume,
-            reset_dead_letters=args.reset_dead_letters,
-        )
+        for _ in range(min(args.jobs, len(missing)) - 1):
+            log = tempfile.TemporaryFile()
+            helpers.append((log, spawn_worker_process(
+                str(store.path), str(cache.directory), campaign, once=True,
+                lease_seconds=store.policy.lease_seconds,
+                job_timeout=store.policy.job_timeout, stderr=log,
+            )))
+        results = resume_campaign(store, ResultCache(cache.directory),
+                                  campaign,
+                                  reset_dead_letters=args.reset_dead_letters)
     except RuntimeError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
+        results, error = None, exc
+    finally:
+        for _, helper in helpers:
+            if helper.poll() is None:
+                helper.terminate()
+        for _, helper in helpers:
+            helper.wait()
+    for log, helper in helpers:
+        if helper.returncode not in (0, -signal.SIGTERM):
+            log.seek(0)
+            lines = log.read().decode(errors="replace").strip().splitlines()
+            print(f"repro sweep: a worker helper exited with status "
+                  f"{helper.returncode}: {lines[-1] if lines else '?'}",
+                  file=sys.stderr)
+        log.close()
+    if results is None:
+        letters = store.dead_letters(campaign)
+        print(f"repro sweep: {len(letters)} job(s) dead-lettered" if letters
+              else f"repro sweep: {error}", file=sys.stderr)
+        for letter in letters:
+            print(_dead_letter_line(campaign, letter), file=sys.stderr)
         return 1
-    rows = [[r.workload_name] + _result_row(r) for r in results]
-    print(format_table(
-        ["workload"] + _RESULT_HEADERS, rows,
-        title=f"campaign {args.resume} ({len(results)} jobs)",
-    ))
-    if args.digest:
-        print(f"results digest: {results_digest(results)}")
-    print(f"{cache.stats.summary()} ({cache.directory})")
-    return 0
+    # The drain returns only once every job's result is in the cache, so
+    # each job the lookup above missed has been written by some worker.
+    cache.stats.writes += len(missing)
+    return _print_sweep(args, [
+        (workload, list(group))
+        for workload, group in groupby(results, lambda r: r.workload_name)
+    ], None if args.no_cache else cache)
+
+
+def _dead_letter_line(campaign: str, letter) -> str:
+    """One dead letter, ending with the last line of its traceback."""
+    error = str(letter["error"] or "").strip().splitlines()
+    return (f"dead letter {campaign}[{letter['job_index']}] "
+            f"{letter['workload']} x {letter['system']} after "
+            f"{letter['attempts']} attempts: {error[-1] if error else '?'}")
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -451,11 +548,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     ))
     for document in documents:
         for letter in document["dead_letters"]:
-            error = str(letter["error"] or "").strip().splitlines()
-            print(f"\ndead letter {document['campaign']}"
-                  f"[{letter['job_index']}] {letter['workload']} x "
-                  f"{letter['system']} after {letter['attempts']} attempts: "
-                  f"{error[-1] if error else '?'}")
+            print("\n" + _dead_letter_line(str(document["campaign"]), letter))
         if "results_digest" in document:
             print(f"\n{document['campaign']} results digest: "
                   f"{document['results_digest']}")
@@ -827,23 +920,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign store (SQLite file; default: "
                             f"{DEFAULT_STORE_PATH})")
 
-    def add_lease_knobs(p):
-        p.add_argument("--lease", type=_positive_float, default=None,
-                       metavar="S",
-                       help="lease seconds before a silent worker's job "
-                            "is reclaimed (default: 30)")
-        p.add_argument("--max-attempts", type=_positive_int,
-                       default=None,
-                       help="lease acquisitions before a job dead-letters "
-                            "(default: 4)")
-        p.add_argument("--timeout", type=_positive_float, default=None,
-                       metavar="S",
-                       help="per-job wall-clock cap; an overdue job is "
-                            "killed and retried (default: none)")
+    lease_knobs = {
+        "--lease": dict(type=_positive_float, metavar="S",
+                        help="lease seconds before a silent worker's job "
+                             "is reclaimed (default: 30)"),
+        "--max-attempts": dict(type=_positive_int, metavar="N",
+                               help="lease acquisitions before a job "
+                                    "dead-letters (default: 4)"),
+        "--timeout": dict(type=_positive_float, metavar="S",
+                          help="per-job wall-clock cap; an overdue job is "
+                               "killed and retried (default: none)"),
+    }
+
+    def add_lease_knobs(p, *options):
+        """Only the lease knobs the command reads (docs/CAMPAIGNS.md)."""
+        for option in options:
+            p.add_argument(option, default=None, **lease_knobs[option])
 
     sweep_p = sub.add_parser(
         "sweep",
         help="several workloads across systems (parallel, cached)",
+        description="--timeout or --max-attempts runs the grid as a "
+                    "throwaway campaign on --jobs worker processes, "
+                    "retrying a failed job up to --max-attempts times "
+                    "(default 4) and exiting 1 on a dead letter.  --lease "
+                    "applies only to --resume.",
     )
     sweep_p.add_argument("--workloads",
                          help="comma-separated workload names "
@@ -858,14 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_dir(sweep_p)
     sweep_p.add_argument("--quiet", action="store_true",
                          help="suppress per-job progress lines on stderr")
-    sweep_p.add_argument("--timeout", type=_positive_float, default=None,
-                         metavar="S",
-                         help="per-job wall-clock cap; an overdue job is "
-                              "killed and retried instead of wedging the "
-                              "sweep (default: none)")
-    sweep_p.add_argument("--retries", type=_non_negative_int, default=0,
-                         help="extra attempts per failed/hung job "
-                              "(default: 0)")
+    add_lease_knobs(sweep_p, "--lease", "--max-attempts", "--timeout")
     sweep_p.add_argument("--digest", action="store_true",
                          help="print the SHA-256 results digest (the "
                               "campaign byte-identity oracle)")
@@ -876,11 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --resume: give dead-lettered jobs a "
                               "fresh attempt budget")
     add_store(sweep_p)
-    sweep_p.add_argument("--lease", type=_positive_float, default=None,
-                         help=argparse.SUPPRESS)
-    sweep_p.add_argument("--max-attempts", type=_positive_int,
-                         default=None,
-                         help=argparse.SUPPRESS)
     add_common(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
 
@@ -896,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="campaign name (default: derived from the "
                                "job-list content hash)")
     add_store(submit_p)
-    add_lease_knobs(submit_p)
+    add_lease_knobs(submit_p, "--max-attempts")
     add_common(submit_p)
     submit_p.set_defaults(func=cmd_submit)
 
@@ -917,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="lease-owner label (default: host:pid)")
     worker_p.add_argument("--poll", type=_positive_float, default=0.25,
                           help="idle poll interval in seconds")
-    add_lease_knobs(worker_p)
+    add_lease_knobs(worker_p, "--lease", "--timeout")
     worker_p.set_defaults(func=cmd_worker)
 
     serve_p = sub.add_parser(
@@ -936,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--until-done", metavar="CAMPAIGN",
                          help="exit once this campaign has no queued or "
                               "leased jobs (0 iff none dead-lettered)")
-    add_lease_knobs(serve_p)
+    add_lease_knobs(serve_p, "--lease", "--timeout")
     serve_p.set_defaults(func=cmd_serve)
 
     status_p = sub.add_parser(

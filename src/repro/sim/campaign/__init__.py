@@ -17,7 +17,7 @@ Public surface::
         Worker, run_worker, parse_inject,
         StatusServer, CampaignService, STATUS_SCHEMA,
         collect_results, merged_partial, campaign_progress,
-        submit_pairs, run_pairs_durable, resume_campaign,
+        submit_pairs, resume_campaign,
     )
 
 See docs/CAMPAIGNS.md for the queue states, lease protocol and resume
@@ -29,7 +29,6 @@ from repro.sim.campaign.aggregate import (
     collect_results,
     merged_partial,
     resume_campaign,
-    run_pairs_durable,
     submit_pairs,
     verify_campaign_results,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "merged_partial",
     "campaign_progress",
     "submit_pairs",
-    "run_pairs_durable",
     "resume_campaign",
     "verify_campaign_results",
 ]

@@ -12,7 +12,6 @@ seed no matter which worker, host or attempt computed it.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.campaign.lease import LeasePolicy
@@ -142,8 +141,10 @@ def drain(
     campaign: str,
     worker_id: str = "inline",
 ) -> List[SimulationResult]:
-    """Run an inline worker until ``campaign`` has nothing leasable,
-    then collect; raises if jobs dead-lettered or remain leased elsewhere.
+    """Run an inline worker until ``campaign`` has nothing queued or
+    leased, then collect; raises if jobs dead-lettered or a done job's
+    cached result is missing.  The worker waits out leases held
+    elsewhere, so when it returns every job is done or failed.
     """
     Worker(store, cache, worker_id=worker_id).run(campaign=campaign, once=True)
     counts = store.counts(campaign)
@@ -152,11 +153,6 @@ def drain(
         raise RuntimeError(
             f"campaign {campaign!r} has {counts['failed']} dead-lettered "
             f"job(s); first error:\n{letters[0]['error']}"
-        )
-    if not store.all_done(campaign):
-        raise RuntimeError(
-            f"campaign {campaign!r} not drained: {counts} "
-            "(jobs still leased by another live worker?)"
         )
     slots, stale = collect_results(store, cache, campaign)
     if stale or any(result is None for result in slots):
@@ -189,36 +185,6 @@ def resume_campaign(
     return drain(store, cache, campaign, worker_id=worker_id)
 
 
-def run_pairs_durable(
-    pairs: Sequence[Tuple[WorkloadLike, SystemLike]],
-    params: Optional[SimulationParams] = None,
-    *,
-    store: CampaignStore,
-    cache: ResultCache,
-    campaign: Optional[str] = None,
-) -> List[SimulationResult]:
-    """Durable drop-in for ``run_pairs``: submit (idempotent), drain, collect.
-
-    A crash at any point loses nothing: rerunning resubmits the identical
-    campaign (a no-op), reclaims stale leases and computes only the holes.
-    """
-    name = submit_pairs(store, pairs, params, campaign)
-    deadline = None
-    if store.policy.job_timeout is not None:
-        deadline = time.monotonic() + store.policy.job_timeout * len(pairs)
-    while True:
-        try:
-            return resume_campaign(store, cache, name, worker_id="durable")
-        except RuntimeError:
-            # Another worker holds live leases; wait for them (bounded
-            # when a job timeout bounds each lease's useful lifetime).
-            if deadline is not None and time.monotonic() > deadline:
-                raise
-            if store.counts(name)["leased"] == 0:
-                raise
-            time.sleep(0.2)
-
-
 __all__ = [
     "LeasePolicy",
     "default_campaign_name",
@@ -229,5 +195,4 @@ __all__ = [
     "campaign_progress",
     "drain",
     "resume_campaign",
-    "run_pairs_durable",
 ]

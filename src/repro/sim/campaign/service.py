@@ -27,7 +27,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import IO, Dict, List, Optional
 
 from repro.sim.campaign.aggregate import campaign_progress, merged_partial
 from repro.sim.campaign.store import CampaignStore
@@ -163,12 +163,14 @@ def spawn_worker_process(
     once: bool = False,
     lease_seconds: Optional[float] = None,
     job_timeout: Optional[float] = None,
+    stderr: Optional[IO[bytes]] = None,
 ) -> subprocess.Popen:
     """Start one ``repro worker`` subprocess against a (shared) store.
 
     The subprocess inherits the environment, so ``PYTHONPATH`` and the
     ``REPRO_CAMPAIGN_INJECT`` fault hook propagate — exactly what the
-    fault harness needs to SIGKILL a worker mid-job.
+    fault harness needs to SIGKILL a worker mid-job.  Its stderr goes to
+    ``stderr`` when given, else to ours.
     """
     argv = [
         sys.executable, "-m", "repro", "worker",
@@ -182,7 +184,7 @@ def spawn_worker_process(
         argv += ["--lease", str(lease_seconds)]
     if job_timeout is not None:
         argv += ["--timeout", str(job_timeout)]
-    return subprocess.Popen(argv)
+    return subprocess.Popen(argv, stderr=stderr)
 
 
 class CampaignService:

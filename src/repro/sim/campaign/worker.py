@@ -82,16 +82,12 @@ class Worker:
         worker_id: Optional[str] = None,
         execute: Optional[Callable[[SweepJob], SimulationResult]] = None,
         inject: Optional[Callable[[int], None]] = None,
-        isolate: bool = True,
     ):
         self.store = store
         self.cache = cache
         self.worker_id = worker_id or default_worker_id()
         self._execute = execute if execute is not None else default_execute
         self._inject = inject
-        #: Run jobs in a killable child process (enforces the policy's
-        #: ``job_timeout``); tests flip this off to execute inline.
-        self.isolate = isolate
         self.executed = 0
         self.completed = 0
         self.failed = 0
@@ -103,18 +99,17 @@ class Worker:
         campaign: Optional[str] = None,
         once: bool = False,
         poll_seconds: float = 0.25,
-        stop: Optional[threading.Event] = None,
     ) -> int:
-        """Pull and run jobs until drained (``once``) or stopped.
+        """Pull and run jobs until drained (``once``) or forever.
 
         Returns the number of jobs this worker completed.  ``once=True``
         drains: the worker exits when no job is queued or leased any more
         (jobs gated behind a retry backoff, or leased by another worker
-        whose lease may yet expire, are waited out) — the loop behind
-        ``repro sweep --resume`` and the tests.  Without it the worker
+        whose lease may yet expire, are waited out) — the loop behind a
+        campaign ``repro sweep`` and its helpers.  Without it the worker
         keeps polling for new work like a long-lived fleet member.
         """
-        while stop is None or not stop.is_set():
+        while True:
             self.store.expire_leases()
             leased = self.store.lease(self.worker_id, campaign)
             if leased is None:
@@ -126,7 +121,11 @@ class Worker:
         return self.completed
 
     def run_one(self, leased: LeasedJob) -> bool:
-        """Execute one leased job end to end; ``True`` when completed."""
+        """Execute one leased job end to end; ``True`` when completed.
+
+        Ctrl-C (or an exit) mid-job propagates without failing the job:
+        its lease lapses and the job re-leases, as a killed worker's does.
+        """
         heartbeat_stop = threading.Event()
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
@@ -136,9 +135,7 @@ class Worker:
         heartbeat.start()
         try:
             result = self._produce(leased)
-        except BaseException:
-            heartbeat_stop.set()
-            heartbeat.join()
+        except Exception:
             self.failed += 1
             self.store.fail(
                 leased.campaign,
@@ -147,8 +144,9 @@ class Worker:
                 traceback.format_exc(),
             )
             return False
-        heartbeat_stop.set()
-        heartbeat.join()
+        finally:
+            heartbeat_stop.set()
+            heartbeat.join()
         # Cache first, then complete: a crash between the two leaves a
         # re-leasable job whose recompute is a cache hit — never a "done"
         # job with no result behind it.
@@ -179,7 +177,7 @@ class Worker:
         if self._inject is not None:
             self._inject(attempt)
         timeout = self.store.policy.job_timeout
-        if self.isolate and timeout is not None:
+        if timeout is not None:
             return run_job_isolated(job, timeout, self._execute)
         return self._execute(job)
 

@@ -82,8 +82,6 @@ def compare_systems(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
     **system_overrides,
 ) -> SystemComparison:
     """Run one workload across systems (default: all six of §V)."""
@@ -94,8 +92,6 @@ def compare_systems(
         jobs=jobs,
         cache=cache,
         progress=progress,
-        timeout=timeout,
-        retries=retries,
         **system_overrides,
     )[0]
 
@@ -108,8 +104,6 @@ def sweep_workloads(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
     **system_overrides,
 ) -> List[SystemComparison]:
     """Cartesian sweep used by the figure benchmarks.
@@ -118,9 +112,7 @@ def sweep_workloads(
     a process pool (results stay bit-identical to ``jobs=1`` because
     every cell's seed is derived from ``params.seed`` and the cell's
     names, not from execution order), and ``cache`` serves repeat cells
-    from the on-disk result cache instead of re-simulating.  ``timeout``
-    and ``retries`` route through the runner's guarded path (each job in
-    a killable process) so a hung cell cannot wedge the sweep.
+    from the on-disk result cache instead of re-simulating.
     """
     if systems is None:
         systems = SYSTEM_NAMES
@@ -136,14 +128,7 @@ def sweep_workloads(
         for workload in resolved
         for system in systems
     ]
-    results = run_jobs(
-        sweep_jobs,
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        timeout=timeout,
-        retries=retries,
-    )
+    results = run_jobs(sweep_jobs, jobs=jobs, cache=cache, progress=progress)
     comparisons: List[SystemComparison] = []
     flat = iter(results)
     for workload in resolved:

@@ -15,25 +15,23 @@ state across runs.  Guarantees:
   :class:`~repro.telemetry.RunProfile` on the pickled result, and the
   runner merges them into :attr:`SweepRunner.profile`, so
   ``telemetry_summary`` still reports the sweep's total engine cost.
+
+Timeouts, retries and durability live in :mod:`repro.sim.campaign`; a
+``repro sweep`` given a lease knob runs there as a throwaway campaign.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SystemConfig
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner.cache import ResultCache
-from repro.sim.runner.isolate import JobExecutionError, run_job_isolated
+from repro.sim.runner.isolate import default_execute
 from repro.sim.runner.jobs import SweepJob
-from repro.sim.simulator import SimulationParams, simulate
+from repro.sim.simulator import SimulationParams
 from repro.telemetry import RunProfile, WallClock, merge_dumps
 from repro.trace.workloads import WorkloadProfile
 
@@ -66,11 +64,6 @@ WorkloadLike = Union[str, WorkloadProfile]
 SystemLike = Union[str, SystemConfig]
 
 
-def _execute_job(job: SweepJob) -> SimulationResult:
-    """Worker entry point (module-level so it pickles)."""
-    return simulate(job.system, job.workload, job.params)
-
-
 class SweepRunner:
     """Executes sweep jobs serially or across a process pool."""
 
@@ -79,34 +72,17 @@ class SweepRunner:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressCallback] = None,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-        retry_backoff: float = 0.5,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = jobs
         self.cache = cache
         self.progress = progress
-        #: Per-job wall-clock cap; a job still running after this many
-        #: seconds is killed (it runs in its own process) and retried or
-        #: raised — a hung job can no longer wedge the whole sweep.
-        self.timeout = timeout
-        #: Extra attempts per job after the first, with capped
-        #: exponential backoff (``retry_backoff * 2**n``, ceiling 30 s) —
-        #: the campaign worker's knobs threaded back into one-shot runs.
-        self.retries = retries
-        self.retry_backoff = retry_backoff
         #: Merged engine profiles of every job this runner completed
         #: (cache hits contribute the recorded cost of the original run).
         self.profile = RunProfile()
         self.cached_jobs = 0
         self.executed_jobs = 0
-        self.retried_jobs = 0
 
     # ------------------------------------------------------------------
     def run(self, sweep_jobs: Sequence[SweepJob]) -> List[SimulationResult]:
@@ -133,46 +109,11 @@ class SweepRunner:
         if not pending:
             return [r for r in results if r is not None]
 
-        if self.timeout is not None or self.retries:
-            # Guarded path: each job in its own killable process, with
-            # bounded retries.  Threads (not a process pool) host the
-            # guards so an overdue child can actually be killed.
-            if self.jobs == 1 or len(pending) == 1:
-                for index in pending:
-                    job = sweep_jobs[index]
-                    with WallClock() as clock:
-                        result = self._run_guarded(job)
-                    completed += 1
-                    results[index] = self._finish(
-                        result, job, clock.elapsed, completed, total
-                    )
-            else:
-                workers = min(self.jobs, len(pending))
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        pool.submit(self._run_guarded, sweep_jobs[index]): index
-                        for index in pending
-                    }
-                    for future in as_completed(futures):
-                        index = futures[future]
-                        job = sweep_jobs[index]
-                        result = future.result()
-                        wall = (
-                            result.profile.wall_seconds
-                            if result.profile is not None
-                            else 0.0
-                        )
-                        completed += 1
-                        results[index] = self._finish(
-                            result, job, wall, completed, total
-                        )
-            return [r for r in results if r is not None]
-
         if self.jobs == 1 or len(pending) == 1:
             for index in pending:
                 job = sweep_jobs[index]
                 with WallClock() as clock:
-                    result = _execute_job(job)
+                    result = default_execute(job)
                 completed += 1
                 results[index] = self._finish(
                     result, job, clock.elapsed, completed, total
@@ -181,7 +122,7 @@ class SweepRunner:
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(_execute_job, sweep_jobs[index]): index
+                    pool.submit(default_execute, sweep_jobs[index]): index
                     for index in pending
                 }
                 for future in as_completed(futures):
@@ -198,27 +139,6 @@ class SweepRunner:
                         result, job, wall, completed, total
                     )
         return [r for r in results if r is not None]
-
-    # ------------------------------------------------------------------
-    def _run_guarded(self, job: SweepJob) -> SimulationResult:
-        """One job under the timeout/retry guard (isolated child process).
-
-        Determinism is unaffected: the child runs the same job on the
-        same derived seed, so retried results are bit-identical to
-        first-try ones.
-        """
-        attempts = self.retries + 1
-        for attempt in range(attempts):
-            try:
-                return run_job_isolated(job, self.timeout)
-            except JobExecutionError:
-                if attempt + 1 >= attempts:
-                    raise
-                self.retried_jobs += 1
-                time.sleep(
-                    min(30.0, self.retry_backoff * (2.0 ** attempt))
-                )
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------
     def _finish(
@@ -311,17 +231,9 @@ def run_jobs(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
 ) -> List[SimulationResult]:
     """Run pre-built jobs; results in job order."""
-    return SweepRunner(
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        timeout=timeout,
-        retries=retries,
-    ).run(sweep_jobs)
+    return SweepRunner(jobs=jobs, cache=cache, progress=progress).run(sweep_jobs)
 
 
 def run_pairs(
@@ -331,8 +243,6 @@ def run_pairs(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
 ) -> List[SimulationResult]:
     """Run arbitrary (workload, system) pairs; results in pair order.
 
@@ -344,11 +254,4 @@ def run_pairs(
     sweep_jobs = [
         SweepJob.build(workload, system, params) for workload, system in pairs
     ]
-    return run_jobs(
-        sweep_jobs,
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        timeout=timeout,
-        retries=retries,
-    )
+    return run_jobs(sweep_jobs, jobs=jobs, cache=cache, progress=progress)

@@ -1,12 +1,12 @@
 """Run one sweep job in a killable child process, with a wall-clock cap.
 
 The plain executor trusts ``simulate`` to return; a hung or crashing job
-would wedge ``repro sweep`` (serial path) or poison a pool worker.  This
-module gives both the one-shot runner and the campaign worker the same
-escape hatch: the job runs in its own ``multiprocessing.Process``, the
-parent polls a pipe with a timeout, and an overdue or dead child is
-killed and reported as a typed error the caller can retry, back off on,
-or dead-letter.
+would wedge a sweep.  The campaign worker, which runs every guarded
+``repro sweep``, uses this module as its escape hatch when the lease
+policy sets a job timeout: the job runs in its own
+``multiprocessing.Process``, the parent polls a pipe with a timeout, and
+an overdue or dead child is killed and reported as a typed error the
+worker retries, backs off on, or dead-letters.
 
 The child sends ``("ok", result)`` or ``("err", traceback_text)`` over a
 one-way pipe *before* the parent joins it, so a large pickled result can
@@ -80,7 +80,7 @@ def run_job_isolated(
         if not recv.poll(timeout):
             _reap(proc)
             raise JobTimeoutError(
-                f"job {job.describe()} exceeded {timeout:.1f}s and was killed"
+                f"job {job.describe()} exceeded {timeout:g}s and was killed"
             )
         try:
             status, value = recv.recv()

@@ -22,7 +22,6 @@ from repro.sim.campaign import (
     collect_results,
     merged_partial,
     resume_campaign,
-    run_pairs_durable,
     submit_pairs,
 )
 from repro.sim.results_io import results_digest
@@ -58,7 +57,7 @@ def fresh(tmp_path, name):
 def test_durable_single_worker_matches_serial(tmp_path, serial_reference):
     _, reference = serial_reference
     store, cache = fresh(tmp_path, "single")
-    results = run_pairs_durable(PAIRS, TINY, store=store, cache=cache)
+    results = resume_campaign(store, cache, submit_pairs(store, PAIRS, TINY))
     assert results_digest(results) == reference
     store.close()
 
@@ -128,13 +127,13 @@ def test_rerunning_a_finished_campaign_is_pure_cache(
 ):
     _, reference = serial_reference
     store, cache = fresh(tmp_path, "rerun")
-    first = run_pairs_durable(
-        PAIRS, TINY, store=store, cache=cache, campaign="rerun"
+    first = resume_campaign(
+        store, cache, submit_pairs(store, PAIRS, TINY, campaign="rerun")
     )
     assert results_digest(first) == reference
     hits_before = cache.stats.hits
-    again = run_pairs_durable(
-        PAIRS, TINY, store=store, cache=cache, campaign="rerun"
+    again = resume_campaign(
+        store, cache, submit_pairs(store, PAIRS, TINY, campaign="rerun")
     )
     assert results_digest(again) == reference
     # Nothing re-simulated: the second pass only read the cache.

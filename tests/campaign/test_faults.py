@@ -23,7 +23,6 @@ from repro.sim.campaign import (
     StoreCorruptError,
     Worker,
     resume_campaign,
-    run_pairs_durable,
     submit_pairs,
     verify_campaign_results,
 )
@@ -127,11 +126,11 @@ def test_poison_campaign_dead_letters_then_reset_recovers(
     campaign = submit_pairs(store, TINY_PAIRS, TINY, campaign="poison")
 
     # Every execution in this subprocess raises: both jobs must burn
-    # their attempt budget and dead-letter; the worker then drains out.
+    # the attempt budget they were submitted with and dead-letter; the
+    # worker then drains out.
     proc = subprocess.Popen(
         worker_argv(
-            store.path, cache.directory,
-            "--campaign", campaign, "--once", "--max-attempts", "2",
+            store.path, cache.directory, "--campaign", campaign, "--once",
         ),
         env=worker_env(inject="fail:99"),
         stdout=subprocess.DEVNULL,
@@ -165,8 +164,8 @@ def test_truncated_store_fails_loudly_and_cache_survives(
     store_path = tmp_path / "trunc.sqlite"
     store = CampaignStore(store_path, policy=LeasePolicy(max_attempts=2))
     cache = ResultCache(tmp_path / "cache")
-    results = run_pairs_durable(
-        TINY_PAIRS, TINY, store=store, cache=cache, campaign="trunc"
+    results = resume_campaign(
+        store, cache, submit_pairs(store, TINY_PAIRS, TINY, campaign="trunc")
     )
     assert results_digest(results) == serial_reference
     store.close()
@@ -187,8 +186,8 @@ def test_truncated_store_fails_loudly_and_cache_survives(
     # the content-addressed cache, so nothing re-simulates.
     hits_before = cache.stats.hits
     fresh = CampaignStore(tmp_path / "fresh.sqlite")
-    recovered = run_pairs_durable(
-        TINY_PAIRS, TINY, store=fresh, cache=cache, campaign="trunc"
+    recovered = resume_campaign(
+        fresh, cache, submit_pairs(fresh, TINY_PAIRS, TINY, campaign="trunc")
     )
     assert results_digest(recovered) == serial_reference
     assert cache.stats.hits >= hits_before + len(TINY_PAIRS)
@@ -201,8 +200,8 @@ def test_corrupt_cache_entry_is_requeued_and_recomputed(
     store = CampaignStore(tmp_path / "cachefault.sqlite")
     cache = ResultCache(tmp_path / "cache")
     campaign = "cachefault"
-    results = run_pairs_durable(
-        TINY_PAIRS, TINY, store=store, cache=cache, campaign=campaign
+    results = resume_campaign(
+        store, cache, submit_pairs(store, TINY_PAIRS, TINY, campaign=campaign)
     )
     assert results_digest(results) == serial_reference
 

@@ -8,6 +8,7 @@ module-level so they survive any multiprocessing start method.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -68,6 +69,23 @@ def test_poison_job_dead_letters_with_traceback(store, cache):
     assert "poison payload: cannot simulate this" in letters[0]["error"]
     assert "Traceback" in letters[0]["error"]
     assert letters[0]["attempts"] == 3
+
+
+def test_interrupt_mid_job_propagates_and_leaves_the_lease(store, cache):
+    """Ctrl-C stops the worker; the job is not failed, its lease lapses."""
+    store.submit("c1", job_pool(1))
+
+    def interrupted(job):
+        raise KeyboardInterrupt
+
+    threads_before = threading.active_count()
+    worker = Worker(store, cache, worker_id="w1", execute=interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        worker.run(campaign="c1", once=True)
+    assert worker.failed == 0
+    row = store.job("c1", 0)
+    assert row["state"] == "leased" and row["error"] is None
+    assert threading.active_count() == threads_before  # heartbeat joined
 
 
 def test_worker_retries_through_backoff_gate(tmp_path, cache):

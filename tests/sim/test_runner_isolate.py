@@ -1,4 +1,4 @@
-"""Isolated-job execution and the runner's guarded timeout/retry path."""
+"""Isolated-job execution: the campaign worker's killable child process."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ from repro.sim.runner import (
     JobCrashedError,
     JobExecutionError,
     JobTimeoutError,
-    SweepRunner,
     run_job_isolated,
-    run_jobs,
 )
 from repro.sim.runner.jobs import SweepJob
 from repro.sim.simulator import SimulationParams, simulate
@@ -63,58 +61,3 @@ def test_child_exception_carries_its_traceback():
     assert not isinstance(excinfo.value, (JobTimeoutError, JobCrashedError))
     assert "deliberately broken job" in str(excinfo.value)
     assert "ValueError" in str(excinfo.value)
-
-
-def test_guarded_sweep_is_bit_identical_to_plain():
-    jobs = [tiny_job("baseline"), tiny_job("rwow-rde")]
-    plain = run_jobs(jobs, jobs=1)
-    guarded_serial = run_jobs(jobs, jobs=1, timeout=300.0)
-    guarded_parallel = run_jobs(jobs, jobs=2, timeout=300.0)
-    reference = results_digest(plain)
-    assert results_digest(guarded_serial) == reference
-    assert results_digest(guarded_parallel) == reference
-
-
-def test_retries_recover_from_transient_failures(monkeypatch):
-    from repro.sim.runner import executor
-
-    real = executor.run_job_isolated
-    calls = []
-
-    def flaky(job, timeout=None, execute=None):
-        calls.append(job)
-        if len(calls) <= 2:
-            raise JobExecutionError("transient infrastructure failure")
-        return real(job, timeout)
-
-    monkeypatch.setattr(executor, "run_job_isolated", flaky)
-    runner = SweepRunner(jobs=1, timeout=300.0, retries=2, retry_backoff=0.01)
-    job = tiny_job()
-    results = runner.run([job])
-    assert len(results) == 1 and len(calls) == 3
-    assert runner.retried_jobs == 2
-    assert results_digest(results) == results_digest(
-        [simulate(job.system, job.workload, job.params)]
-    )
-
-
-def test_exhausted_retries_raise(monkeypatch):
-    from repro.sim.runner import executor
-
-    def always_broken(job, timeout=None, execute=None):
-        raise JobExecutionError("permanently broken")
-
-    monkeypatch.setattr(executor, "run_job_isolated", always_broken)
-    runner = SweepRunner(jobs=1, timeout=1.0, retries=1, retry_backoff=0.01)
-    with pytest.raises(JobExecutionError, match="permanently broken"):
-        runner.run([tiny_job()])
-    assert runner.retried_jobs == 1
-
-
-def test_guard_knob_validation():
-    with pytest.raises(ValueError):
-        SweepRunner(timeout=0.0)
-    with pytest.raises(ValueError):
-        SweepRunner(timeout=-1.0)
-    with pytest.raises(ValueError):
-        SweepRunner(retries=-1)

@@ -1,5 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import os
+import signal
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -442,6 +446,125 @@ def test_read_only_commands_refuse_a_missing_store(argv, tmp_path, capsys):
     assert not store.parent.exists()
 
 
+@pytest.fixture
+def helpers(monkeypatch):
+    """The ``repro worker`` helpers campaign sweeps start, able to import
+    this ``repro`` however pytest was launched."""
+    import repro
+    import repro.sim.campaign.service as service
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    started = []
+    spawn = service.spawn_worker_process
+
+    def recording(*args, **kwargs):
+        started.append(spawn(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(service, "spawn_worker_process", recording)
+    return started
+
+
+@pytest.mark.campaign
+def test_campaign_sweep_digest_matches_plain_and_resume(
+    tmp_path, capsys, helpers
+):
+    """--timeout or --max-attempts runs the grid as a throwaway campaign;
+    every way of running it prints the plain sweep's digest."""
+
+    def digest(*argv: str) -> str:
+        assert main(["sweep", *argv, "--digest", "--quiet"]) == 0
+        captured = capsys.readouterr()
+        assert "worker helper" not in captured.err
+        assert all(h.returncode in (0, -signal.SIGTERM) for h in helpers)
+        lines = [
+            line for line in captured.out.splitlines()
+            if line.startswith("results digest: ")
+        ]
+        assert len(lines) == 1
+        return lines[0]
+
+    grid = [*CAMPAIGN_GRID, *CAMPAIGN_SCALE, "--no-cache"]
+    reference = digest(*grid, "--jobs", "1")
+    assert digest(*grid, "--jobs", "1", "--timeout", "300") == reference
+    assert digest(*grid, "--jobs", "2", "--timeout", "300") == reference
+    assert digest(*grid, "--jobs", "2", "--max-attempts", "2") == reference
+
+    store = str(tmp_path / "campaign.sqlite")
+    assert main([
+        "submit", *CAMPAIGN_GRID, "--campaign", "copy",
+        "--store", store, *CAMPAIGN_SCALE,
+    ]) == 0
+    capsys.readouterr()
+    assert digest(
+        "--resume", "copy", "--store", store,
+        "--cache-dir", str(tmp_path / "cache"), "--jobs", "2",
+    ) == reference
+    assert len(helpers) == 3  # one beside each --jobs 2 parent
+
+
+@pytest.mark.campaign
+def test_campaign_sweep_cache_line_counts_one_lookup_per_job(
+    tmp_path, capsys, helpers
+):
+    """The cache line reads as a plain sweep's, whoever computed each
+    job; a warm rerun starts no helper."""
+    argv = [
+        "sweep", *CAMPAIGN_GRID, *CAMPAIGN_SCALE, "--quiet", "--jobs", "2",
+        "--timeout", "300", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    assert main(argv) == 0
+    assert ("cache: 0 hits, 2 misses (0 corrupt, 0 errors), 2 writes"
+            in capsys.readouterr().out)
+    assert len(helpers) == 1
+    assert main(argv) == 0
+    assert ("cache: 2 hits, 0 misses (0 corrupt, 0 errors), 0 writes"
+            in capsys.readouterr().out)
+    assert len(helpers) == 1
+
+
+@pytest.mark.campaign
+def test_failed_campaign_sweep_exits_1_listing_dead_letters(capsys):
+    assert main([
+        "sweep", "--workloads", "MP3", "--systems", "baseline",
+        *CAMPAIGN_SCALE, "--jobs", "1", "--no-cache",
+        "--timeout", "0.001", "--max-attempts", "1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro sweep: 1 job(s) dead-lettered")
+    assert "MP3 x baseline after 1 attempts: " in err
+    assert "JobTimeoutError" in err and "exceeded 0.001s" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(["submit", "--workloads", "MP3", "--timeout", "5"], "--timeout", id="submit-timeout"),
+    pytest.param(["submit", "--workloads", "MP3", "--lease", "5"], "--lease", id="submit-lease"),
+    pytest.param(["worker", "--store", "unused.sqlite", "--max-attempts", "2"], "--max-attempts", id="worker-max-attempts"),
+    pytest.param(["serve", "--max-attempts", "2"], "--max-attempts", id="serve-max-attempts"),
+    pytest.param(["sweep", "--workloads", "MP3", "--retries", "1"], "--retries", id="sweep-retries"),
+    pytest.param(["sweep", "--workloads", "MP3", "--systems", "baseline", "--requests", "50", "--no-cache", "--lease", "5"], "--lease", id="sweep-lease"),
+    pytest.param(["sweep", "--resume", "c", "--max-attempts", "2"], "--max-attempts", id="resume-max-attempts"),
+    pytest.param(["sweep", "--resume", "c", "--no-cache"], "--no-cache", id="resume-no-cache"),
+])
+def test_lease_knobs_a_command_ignores_exit_2(argv, option, capsys):
+    """Each command takes only the lease knobs it reads."""
+    # Parse first: a knob the parser accepts must be refused by
+    # ``sweep`` itself, before it opens a store or runs a job, never by
+    # starting a worker or service that polls forever.
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert args.command == "sweep" and main(argv) == 2
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+
+
 @pytest.mark.campaign
 def test_serve_until_done(tmp_path, capsys):
     store = str(tmp_path / "campaign.sqlite")
@@ -492,9 +615,9 @@ def test_unknown_names_exit_2_listing_valid_names(argv, listed, capsys):
     pytest.param(["trace", "--workload", "MP3", "--out", "unused.json", "--buffer", "0"], "--buffer", id="trace-buffer"),
     pytest.param(["sweep", "--workloads", "MP3", "--jobs", "0"], "--jobs", id="sweep-jobs"),
     pytest.param(["report", "--out", "unused.html", "--jobs", "0"], "--jobs", id="report-jobs"),
-    pytest.param(["sweep", "--workloads", "MP3", "--retries", "-1"], "--retries", id="sweep-retries"),
+    pytest.param(["sweep", "--workloads", "MP3", "--max-attempts", "0"], "--max-attempts", id="sweep-max-attempts"),
     pytest.param(["metrics", "--cadence", "0"], "--cadence", id="metrics-cadence"),
-    pytest.param(["submit", "--workloads", "MP3", "--lease", "-1"], "--lease", id="submit-lease"),
+    pytest.param(["worker", "--store", "unused.sqlite", "--once", "--lease", "-1"], "--lease", id="worker-lease"),
     pytest.param(["submit", "--workloads", "MP3", "--max-attempts", "0"], "--max-attempts", id="submit-max-attempts"),
     pytest.param(["faults", "--read-disturb", "2"], "--read-disturb", id="faults-read-disturb"),
     pytest.param(["faults", "--write-fail", "-0.5"], "--write-fail", id="faults-write-fail"),
