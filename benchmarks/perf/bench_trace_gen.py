@@ -1,7 +1,7 @@
 """Synthetic trace generator microbenchmark.
 
-Times the epoch-batched record stream (the exact path the simulator's
-cores consume) on the canneal profile; tracked in BENCH_perf.json.
+Times the on-demand record stream (the one the simulator's cores pull
+from) per record on the canneal profile; tracked in BENCH_perf.json.
 """
 
 from repro.perf import bench_trace_gen

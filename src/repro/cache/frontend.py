@@ -289,11 +289,12 @@ class DramCacheFrontEnd:
     def make_epoch_hook(self, storage) -> Optional[Callable]:
         """Per-epoch hook classifying a whole epoch in one batched pass.
 
-        The trace generators hand each freshly generated epoch (256
-        records) to this hook before the cores consume it.  The tier
-        classifies every address against the cache's *current* state in
-        one vectorized pass (:meth:`ArraySetCache.classify_batch`; a
-        scalar scan without numpy) and prefetch-materialises only the
+        The trace generators hand each freshly drawn batch of
+        :data:`~repro.trace.synthetic.ON_EPOCH_BATCH` records to this
+        hook before the cores consume it.  The tier classifies every
+        address against the cache's *current* state in one vectorized
+        pass (:meth:`ArraySetCache.classify_batch`; a scalar scan
+        without numpy) and prefetch-materialises only the
         predicted-miss lines — the lines whose PCM fills the tier will
         issue.  The classification is advisory by design: tier state
         moves between generation and consumption (in-flight MSHR fills),

@@ -136,6 +136,16 @@ def _front_end(args: argparse.Namespace):
     )
 
 
+#: Defaults of the simulation options every run command takes.
+_COMMON_DEFAULTS = {
+    "requests": 4_000, "seed": 1, "cores": 8,
+    "front_end": "none", "replacement": "lru", "frontend_mb": None,
+}
+
+#: The grid a campaign fixes at submit, which ``sweep --resume`` refuses.
+_GRID_OPTIONS = ("workloads", "systems", *_COMMON_DEFAULTS)
+
+
 def _params(args: argparse.Namespace) -> SimulationParams:
     return SimulationParams(
         target_requests=args.requests,
@@ -260,12 +270,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     (see ``_drain_campaign``)."""
     if args.resume:
         return _sweep_resume(args)
-    if args.lease:
-        # A throwaway campaign's lease only decides how long a crashed
-        # helper's job waits in a store deleted at exit.
-        print("repro sweep: --lease applies only to --resume",
-              file=sys.stderr)
-        return 2
+    # A throwaway campaign's lease only decides how long a crashed
+    # helper's job waits in a store deleted at exit; the store and its
+    # dead letters are the resumed campaign's.
+    for option, given in (("--lease", args.lease is not None),
+                          ("--store", args.store is not None),
+                          ("--reset-dead-letters", args.reset_dead_letters)):
+        if given:
+            print(f"repro sweep: {option} applies only to --resume",
+                  file=sys.stderr)
+            return 2
+    for dest, default in _COMMON_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if not args.workloads:
         print("repro sweep: --workloads is required (unless --resume)",
               file=sys.stderr)
@@ -334,17 +351,21 @@ def _sweep_resume(args: argparse.Namespace) -> int:
     """Finish a partially-run campaign; compute only what's missing."""
     from repro.sim.campaign import CampaignStore
 
-    # A campaign's rows keep the attempt budget they were submitted
-    # with, and its results live in the result cache.
-    for option, given in (("--max-attempts", args.max_attempts),
-                          ("--no-cache", args.no_cache)):
+    # A campaign's rows keep the grid and the attempt budget they were
+    # submitted with, and its results live in the result cache.
+    refused = [("--max-attempts", args.max_attempts is not None),
+               ("--no-cache", args.no_cache)]
+    refused += [("--" + dest.replace("_", "-"), getattr(args, dest) is not None)
+                for dest in _GRID_OPTIONS]
+    for option, given in refused:
         if given:
             print(f"repro sweep: {option} does not apply to --resume",
                   file=sys.stderr)
             return 2
-    if _store_missing("sweep", args.store):
+    path = args.store or DEFAULT_STORE_PATH
+    if _store_missing("sweep", path):
         return 2
-    store = CampaignStore(args.store, policy=_lease_policy(args))
+    store = CampaignStore(path, policy=_lease_policy(args))
     if args.resume not in store.campaigns():
         print(f"repro sweep: unknown campaign {args.resume!r} in "
               f"{store.path} (known: {', '.join(store.campaigns()) or 'none'})",
@@ -872,26 +893,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-systems").set_defaults(func=cmd_list_systems)
 
     def add_common(p):
-        p.add_argument("--requests", type=_positive_int, default=4_000,
+        p.add_argument("--requests", type=_positive_int,
                        help="total main-memory requests to simulate")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--cores", type=_positive_int, default=8)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--cores", type=_positive_int)
         p.add_argument("--front-end", dest="front_end",
-                       choices=FRONT_END_NAMES, default="none",
+                       choices=FRONT_END_NAMES,
                        help="simulated cache tier in front of PCM "
                             "(default: none — the direct post-LLC path)")
         p.add_argument("--replacement",
-                       choices=REPLACEMENT_POLICY_NAMES, default="lru",
+                       choices=REPLACEMENT_POLICY_NAMES,
                        help="front-end replacement policy "
                             "(only meaningful with --front-end dram)")
         p.add_argument("--frontend-mb", dest="frontend_mb",
-                       type=_frontend_mb, default=None, metavar="MB",
+                       type=_frontend_mb, metavar="MB",
                        help="front-end tier capacity in MiB (e.g. 256 "
                             "for the paper-scale Table I tier; default: "
                             "the tier's built-in 256 MB). Sets/ways are "
                             "derived and validated from the size. Only "
                             "meaningful with --front-end dram; distinct "
                             "sizes hash to distinct sweep-cache keys.")
+        p.set_defaults(**_COMMON_DEFAULTS)
 
     run_p = sub.add_parser("run", help="one workload on one system")
     run_p.add_argument("--workload", required=True)
@@ -943,8 +965,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="--timeout or --max-attempts runs the grid as a "
                     "throwaway campaign on --jobs worker processes, "
                     "retrying a failed job up to --max-attempts times "
-                    "(default 4) and exiting 1 on a dead letter.  --lease "
-                    "applies only to --resume.",
+                    "(default 4) and exiting 1 on a dead letter.  --lease, "
+                    "--store and --reset-dead-letters apply only to "
+                    "--resume, which takes no grid options: the campaign "
+                    "fixed its grid at submit.",
     )
     sweep_p.add_argument("--workloads",
                          help="comma-separated workload names "
@@ -971,7 +995,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "fresh attempt budget")
     add_store(sweep_p)
     add_common(sweep_p)
-    sweep_p.set_defaults(func=cmd_sweep)
+    # None marks an option as not given: --resume refuses the grid
+    # options, a fresh sweep refuses --store, and cmd_sweep fills in the
+    # grid defaults for a fresh sweep.
+    sweep_p.set_defaults(func=cmd_sweep, store=None,
+                         **dict.fromkeys(_COMMON_DEFAULTS))
 
     submit_p = sub.add_parser(
         "submit",

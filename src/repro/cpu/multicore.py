@@ -13,24 +13,17 @@ from repro.trace.record import AccessKind, TraceRecord
 from repro.trace.synthetic import SyntheticTraceGenerator
 from repro.trace.workloads import WorkloadProfile
 
-#: Record-batch size handed to ``on_epoch`` hooks.  Epoch size never
-#: changes the generated stream (generation is buffering only) and the
-#: hooks are advisory — prefetching reads early is semantically
-#: invisible and tier classification only steers that prefetch — so the
-#: window is free to be sized for the vectorized batch paths, which
-#: amortise their fixed per-call cost over ~8x more records than the
-#: generator's default 256-record refill.
-ON_EPOCH_BATCH = 2048
-
 
 def _epoch_prefetcher(
     storage: MemoryStorage,
 ) -> Optional[Callable[[List[TraceRecord]], None]]:
-    """Per-epoch cold-line prefetch hook for functional runs.
+    """Cold-line prefetch hook for functional runs.
 
-    Only the epoch's *read* addresses are prefetched: reads always
-    materialise their line, so batch-materialising them ahead is
-    invisible (identical records, no counters touched) — whereas
+    The generator hands it each batch of
+    :data:`~repro.trace.synthetic.ON_EPOCH_BATCH` records before the
+    core reads them.  Only the batch's *read* addresses are prefetched:
+    reads always materialise their line, so batch-materialising them
+    ahead is invisible (identical records, no counters touched) — whereas
     payload-less write-backs never touch storage, and prefetching them
     would materialise lines the run otherwise leaves cold.  Restricted
     to plain :class:`MemoryStorage`: the fault-injecting subclass sweeps
@@ -104,10 +97,7 @@ class Multicore:
             core = TraceCore(
                 engine,
                 core_id,
-                generator.records(
-                    epoch=ON_EPOCH_BATCH if on_epoch is not None else None,
-                    on_epoch=on_epoch,
-                ),
+                generator.records(on_epoch),
                 self.port,
                 self.params,
                 instructions_per_core,

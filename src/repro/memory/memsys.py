@@ -7,7 +7,7 @@ registry, the run's only record of memory-wide counts, across channels.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.memory.address import AddressMapper
 from repro.memory.controller import MemoryController
@@ -111,24 +111,22 @@ class MainMemory:
         """Memory-wide counters, read from the shared metrics registry."""
         return MemoryStats.from_registry(self.telemetry.metrics)
 
-    def irlp_average(self) -> float:
-        """Mean IRLP over all write windows of all channels."""
-        values = [
-            window.irlp()
-            for controller in self.controllers
-            for window in controller.irlp.windows
-            if window.duration > 0
-        ]
-        return sum(values) / len(values) if values else 0.0
+    def irlp_summary(self) -> Tuple[float, float]:
+        """(mean, max) IRLP over all write windows of all channels.
 
-    def irlp_max(self) -> float:
+        One walk builds the window values for both; the mean is ``sum``
+        over them in channel then window order (CPython 3.12's float
+        ``sum`` is compensated, so the order and the call both matter).
+        """
         values = [
             window.irlp()
             for controller in self.controllers
             for window in controller.irlp.windows
             if window.duration > 0
         ]
-        return max(values) if values else 0.0
+        if not values:
+            return 0.0, 0.0
+        return sum(values) / len(values), max(values)
 
     def write_service_busy_ticks(self) -> int:
         """Total write-window busy time, summed over channels."""

@@ -250,11 +250,12 @@ def bench_storage(seed: int, smoke: bool = False) -> BenchReport:
 # Trace generation: the synthetic per-core record stream
 # ----------------------------------------------------------------------
 def bench_trace_gen(seed: int, smoke: bool = False) -> BenchReport:
-    """Throughput of the epoch-batched synthetic trace generator.
+    """Cost per record of the synthetic trace stream.
 
     Builds a fresh generator per repeat (cold streams, cold rng) and
-    drains a fixed record count through :meth:`take` — the same path the
-    simulator's cores consume.
+    draws a fixed record count through :meth:`take`, which reads the
+    same on-demand stream the simulator's cores pull one record at a
+    time.
     """
     from repro.trace.synthetic import SyntheticTraceGenerator
     from repro.trace.workloads import get_workload

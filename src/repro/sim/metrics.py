@@ -12,6 +12,7 @@ deliberately excluded so the metric tops out at 8.0, matching the paper.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -108,26 +109,35 @@ class WriteWindow:
         stamp = (self.start, self.end, len(self.activities))
         if self._irlp_cache is not None and self._irlp_cache[0] == stamp:
             return self._irlp_cache[1]
-        per_chip: Dict[int, List[Tuple[int, int]]] = {}
+        # One sort of every chip's clipped endpoints.  A chip is busy
+        # while its depth of open intervals is positive, so overlapping
+        # or touching intervals on one chip count once; every interval
+        # has closed by the last endpoint.
+        low, high = self.start, self.end
+        events: List[Tuple[int, int, int]] = []
         for chip, start, end in self.activities:
-            clipped = (max(start, self.start), min(end, self.end))
-            if clipped[1] > clipped[0]:
-                per_chip.setdefault(chip, []).append(clipped)
-        # Sweep chip-count changes so the instantaneous count can be capped.
-        events: List[Tuple[int, int]] = []
-        for intervals in per_chip.values():
-            for start, end in merge_intervals(intervals):
-                events.append((start, +1))
-                events.append((end, -1))
+            if start < low:
+                start = low
+            if end > high:
+                end = high
+            if end > start:
+                events.append((start, 1, chip))
+                events.append((end, -1, chip))
         events.sort()
+        depth: Dict[int, int] = defaultdict(int)
         busy = 0
         count = 0
-        previous = self.start
-        for time, delta in events:
-            busy += min(count, MAX_IRLP) * (time - previous)
-            count += delta
+        previous = low
+        for time, delta, chip in events:
+            busy += (count if count < MAX_IRLP else MAX_IRLP) * (time - previous)
             previous = time
-        busy += min(count, MAX_IRLP) * (self.end - previous)
+            open_intervals = depth[chip] + delta
+            depth[chip] = open_intervals
+            if delta > 0:
+                if open_intervals == 1:  # the chip turns busy
+                    count += 1
+            elif not open_intervals:  # the chip turns idle
+                count -= 1
         value = busy / self.duration
         self._irlp_cache = (stamp, value)
         return value

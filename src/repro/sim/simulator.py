@@ -239,6 +239,7 @@ class SystemSimulator:
 
     def _collect(self, wall_seconds: float = 0.0) -> SimulationResult:
         stats = self.memory.aggregate_stats()
+        irlp_average, irlp_max = self.memory.irlp_summary()
         result = SimulationResult(
             system_name=self.system.name,
             workload_name=self.workload.name,
@@ -246,8 +247,8 @@ class SystemSimulator:
             instructions=self.multicore.instructions_retired,
             cpu_cycles=self.multicore.total_cpu_cycles(),
             memory=stats,
-            irlp_average=self.memory.irlp_average(),
-            irlp_max=self.memory.irlp_max(),
+            irlp_average=irlp_average,
+            irlp_max=irlp_max,
             write_service_busy_ticks=self.memory.write_service_busy_ticks(),
             seed=self.params.seed,
             profile=self._profile(wall_seconds),

@@ -56,3 +56,34 @@ class TraceRecord:
     @property
     def line_address(self) -> int:
         return self.address // LINE_BYTES
+
+
+_new_record = object.__new__
+#: Setters of the slots' member descriptors, read through ``vars`` (plain
+#: attribute access would type them as the fields' values).
+_set_gap, _set_kind, _set_address, _set_dirty_mask, _set_new_words = (
+    vars(TraceRecord)[name].__set__
+    for name in ("gap_instructions", "kind", "address", "dirty_mask", "new_words")
+)
+
+
+def _trusted_record(
+    gap_instructions: int, kind: AccessKind, address: int, dirty_mask: int = 0
+) -> TraceRecord:
+    """A payload-less :class:`TraceRecord` built without validation.
+
+    For the synthetic generator only, whose records are valid by
+    construction (non-negative gaps, line-aligned addresses, masks below
+    ``1 << WORDS_PER_LINE`` on write-backs only): it sets the five slots
+    through their member descriptors, skipping the frozen ``__setattr__``
+    path and the ``__post_init__`` checks.  The result is an ordinary
+    record — equal, hashable and immutable.  Every other producer (trace
+    files, tests, payload adapters) goes through the checked constructor.
+    """
+    record = _new_record(TraceRecord)
+    _set_gap(record, gap_instructions)
+    _set_kind(record, kind)
+    _set_address(record, address)
+    _set_dirty_mask(record, dirty_mask)
+    _set_new_words(record, None)
+    return record

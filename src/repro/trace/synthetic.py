@@ -12,7 +12,12 @@ synthesise statistically equivalent post-LLC request streams from the
 * read/write address affinity (dirty evictions of recently-read lines).
 
 The generator is deterministic per (profile, seed, core); every draw goes
-through one ``random.Random`` instance.
+through one ``random.Random`` instance.  Each generator holds one stream
+that draws a record only when a reader asks for it, so a run draws
+exactly the records its cores issue, and the stream is the same however
+it is read: :meth:`~SyntheticTraceGenerator.take` chunks, the
+:meth:`~SyntheticTraceGenerator.records` iterator, or batches of
+:data:`ON_EPOCH_BATCH` handed to an ``on_epoch`` hook.
 """
 
 from __future__ import annotations
@@ -21,12 +26,21 @@ import random
 import zlib
 from bisect import bisect
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, islice
+from math import log
 from typing import Callable, Deque, Iterator, List, Optional, Tuple
 
 from repro.memory.request import LINE_BYTES, WORDS_PER_LINE
-from repro.trace.record import AccessKind, TraceRecord
+from repro.trace.record import AccessKind, TraceRecord, _trusted_record
 from repro.trace.workloads import WorkloadKind, WorkloadProfile
+
+#: Records handed to an ``on_epoch`` hook per call.  Only the hooks batch:
+#: a functional run prefetches each batch's cold lines, and the timed tier
+#: classifies each batch in one vectorized pass, so the batch is sized to
+#: amortise those passes' fixed per-call cost.  It changes how far ahead
+#: of its core the stream is drawn, never the records, and the hooks are
+#: advisory (prefetching is semantically invisible).
+ON_EPOCH_BATCH = 2048
 
 
 class SyntheticTraceGenerator:
@@ -76,7 +90,6 @@ class SyntheticTraceGenerator:
         ]
         self._recent_reads: Deque[int] = deque(maxlen=32)
         self._last_offsets: Optional[Tuple[int, ...]] = None
-        self._pending_writes = 0  # remaining write-backs in the current burst
 
         # Precomputed pieces of the per-write dirty-count draw.  This is
         # exactly what random.choices(population, weights) builds on every
@@ -89,45 +102,18 @@ class SyntheticTraceGenerator:
         self._dirty_total = self._dirty_cum[-1] + 0.0
         self._dirty_hi = len(weights) - 1
 
-    # ------------------------------------------------------------------
-    # Address models
-    # ------------------------------------------------------------------
-    def _line_to_address(self, line: int) -> int:
-        return (self._base_line + (line % self._footprint)) * LINE_BYTES
+        #: The stream every reader shares (see :meth:`_generate`).
+        self._stream: Iterator[TraceRecord] = self._generate()
 
-    def _next_read_line(self) -> int:
-        if self.rng.random() < self.profile.sequential_fraction:
-            index = self.rng.randrange(len(self._read_streams))
-            self._read_streams[index] = (
-                self._read_streams[index] + 1
-            ) % self._footprint
-            # Occasionally re-seat a stream so footprints get covered.
-            if self.rng.random() < 0.002:
-                self._read_streams[index] = self.rng.randrange(self._footprint)
-            return self._read_streams[index]
-        return self.rng.randrange(self._footprint)
-
-    def _next_write_line(self) -> int:
-        if self._recent_reads and (
-            self.rng.random() < self.profile.write_read_affinity
-        ):
-            # Index the deque directly: insertion order is the only order
-            # this draw may depend on.  ``rng.choice(tuple(deque))`` was
-            # equivalent but one container copy slower — and the tuple()
-            # detour invited "simplifying" _recent_reads into a set, whose
-            # iteration order follows interpreter hash behaviour and would
-            # silently break cross-PYTHONHASHSEED determinism.  randrange
-            # consumes exactly the same _randbelow draw choice() did, so
-            # the stream is bit-identical to the previous implementation.
-            recent = self._recent_reads
-            return recent[self.rng.randrange(len(recent))]
-        if self.rng.random() < self.profile.sequential_fraction:
-            index = self.rng.randrange(len(self._write_streams))
-            self._write_streams[index] = (
-                self._write_streams[index] + 1
-            ) % self._footprint
-            return self._write_streams[index]
-        return self.rng.randrange(self._footprint)
+    def _below(self, n: int) -> int:
+        """``rng.randrange(n)`` for ``n >= 1``: the same draws, one frame
+        instead of two (see :meth:`_generate`)."""
+        getrandbits = self.rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
     # ------------------------------------------------------------------
     # Dirty masks (Figure 2 + §IV-C2 offset correlation)
@@ -150,7 +136,7 @@ class SyntheticTraceGenerator:
             offsets = list(self._last_offsets)[:count]
             remaining = [w for w in range(WORDS_PER_LINE) if w not in offsets]
             while len(offsets) < count:
-                offsets.append(remaining.pop(self.rng.randrange(len(remaining))))
+                offsets.append(remaining.pop(self._below(len(remaining))))
         else:
             # Weighted sampling without replacement: low offsets dominate
             # (struct headers / counters), the clustering data rotation
@@ -176,32 +162,35 @@ class SyntheticTraceGenerator:
         return mask
 
     # ------------------------------------------------------------------
-    # Arrival process
+    # Arrival process and the stream
     # ------------------------------------------------------------------
-    def _gap_instructions(self, mean: float) -> int:
-        if mean <= 0:
-            return 0
-        return int(self.rng.expovariate(1.0 / mean))
-
-    #: Records generated per refill of the epoch buffer.  Epoch size only
-    #: changes *when* draws happen (they are buffered ahead), never their
-    #: sequence, so any epoch produces the same stream.
-    EPOCH = 256
-
     def _check_profile(self) -> None:
-        if self.profile.mpki <= 0:
+        profile = self.profile
+        if profile.mpki <= 0:
             raise ValueError(
-                f"workload {self.profile.name} performs no memory accesses"
+                f"workload {profile.name} performs no memory accesses"
+            )
+        if profile.stream_count < 1 and profile.sequential_fraction > 0:
+            raise ValueError(
+                f"workload {profile.name} has sequential reads but no "
+                f"read streams (stream_count={profile.stream_count})"
             )
 
-    def _fill(self, buffer: List[TraceRecord], count: int) -> None:
-        """Append exactly ``count`` records to ``buffer``.
+    def _generate(self) -> Iterator[TraceRecord]:
+        """The stream: each record is drawn when it is asked for.
 
-        This is the generation loop itself, run as one tight batch: the
-        rng draw sequence is identical to generating records one at a
-        time (same calls, same order — including the burst-start draws
-        that produce no record), but the per-record generator suspension
-        and attribute traffic are amortised over the whole epoch.
+        A resumption draws exactly one record's rng draws (those of a
+        write burst's start included) and yields it, so however the
+        stream is read and wherever a reader stops, the rng stands just
+        past the last record handed out.
+
+        Two ``random.Random`` methods are inlined with their CPython
+        3.10-3.12 bodies: a gap is ``expovariate(lambd)``, that is
+        ``-log(1.0 - random()) / lambd``, and :meth:`_below` is
+        ``randrange(n)``'s ``_randbelow_with_getrandbits`` loop.  Same
+        draws, fewer Python frames; tests/trace/test_synthetic.py pins
+        the stream's digests, so an interpreter that changes either body
+        fails there.
         """
         profile = self.profile
         random_ = self.rng.random
@@ -213,96 +202,110 @@ class SyntheticTraceGenerator:
         burst_start_probability = min(1.0, f_w / denominator) if f_w > 0 else 0.0
         # Intra-burst write gaps are a quarter of read gaps (evictions are
         # back-to-back); scale the read gap so the aggregate access rate
-        # still matches MPKI.
+        # still matches MPKI.  Gaps are exponential draws truncated to
+        # whole instructions; the rates are expovariate's ``lambd``.
         mean_gap = (1000.0 / profile.mpki) / max(1e-9, 1.0 - 0.75 * f_w)
-        write_gap = mean_gap * 0.25
+        read_rate = 1.0 / mean_gap
+        write_rate = 1.0 / (mean_gap * 0.25)
         burst_continue = 1.0 - 1.0 / burst_mean
         burst_cap = 4 * burst_mean
 
-        append = buffer.append
-        note_read = self._recent_reads.append
-        line_to_address = self._line_to_address
-        next_read_line = self._next_read_line
-        next_write_line = self._next_write_line
+        sequential_fraction = profile.sequential_fraction
+        write_read_affinity = profile.write_read_affinity
+        footprint = self._footprint
+        read_streams = self._read_streams
+        write_streams = self._write_streams
+        recent_reads = self._recent_reads
+        note_read = recent_reads.append
+        base_address = self._base_line * LINE_BYTES
+        below = self._below
         next_dirty_mask = self._next_dirty_mask
-        gap_instructions = self._gap_instructions
-        target = len(buffer) + count
-        pending_writes = self._pending_writes
-        while len(buffer) < target:
-            if pending_writes > 0:
-                pending_writes -= 1
-                line = next_write_line()
-                append(
-                    TraceRecord(
-                        gap_instructions=gap_instructions(write_gap),
-                        kind=AccessKind.WRITE_BACK,
-                        address=line_to_address(line),
-                        dirty_mask=next_dirty_mask(),
-                    )
-                )
-                continue
+        read, write_back = AccessKind.READ, AccessKind.WRITE_BACK
+        record = _trusted_record
+        # Every line below is drawn under the footprint, so it offsets the
+        # core's base address as is.
+        while True:
             if random_() < burst_start_probability:
                 # Eviction wave: geometric burst length with the given mean.
                 length = 1
                 while random_() < burst_continue and length < burst_cap:
                     length += 1
-                pending_writes = length
+                for _ in range(length):
+                    if recent_reads and random_() < write_read_affinity:
+                        # A dirty eviction of a recently read line.  Index
+                        # the deque: insertion order is the only order this
+                        # draw may depend on.  A set would iterate in hash
+                        # order and break cross-PYTHONHASHSEED determinism.
+                        line = recent_reads[below(len(recent_reads))]
+                    elif random_() < sequential_fraction:
+                        index = below(len(write_streams))
+                        line = (write_streams[index] + 1) % footprint
+                        write_streams[index] = line
+                    else:
+                        line = below(footprint)
+                    yield record(
+                        int(-log(1.0 - random_()) / write_rate),
+                        write_back,
+                        base_address + line * LINE_BYTES,
+                        next_dirty_mask(),
+                    )
                 continue
-            line = next_read_line()
+            if random_() < sequential_fraction:
+                index = below(len(read_streams))
+                line = (read_streams[index] + 1) % footprint
+                # Occasionally re-seat a stream so footprints get covered.
+                if random_() < 0.002:
+                    line = below(footprint)
+                read_streams[index] = line
+            else:
+                line = below(footprint)
             note_read(line)
-            append(
-                TraceRecord(
-                    gap_instructions=gap_instructions(mean_gap),
-                    kind=AccessKind.READ,
-                    address=line_to_address(line),
-                )
+            yield record(
+                int(-log(1.0 - random_()) / read_rate),
+                read,
+                base_address + line * LINE_BYTES,
             )
-        self._pending_writes = pending_writes
 
     def records(
         self,
-        epoch: Optional[int] = None,
         on_epoch: Optional[Callable[[List[TraceRecord]], None]] = None,
     ) -> Iterator[TraceRecord]:
-        """Yield an endless stream of memory-level trace records.
+        """The generator's endless stream of memory-level trace records.
 
-        Records are generated an epoch at a time (:meth:`_fill`) and then
-        yielded one by one — the stream is bit-identical to unbuffered
-        generation, only the rng draws happen up to one epoch early.
-        ``on_epoch`` (if given) sees each freshly generated batch before
-        it is yielded; the simulator uses this to prefetch the epoch's
-        cold lines into functional storage in one vectorized pass.
+        Without ``on_epoch`` this is the stream itself: each record is
+        drawn as it is pulled.  With ``on_epoch``, records are drawn
+        :data:`ON_EPOCH_BATCH` at a time and each batch is handed to the
+        hook before it is yielded; functional runs use this to prefetch a
+        batch's cold lines into storage in one vectorized pass.
 
-        Abandoning the iterator mid-epoch leaves the generator's rng
-        advanced past the records actually consumed; use a fresh
-        generator (or :meth:`take`, which draws exactly what it returns)
-        when the remaining stream must continue seamlessly.
+        Either way every reader shares one stream: this continues where
+        an earlier :meth:`take` stopped (mid-burst included), and a
+        :meth:`take` after an abandoned iterator continues past the
+        records it drew.
         """
         self._check_profile()
-        if epoch is None:
-            epoch = self.EPOCH
-        if epoch < 1:
-            raise ValueError(f"epoch must be positive, got {epoch}")
-        buffer: List[TraceRecord] = []
+        if on_epoch is None:
+            return self._stream
+        return self._batched(on_epoch)
+
+    def _batched(
+        self, on_epoch: Callable[[List[TraceRecord]], None]
+    ) -> Iterator[TraceRecord]:
+        stream = self._stream
         while True:
-            self._fill(buffer, epoch)
-            if on_epoch is not None:
-                on_epoch(buffer)
-            yield from buffer
-            buffer.clear()
+            batch = list(islice(stream, ON_EPOCH_BATCH))
+            on_epoch(batch)
+            yield from batch
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return self.records()
 
     def take(self, count: int) -> List[TraceRecord]:
-        """Materialise the first ``count`` records (tests, trace export).
+        """The stream's next ``count`` records (tests, trace export).
 
         Draws exactly ``count`` records' worth of rng state, so a
         subsequent ``take``/``records`` continues the stream where this
-        call stopped — same contract as the original one-at-a-time pull.
+        call stopped, mid-burst included.
         """
         self._check_profile()
-        out: List[TraceRecord] = []
-        if count > 0:
-            self._fill(out, count)
-        return out
+        return list(islice(self._stream, max(0, count)))

@@ -91,6 +91,5 @@ def test_can_accept_and_wait_for_space():
 
 def test_irlp_helpers_empty_run():
     _engine, memory = _memory()
-    assert memory.irlp_average() == 0.0
-    assert memory.irlp_max() == 0.0
+    assert memory.irlp_summary() == (0.0, 0.0)
     assert memory.write_service_busy_ticks() == 0

@@ -1,6 +1,8 @@
 """Unit tests for IRLP windows and statistics containers."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import ticks_to_ns
 from repro.sim.metrics import (
@@ -120,6 +122,72 @@ def test_service_end_tracks_maximum():
 
 def test_busy_end_defaults_to_window_end():
     assert WriteWindow(0, 100).busy_end == 100
+
+
+def reference_irlp(window):
+    """IRLP as computed before the one-sort sweep: merge each chip's
+    clipped intervals, then sweep the merged spans' endpoints."""
+    if window.duration <= 0:
+        return 0.0
+    per_chip = {}
+    for chip, start, end in window.activities:
+        clipped = (max(start, window.start), min(end, window.end))
+        if clipped[1] > clipped[0]:
+            per_chip.setdefault(chip, []).append(clipped)
+    events = []
+    for intervals in per_chip.values():
+        for start, end in merge_intervals(intervals):
+            events.append((start, +1))
+            events.append((end, -1))
+    events.sort()
+    busy = 0
+    count = 0
+    previous = window.start
+    for time, delta in events:
+        busy += min(count, MAX_IRLP) * (time - previous)
+        count += delta
+        previous = time
+    busy += min(count, MAX_IRLP) * (window.end - previous)
+    return busy / window.duration
+
+
+# Small coordinates so intervals often touch, nest and repeat; twelve
+# chips so more than MAX_IRLP can be busy at once.
+_activities = st.lists(
+    st.tuples(
+        st.integers(0, 11), st.integers(0, 60), st.integers(0, 40)
+    ).map(lambda t: (t[0], t[1], t[1] + t[2])),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    span=st.tuples(st.integers(0, 40), st.integers(0, 80)),
+    activities=_activities,
+    grow=st.none() | st.tuples(st.integers(-10, 60), st.integers(0, 120)),
+)
+# Ten chips busy at once (the cap binds), each with a touching pair and
+# a nested interval, in a window that then grows past them.
+@example(
+    span=(0, 100),
+    activities=[
+        (chip, start, end)
+        for chip in range(MAX_IRLP + 2)
+        for start, end in ((0, 50), (50, 100), (10, 20))
+    ],
+    grow=(-10, 130),
+)
+def test_irlp_equals_the_per_chip_merge_reference(span, activities, grow):
+    window = WriteWindow(span[0], span[0] + span[1])
+    for chip, start, end in activities:
+        window.add_activity(chip, start, end)
+    assert window.irlp() == reference_irlp(window)
+    if grow is not None:
+        # A WoW window grows after its activity is recorded; the memoised
+        # value must not survive that.
+        window.absorb(grow[0], grow[0] + grow[1])
+        assert window.irlp() == reference_irlp(window)
 
 
 # ----------------------------------------------------------------------

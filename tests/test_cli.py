@@ -565,6 +565,37 @@ def test_lease_knobs_a_command_ignores_exit_2(argv, option, capsys):
     assert option in err and "Traceback" not in err
 
 
+_FRESH_SWEEP = ["sweep", "--workloads", "MP3", "--systems", "baseline",
+                "--requests", "50", "--jobs", "1", "--no-cache", "--quiet"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    *(
+        pytest.param(["sweep", "--resume", "c", option, value], option,
+                     id=f"resume{option}")
+        # Values equal to the defaults count too: the option was given.
+        for option, value in (
+            ("--workloads", "MP3"), ("--systems", "baseline"),
+            ("--requests", "9000"), ("--seed", "1"), ("--cores", "8"),
+            ("--front-end", "none"), ("--replacement", "lru"),
+            ("--frontend-mb", "1"),
+        )
+    ),
+    pytest.param([*_FRESH_SWEEP, "--store", "st.sqlite"], "--store", id="sweep-store"),
+    pytest.param([*_FRESH_SWEEP, "--reset-dead-letters"], "--reset-dead-letters", id="sweep-reset-dead-letters"),
+])
+def test_sweep_options_that_do_not_apply_exit_2(argv, option, tmp_path,
+                                                capsys, monkeypatch):
+    """``--resume`` takes no grid option (the campaign fixed its grid at
+    submit) and a fresh sweep no store option: each exits 2 naming the
+    option, before it opens a store or runs a job."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"repro sweep: {option} " in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.campaign
 def test_serve_until_done(tmp_path, capsys):
     store = str(tmp_path / "campaign.sqlite")
