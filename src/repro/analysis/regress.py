@@ -156,9 +156,7 @@ def collect_frontend_fingerprint(
     config), so the pinned metrics additionally carry the tier's
     hit/miss/fill/write-back scoreboard and the PCM writes behind it.
     This is the leg that holds the tier's probe/install/evict path
-    behaviourally frozen across revisions.  The run is timing-only, so
-    the epoch classification hook (functional runs only) does not run
-    here.
+    behaviourally frozen across revisions.
     """
     from repro.core.systems import make_front_end, make_rwow_rde
     from repro.sim.simulator import simulate

@@ -284,51 +284,6 @@ class DramCacheFrontEnd:
         }
 
     # ------------------------------------------------------------------
-    # Epoch-batched classification (PR 7's on_epoch hook, tier-aware)
-    # ------------------------------------------------------------------
-    def make_epoch_hook(self, storage) -> Optional[Callable]:
-        """Per-epoch hook classifying a whole epoch in one batched pass.
-
-        The trace generators hand each freshly drawn batch of
-        :data:`~repro.trace.synthetic.ON_EPOCH_BATCH` records to this
-        hook before the cores consume it.  The tier classifies every
-        address against the cache's *current* state in one vectorized
-        pass (:meth:`ArraySetCache.classify_batch`; a scalar scan
-        without numpy) and prefetch-materialises only the
-        predicted-miss lines — the lines whose PCM fills the tier will
-        issue.  The classification is advisory by design: tier state
-        moves between generation and consumption (in-flight MSHR fills),
-        so the real per-event probes still decide hits and misses.  A
-        predicted miss that turns out to hit was resident, hence already
-        materialised by its own fill — prefetching it again is a no-op —
-        so steering never materialises a line the run leaves cold, and
-        ``storage.prefetch`` is semantically invisible either way.
-
-        Mirrors ``repro.cpu.multicore._epoch_prefetcher``'s guard: plain
-        :class:`~repro.memory.storage.MemoryStorage` only (the
-        fault-injecting subclass sweeps every materialised line through
-        its oracle), else ``None``.
-        """
-        from repro.memory.storage import MemoryStorage
-
-        if type(storage) is not MemoryStorage:
-            return None
-        cache = self.dram.cache
-
-        def classify_and_prefetch(records) -> None:
-            addresses = [record.address for record in records]
-            hits = cache.classify_batch(addresses)
-            storage.prefetch(
-                {
-                    address // 64
-                    for address, hit in zip(addresses, hits)
-                    if not hit
-                }
-            )
-
-        return classify_and_prefetch
-
-    # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
     def _submit_read(self, request: MemoryRequest) -> None:

@@ -20,18 +20,14 @@ Each set's slab prefix ``[base, base + count)`` is kept compacted in
 residency (insertion) order — evicting way ``v`` shifts the tail left,
 installing appends at ``count`` — which fixes the policies' tie-breaks,
 the CLOCK hand positions and the drain order.  Victim selection is the
-named :mod:`repro.cache.replacement` policy (LRU by default).  Every
-access path needs only the ``array`` module (the ``REPRO_NO_NUMPY``
-build); when numpy is present, :meth:`ArraySetCache.classify_batch`
-classifies a whole epoch of addresses in a handful of vector operations
-over a zero-copy view of the tag column.
+named :mod:`repro.cache.replacement` policy (LRU by default).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cache.cacheline import CacheLine, word_index
 from repro.cache.replacement import (
@@ -40,12 +36,7 @@ from repro.cache.replacement import (
     MAC_LEVELS,
     make_replacement_policy,
 )
-from repro.ecc import batch
 from repro.memory.request import LINE_BYTES, WORDS_PER_LINE
-
-#: Below this many addresses the vector classification's array setup
-#: costs more than it saves; the scalar scan gives the same answer.
-BATCH_MIN_ACCESSES = 16
 
 _MAC_TOP = MAC_LEVELS - 1
 _ZERO_WORDS = (0,) * WORDS_PER_LINE
@@ -128,11 +119,8 @@ class ArraySetCache:
         self._fill_state = self.policy.fill_state
 
         n_lines = self.n_sets * associativity
-        # Preallocated, never resized: the numpy view of the tags stays
-        # valid for the cache's lifetime (resizing an exporting buffer
-        # would raise).  Tag slots outside a set's resident prefix hold
-        # the -1 sentinel (no real tag is negative), so the vector hit
-        # test needs no per-way residency mask.
+        # Tag slots outside a set's resident prefix hold the -1 sentinel
+        # (no real tag is negative).
         self._tags = array("q", b"\xff" * (8 * n_lines))
         self._last_use = array("q", bytes(8 * n_lines))
         self._dirty = array("B", bytes(n_lines))
@@ -150,29 +138,6 @@ class ArraySetCache:
         )
         self._clock = 0
         self.stats = CacheStats()
-        #: Whether :meth:`_vector_ready` has built the numpy view.  The
-        #: first vector classification builds it, so a cache that never
-        #: classifies a batch never loads numpy.
-        self._np_ready = False
-
-    def _vector_ready(self) -> bool:
-        """Build the zero-copy numpy tag view once; ``False`` without numpy."""
-        if self._np_ready or not batch.HAS_NUMPY:
-            return self._np_ready
-        np = batch.np
-        #: (n_sets, ways) view of the tag slab: one row-gather pulls a
-        #: whole set's candidate tags per address.
-        self._np_tags_2d = np.frombuffer(self._tags, dtype=np.int64).reshape(
-            self.n_sets, self.associativity
-        )
-        #: When ways matches an unsigned dtype width, a per-row
-        #: reinterpret of the bool match matrix replaces the (much
-        #: slower) ``any(axis=1)`` reduction.
-        self._row_dtype = {
-            1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64
-        }.get(self.associativity)
-        self._np_ready = True
-        return True
 
     # ------------------------------------------------------------------
     # Lookups
@@ -430,27 +395,3 @@ class ArraySetCache:
                         (self._tags[idx] * n_sets + set_index) * LINE_BYTES
                     )
         return addresses
-
-    # ------------------------------------------------------------------
-    # Epoch classification (vectorized when numpy is present)
-    # ------------------------------------------------------------------
-    def classify_batch(self, addresses: Sequence[int]) -> List[bool]:
-        """Advisory hit/miss classification of a batch (read-only).
-
-        One vectorized pass when numpy is present; no stats, clock or
-        state are touched, so the classification is safe to use for
-        steering (prefetch) while the real probes still run per event.
-        Non-resident slots hold the -1 tag sentinel, so the raw equality
-        test against each set's row of tags is the residency test.
-        """
-        n = len(addresses)
-        if n < BATCH_MIN_ACCESSES or not self._vector_ready():
-            return [self.contains(a) for a in addresses]
-        np = batch.np
-        lines = np.fromiter(addresses, dtype=np.int64, count=n) // LINE_BYTES
-        tags, set_idx = np.divmod(lines, self.n_sets)
-        cand = self._np_tags_2d.take(set_idx, axis=0, mode="clip")
-        match = cand == tags[:, None]
-        if self._row_dtype is not None:
-            return (match.view(self._row_dtype).ravel() != 0).tolist()
-        return match.any(axis=1).tolist()

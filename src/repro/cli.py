@@ -34,8 +34,8 @@ Commands::
     python -m repro faults [--workload W] [--system S] [--seed N] \\
         [--smoke] [--json] [--out report.json] [--selftest] [--convergence]
 
-``perf`` runs the tracked hot-path microbenchmark suite (scalar and batch
-codec, storage, engine dispatch, trace generation, sampling and tracing
+``perf`` runs the tracked hot-path microbenchmark suite (SECDED codec,
+storage, engine dispatch, trace generation, sampling and tracing
 overhead) and emits the seed- and git-stamped ``BENCH_perf.json``
 payload; ``--check`` exits non-zero on gross (machine-independent)
 regressions and ``REPRO_PERF_SMOKE=1`` (or ``--smoke``) shrinks the
@@ -144,6 +144,10 @@ _COMMON_DEFAULTS = {
 
 #: The grid a campaign fixes at submit, which ``sweep --resume`` refuses.
 _GRID_OPTIONS = ("workloads", "systems", *_COMMON_DEFAULTS)
+
+#: The DRAM-tier options, which ``faults`` refuses: its runs take the
+#: direct path.
+_TIER_OPTIONS = ("front_end", "replacement", "frontend_mb")
 
 
 def _params(args: argparse.Namespace) -> SimulationParams:
@@ -786,6 +790,11 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Seeded fault campaign / convergence check / oracle self-test."""
+    for dest in _TIER_OPTIONS:
+        if getattr(args, dest) is not None:
+            print(f"repro faults: --{dest.replace('_', '-')} does not apply: "
+                  "fault campaigns run the direct path", file=sys.stderr)
+            return 2
     from repro.faults import (
         DEFAULT_FAULTS,
         FaultCampaignSpec,
@@ -1207,7 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="all six systems must reach identical "
                                "end-state (faults off)")
     add_common(faults_p)
-    faults_p.set_defaults(func=cmd_faults)
+    # None marks a tier option as not given: cmd_faults refuses them all.
+    faults_p.set_defaults(func=cmd_faults, **dict.fromkeys(_TIER_OPTIONS))
 
     gen_p = sub.add_parser("gen-trace", help="export a synthetic trace file")
     gen_p.add_argument("--workload", required=True)

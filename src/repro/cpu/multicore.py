@@ -2,47 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.cpu.core import CoreParams, TraceCore
 from repro.memory.memsys import MainMemory
 from repro.memory.port import MemoryPort
-from repro.memory.storage import MemoryStorage
 from repro.sim.engine import Engine
-from repro.trace.record import AccessKind, TraceRecord
 from repro.trace.synthetic import SyntheticTraceGenerator
 from repro.trace.workloads import WorkloadProfile
-
-
-def _epoch_prefetcher(
-    storage: MemoryStorage,
-) -> Optional[Callable[[List[TraceRecord]], None]]:
-    """Cold-line prefetch hook for functional runs.
-
-    The generator hands it each batch of
-    :data:`~repro.trace.synthetic.ON_EPOCH_BATCH` records before the
-    core reads them.  Only the batch's *read* addresses are prefetched:
-    reads always materialise their line, so batch-materialising them
-    ahead is invisible (identical records, no counters touched) — whereas
-    payload-less write-backs never touch storage, and prefetching them
-    would materialise lines the run otherwise leaves cold.  Restricted
-    to plain :class:`MemoryStorage`: the fault-injecting subclass sweeps
-    every materialised line through its oracle, so changing *which*
-    lines exist would change campaign accounting.
-    """
-    if type(storage) is not MemoryStorage:
-        return None
-
-    def prefetch(records: List[TraceRecord]) -> None:
-        storage.prefetch(
-            {
-                record.address // 64
-                for record in records
-                if record.kind is AccessKind.READ
-            }
-        )
-
-    return prefetch
 
 
 class Multicore:
@@ -72,20 +39,6 @@ class Multicore:
         capacity_lines = (
             memory.config.geometry.capacity_bytes // 64
         )
-        if self.port is not memory and hasattr(self.port, "make_epoch_hook"):
-            # A timed tier interposes: let it classify each epoch in one
-            # batched pass and steer the prefetch to predicted misses.
-            on_epoch = (
-                self.port.make_epoch_hook(memory.storage)
-                if memory.storage is not None
-                else None
-            )
-        else:
-            on_epoch = (
-                _epoch_prefetcher(memory.storage)
-                if memory.storage is not None
-                else None
-            )
         for core_id in range(n_cores):
             generator = SyntheticTraceGenerator(
                 profile,
@@ -97,7 +50,7 @@ class Multicore:
             core = TraceCore(
                 engine,
                 core_id,
-                generator.records(on_epoch),
+                generator.records(),
                 self.port,
                 self.params,
                 instructions_per_core,

@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.ecc import batch, hamming
+from repro.ecc import hamming
 from repro.memory.request import WORDS_PER_LINE
 from repro.memory.storage import _cold_pattern
 
@@ -155,76 +155,11 @@ class DifferentialOracle:
         return len(self.violations) == before
 
     def check_all(self, storage) -> bool:
-        """End-of-run sweep over every materialised line.
-
-        With numpy available the whole relation — golden words XOR data
-        flips, batch-encoded check bytes XOR check flips, PCC XOR parity
-        flips — is evaluated as a handful of ``(N, 8)`` array compares;
-        the ledger XOR stays exact because ``uint64`` wraps mod 2**64
-        like the masked Python-int arithmetic.  Any line the vector pass
-        flags is re-checked by the scalar :meth:`check_line`, so the
-        recorded :class:`OracleViolation` list is identical (same order,
-        same slots) to the all-scalar sweep.
-        """
-        addresses = sorted(storage.lines())
-        if not (batch.HAS_NUMPY and len(addresses) >= 8):
-            clean = True
-            for line_address in addresses:
-                clean = self.check_line(storage, line_address, when="final") and clean
-            return clean
-        return self._check_all_vector(storage, addresses)
-
-    def _check_all_vector(self, storage, addresses) -> bool:
-        np = batch.np
-        index = {address: i for i, address in enumerate(addresses)}
-        n = len(addresses)
-
-        raw = [storage.raw_line(a) for a in addresses]
-        raw_words = np.array([line.words for line in raw], dtype=np.uint64)
-        raw_checks = np.array([line.checks for line in raw], dtype=np.uint8)
-        golden = np.array(
-            [self.golden.read(a) for a in addresses], dtype=np.uint64
-        )
-
-        # The ledgers are sparse: scatter them instead of 8N dict gets.
-        # (Private maps of FaultInjectingStorage — the oracle is its
-        # verification twin and already shares the cold pattern.)
-        data_flips = np.zeros((n, WORDS_PER_LINE), dtype=np.uint64)
-        for (line_address, word), mask in storage._data_flips.items():
-            row = index.get(line_address)
-            if row is not None:
-                data_flips[row, word] = mask
-        check_flips = np.zeros((n, WORDS_PER_LINE), dtype=np.uint8)
-        for (line_address, word), mask in storage._check_flips.items():
-            row = index.get(line_address)
-            if row is not None:
-                check_flips[row, word] = mask
-
-        bad = np.any(raw_words != (golden ^ data_flips), axis=-1)
-        expected_checks = batch.encode_words(golden) ^ check_flips
-        bad |= np.any(raw_checks != expected_checks, axis=-1)
-        if storage.keep_pcc:
-            raw_pcc = np.array([line.pcc for line in raw], dtype=np.uint64)
-            pcc_flips = np.zeros(n, dtype=np.uint64)
-            for line_address, mask in storage._pcc_flips.items():
-                row = index.get(line_address)
-                if row is not None:
-                    pcc_flips[row] = mask
-            expected_pcc = (
-                np.bitwise_xor.reduce(golden, axis=-1) ^ pcc_flips
-            )
-            bad |= raw_pcc != expected_pcc
-
-        suspects = np.nonzero(bad)[0]
-        # Scalar re-check of flagged lines reproduces the exact
-        # violation records; clean lines are only counted.
-        self.lines_checked += n - len(suspects)
+        """End-of-run sweep: :meth:`check_line` on every materialised
+        line, in address order."""
         clean = True
-        for row in suspects:
-            clean = (
-                self.check_line(storage, addresses[int(row)], when="final")
-                and clean
-            )
+        for line_address in sorted(storage.lines()):
+            clean = self.check_line(storage, line_address, when="final") and clean
         return clean
 
     # -- reporting ------------------------------------------------------

@@ -6,28 +6,18 @@ operate on actual bits (tests prove end-to-end data integrity this way).
 Only touched lines are materialised; untouched lines read as a
 deterministic pseudo-random pattern derived from the line address so that
 "cold" reads still produce stable, checkable data.
-
-Timing-only simulations never build a store, so they never import numpy:
-:class:`MemoryStorage` resolves :mod:`repro.ecc.batch`'s optional vector
-path when it is constructed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.ecc import batch, hamming, parity
+from repro.ecc import hamming, parity
 from repro.memory.request import WORDS_PER_LINE
 
 _WORD_MASK = (1 << 64) - 1
-
-#: Below this many lines the scalar path wins: numpy's per-call overhead
-#: on 8-element arrays is a measured ~4x *regression* per line, while a
-#: full batch amortises to ~3x faster — so single-line operations stay
-#: scalar and only genuine batches take the vector path.
-_BATCH_MIN_LINES = 16
 
 
 @lru_cache(maxsize=32768)
@@ -75,10 +65,6 @@ class MemoryStorage:
 
     def __init__(self, keep_pcc: bool = True):
         self.keep_pcc = keep_pcc
-        #: Whether :meth:`prefetch` may take the vector path.  Reading
-        #: ``batch.HAS_NUMPY`` here imports numpy while a functional run
-        #: is built, never inside its run.
-        self._vector = batch.HAS_NUMPY
         self._lines: Dict[int, StoredLine] = {}
         #: Writes whose per-word comparison found no change (silent words).
         self.silent_word_writes = 0
@@ -166,45 +152,6 @@ class MemoryStorage:
         self.committed_words += committed
         self._lines[line_address] = StoredLine(tuple(words), tuple(checks), pcc)
         return dirty_mask
-
-    # ------------------------------------------------------------------
-    # Epoch prefetch (repro.ecc.batch; scalar fallback is automatic)
-    # ------------------------------------------------------------------
-    def prefetch(self, line_addresses: Iterable[int]) -> int:
-        """Materialise many cold lines at once; returns how many were new.
-
-        With numpy available the cold patterns, SECDED check bytes and
-        PCC parities of every missing line are computed as three array
-        operations (:func:`repro.ecc.batch.cold_line_words` +
-        :func:`repro.ecc.batch.encode_lines`) — bit-identical to the
-        scalar :func:`_cold_line` template, just amortised.  Without
-        numpy (or below :data:`_BATCH_MIN_LINES`) it degrades to the
-        per-line path, so callers never need to gate on the extra.
-
-        Prefetching is semantically invisible: it inserts exactly the
-        records lazy materialisation would, touches no counters, and
-        never overwrites a line that already exists.
-        """
-        lines = self._lines
-        missing = [a for a in line_addresses if a not in lines]
-        if not missing:
-            return 0
-        if self._vector and len(missing) >= _BATCH_MIN_LINES:
-            np = batch.np
-            addresses = np.array(missing, dtype=np.uint64)
-            words = batch.cold_line_words(addresses)
-            checks, pcc = batch.encode_lines(words)
-            # .tolist() yields plain Python ints — the stored tuples are
-            # indistinguishable from the scalar path's.
-            pcc_values = pcc.tolist() if self.keep_pcc else [0] * len(missing)
-            for address, w, c, p in zip(
-                missing, words.tolist(), checks.tolist(), pcc_values
-            ):
-                lines[address] = StoredLine(tuple(w), tuple(c), p)
-        else:
-            for address in missing:
-                self._materialise(address)
-        return len(missing)
 
     # ------------------------------------------------------------------
     # Fault injection (used to exercise RoW's deferred verification)

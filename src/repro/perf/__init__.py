@@ -1,13 +1,12 @@
 """Tracked microbenchmarks for the simulator's hot paths.
 
 The suite times the layers the hot-path optimisation work targets — the
-SECDED codec (scalar, and the vectorized batch encoder), the functional
-backing store, the event-engine dispatch loop, the synthetic trace
-generator, and the time-series sampler's and the tracer's overhead on
-the timing-only ``rwow-rde``/canneal reference run — and emits a seed-
-and git-stamped ``BENCH_perf.json`` (including the regression
-sentinel's pinned ``metrics_fingerprint`` section) so revisions stay
-comparable.
+SECDED codec, the functional backing store, the event-engine dispatch
+loop, the synthetic trace generator, and the time-series sampler's and
+the tracer's overhead on the timing-only ``rwow-rde``/canneal reference
+run — and emits a seed- and git-stamped ``BENCH_perf.json`` (including
+the regression sentinel's pinned ``metrics_fingerprint`` section) so
+revisions stay comparable.
 
 Entry points: the ``repro perf`` CLI command and the thin wrappers in
 ``benchmarks/perf/``.  See docs/PERFORMANCE.md for the workflow.
@@ -17,7 +16,6 @@ from repro.perf.suites import (
     SCHEMA_VERSION,
     TIMESERIES_OVERHEAD_CEILING,
     BenchReport,
-    bench_batch_codec,
     bench_codec,
     bench_engine_dispatch,
     bench_storage,
@@ -34,7 +32,6 @@ __all__ = [
     "BenchReport",
     "SCHEMA_VERSION",
     "TIMESERIES_OVERHEAD_CEILING",
-    "bench_batch_codec",
     "bench_codec",
     "bench_engine_dispatch",
     "bench_storage",

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 #: Payload format version: bump it whenever a top-level or speedup key
 #: changes meaning or goes away.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def time_call(fn: Callable[[], object], repeats: int = 5) -> float:
@@ -132,57 +132,6 @@ def bench_codec(seed: int, smoke: bool = False) -> BenchReport:
 
 
 # ----------------------------------------------------------------------
-# Batch codec: repro.ecc.batch arrays vs the scalar word loop
-# ----------------------------------------------------------------------
-def bench_batch_codec(seed: int, smoke: bool = False) -> BenchReport:
-    """Vectorized SECDED encode throughput against the scalar word loop.
-
-    Both paths run in the same process on the same words, so the
-    ``encode_vs_scalar`` ratio is machine independent — it is the number
-    the >=5x codec gate in :func:`check_payload` holds.  On a scalar-only
-    build (no numpy, or ``REPRO_NO_NUMPY``) the report carries the scalar
-    timing alone and the gate does not apply.
-    """
-    from repro.ecc import batch, hamming
-
-    n_words = 2_000 if smoke else 20_000
-    rng = random.Random(seed * 4243 + 17)
-    words = [rng.getrandbits(64) for _ in range(n_words)]
-    repeats = _repeats(smoke)
-    scale = 1e6 / n_words
-
-    def run_scalar_encode() -> None:
-        for w in words:
-            hamming.encode(w)
-
-    metrics: Dict[str, float] = {
-        "scalar_encode_us": time_call(run_scalar_encode, repeats) * scale,
-    }
-    if batch.HAS_NUMPY:
-        arr = batch.np.array(words, dtype=batch.np.uint64)
-
-        def run_batch_encode() -> None:
-            batch.encode_words(arr)
-
-        metrics["batch_encode_us"] = (
-            time_call(run_batch_encode, repeats) * scale
-        )
-        metrics["encode_vs_scalar"] = (
-            metrics["scalar_encode_us"] / metrics["batch_encode_us"]
-        )
-    return BenchReport(
-        name="batch_codec",
-        config={
-            "words": n_words,
-            "seed": seed,
-            "repeats": repeats,
-            "numpy": batch.HAS_NUMPY,
-        },
-        metrics=metrics,
-    )
-
-
-# ----------------------------------------------------------------------
 # Storage: cold-line materialisation, differential writes, diff masks
 # ----------------------------------------------------------------------
 def bench_storage(seed: int, smoke: bool = False) -> BenchReport:
@@ -213,14 +162,6 @@ def bench_storage(seed: int, smoke: bool = False) -> BenchReport:
         for address in addresses:
             store.read_line(address)
 
-    def run_prefetch() -> None:
-        # Same first-touch work as run_cold, via the batch entry point
-        # (vector path when numpy is present, scalar loop otherwise).
-        storage_mod._cold_pattern.cache_clear()
-        storage_mod._cold_line.cache_clear()
-        store = MemoryStorage(keep_pcc=True)
-        store.prefetch(addresses)
-
     warm = MemoryStorage(keep_pcc=True)
     for address in addresses:
         warm.read_line(address)
@@ -239,7 +180,6 @@ def bench_storage(seed: int, smoke: bool = False) -> BenchReport:
         config={"lines": n_lines, "seed": seed, "repeats": repeats},
         metrics={
             "cold_line_us": time_call(run_cold, repeats) * scale,
-            "prefetch_us": time_call(run_prefetch, repeats) * scale,
             "write_line_us": time_call(run_write, repeats) * scale,
             "diff_mask_us": time_call(run_diff, repeats) * scale,
         },
@@ -449,7 +389,7 @@ TIMESERIES_OVERHEAD_CEILING = 1.15
 # Suite assembly
 # ----------------------------------------------------------------------
 def run_suite(seed: int = 7, smoke: bool = False) -> dict:
-    """Run all seven benchmarks; returns the ``BENCH_perf.json`` payload."""
+    """Run all six benchmarks; returns the ``BENCH_perf.json`` payload."""
     from repro.analysis.regress import (
         collect_fingerprint,
         collect_frontend_fingerprint,
@@ -458,7 +398,6 @@ def run_suite(seed: int = 7, smoke: bool = False) -> dict:
 
     reports = [
         bench_codec(seed, smoke),
-        bench_batch_codec(seed, smoke),
         bench_storage(seed, smoke),
         bench_engine_dispatch(seed, smoke),
         bench_trace_gen(seed, smoke),
@@ -488,11 +427,6 @@ def run_suite(seed: int = 7, smoke: bool = False) -> dict:
         "codec.decode_vs_reference":
             by_name["codec"].metrics["decode_vs_reference"],
     }
-    batch_metrics = by_name["batch_codec"].metrics
-    if "encode_vs_scalar" in batch_metrics:
-        speedups["batch_codec.encode_vs_scalar"] = (
-            batch_metrics["encode_vs_scalar"]
-        )
     return {
         "schema": SCHEMA_VERSION,
         "suite": "perf",
@@ -536,24 +470,6 @@ def check_payload(payload: dict) -> List[str]:
                 failures.append(
                     f"benchmark {report['name']!r} metric {metric!r} "
                     f"is non-positive ({value})"
-                )
-        if report.get("name") == "batch_codec" and report.get(
-            "config", {}
-        ).get("numpy"):
-            # The vectorized encoder's headline contract: >=5x over the
-            # scalar loop whenever numpy is present.  A same-process
-            # ratio, so the gate is machine independent; measured values
-            # sit at ~20-40x, far above the floor.
-            ratio = report.get("metrics", {}).get("encode_vs_scalar")
-            if ratio is None:
-                failures.append(
-                    "batch_codec missing metric 'encode_vs_scalar' on a "
-                    "numpy build"
-                )
-            elif ratio < 5.0:
-                failures.append(
-                    f"batch_codec.encode_vs_scalar = {ratio:.2f}x, below "
-                    "the 5x vectorization floor"
                 )
         if report.get("name") == "timeseries" and not payload.get("smoke"):
             ratio = report.get("metrics", {}).get("overhead_ratio")

@@ -473,10 +473,6 @@ class CampaignStore:
             raise KeyError(f"unknown campaign {campaign!r}")
         return row["total"]
 
-    def all_done(self, campaign: str) -> bool:
-        counts = self.counts(campaign)
-        return counts["total"] > 0 and counts["done"] == counts["total"]
-
     def jobs_in_order(self, campaign: str) -> List[Dict[str, object]]:
         """Submission-order job rows (without the pickled payload)."""
         with self._guard():

@@ -144,7 +144,8 @@ class WriteWindow:
 
 
 class IrlpRecorder:
-    """Collects write windows and summarises IRLP."""
+    """Collects a controller's write windows (``MainMemory.irlp_summary``
+    summarises their IRLP)."""
 
     def __init__(self) -> None:
         self.windows: List[WriteWindow] = []
@@ -153,15 +154,6 @@ class IrlpRecorder:
         window = WriteWindow(start, end)
         self.windows.append(window)
         return window
-
-    def average(self) -> float:
-        """Mean IRLP across windows (0 when no writes were serviced)."""
-        values = [w.irlp() for w in self.windows if w.duration > 0]
-        return sum(values) / len(values) if values else 0.0
-
-    def maximum(self) -> float:
-        values = [w.irlp() for w in self.windows if w.duration > 0]
-        return max(values) if values else 0.0
 
     def drain_busy_ticks(self) -> int:
         """Union duration of all write service spans (incl. ECC/PCC tails)."""

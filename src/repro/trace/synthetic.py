@@ -15,9 +15,8 @@ The generator is deterministic per (profile, seed, core); every draw goes
 through one ``random.Random`` instance.  Each generator holds one stream
 that draws a record only when a reader asks for it, so a run draws
 exactly the records its cores issue, and the stream is the same however
-it is read: :meth:`~SyntheticTraceGenerator.take` chunks, the
-:meth:`~SyntheticTraceGenerator.records` iterator, or batches of
-:data:`ON_EPOCH_BATCH` handed to an ``on_epoch`` hook.
+it is read: :meth:`~SyntheticTraceGenerator.take` chunks or the
+:meth:`~SyntheticTraceGenerator.records` iterator.
 """
 
 from __future__ import annotations
@@ -28,19 +27,11 @@ from bisect import bisect
 from collections import deque
 from itertools import accumulate, islice
 from math import log
-from typing import Callable, Deque, Iterator, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from repro.memory.request import LINE_BYTES, WORDS_PER_LINE
 from repro.trace.record import AccessKind, TraceRecord, _trusted_record
 from repro.trace.workloads import WorkloadKind, WorkloadProfile
-
-#: Records handed to an ``on_epoch`` hook per call.  Only the hooks batch:
-#: a functional run prefetches each batch's cold lines, and the timed tier
-#: classifies each batch in one vectorized pass, so the batch is sized to
-#: amortise those passes' fixed per-call cost.  It changes how far ahead
-#: of its core the stream is drawn, never the records, and the hooks are
-#: advisory (prefetching is semantically invisible).
-ON_EPOCH_BATCH = 2048
 
 
 class SyntheticTraceGenerator:
@@ -266,36 +257,16 @@ class SyntheticTraceGenerator:
                 base_address + line * LINE_BYTES,
             )
 
-    def records(
-        self,
-        on_epoch: Optional[Callable[[List[TraceRecord]], None]] = None,
-    ) -> Iterator[TraceRecord]:
+    def records(self) -> Iterator[TraceRecord]:
         """The generator's endless stream of memory-level trace records.
 
-        Without ``on_epoch`` this is the stream itself: each record is
-        drawn as it is pulled.  With ``on_epoch``, records are drawn
-        :data:`ON_EPOCH_BATCH` at a time and each batch is handed to the
-        hook before it is yielded; functional runs use this to prefetch a
-        batch's cold lines into storage in one vectorized pass.
-
-        Either way every reader shares one stream: this continues where
-        an earlier :meth:`take` stopped (mid-burst included), and a
-        :meth:`take` after an abandoned iterator continues past the
-        records it drew.
+        Each record is drawn as it is pulled.  Every reader shares one
+        stream: this continues where an earlier :meth:`take` stopped
+        (mid-burst included), and a :meth:`take` after an abandoned
+        iterator continues past the records it drew.
         """
         self._check_profile()
-        if on_epoch is None:
-            return self._stream
-        return self._batched(on_epoch)
-
-    def _batched(
-        self, on_epoch: Callable[[List[TraceRecord]], None]
-    ) -> Iterator[TraceRecord]:
-        stream = self._stream
-        while True:
-            batch = list(islice(stream, ON_EPOCH_BATCH))
-            on_epoch(batch)
-            yield from batch
+        return self._stream
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return self.records()

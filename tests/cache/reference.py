@@ -286,7 +286,3 @@ class SetAssociativeCache:
                         (entry.tag * self.n_sets + set_index) * LINE_BYTES
                     )
         return addresses
-
-    def classify_batch(self, addresses: List[int]) -> List[bool]:
-        """Hit/miss classification (read-only, no bookkeeping)."""
-        return [self.contains(address) for address in addresses]

@@ -1,14 +1,14 @@
 """Unit tests for the columnar set-associative cache's own contracts.
 
-Slab indices from ``probe``, snapshot ``line_state``, sentinel hygiene in
-the vector classification, drain order and functional payloads.
+Slab indices from ``probe``, snapshot ``line_state``, sentinel hygiene of
+vacated tag slots, drain order and functional payloads.
 """
 
 import pytest
 
 from repro.cache.dram_cache import DramCache, DramCacheConfig
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.cache.set_assoc import BATCH_MIN_ACCESSES, ArraySetCache
+from repro.cache.set_assoc import ArraySetCache
 from tests.cache.reference import SetAssociativeCache
 
 LINE = 64
@@ -106,19 +106,16 @@ def test_line_state_miss_returns_none():
 # ----------------------------------------------------------------------
 # Sentinel hygiene: vacated slots must never produce stale hits
 # ----------------------------------------------------------------------
-def test_invalidate_restores_sentinel_no_stale_classify_hits():
+def test_invalidate_restores_sentinel_no_stale_hits():
     cache = _small_cache(sets=1, assoc=4)
     addresses = [i * LINE for i in range(4)]
     for address in addresses:
         cache.access(address, is_write=False)
     cache.invalidate(1 * LINE)
-    # Enough duplicates to clear BATCH_MIN_ACCESSES so the vector path
-    # (when numpy is present) is the one under test.
-    batch = addresses * BATCH_MIN_ACCESSES
-    flags = cache.classify_batch(batch)
-    for address, flag in zip(batch, flags):
-        assert flag == (address != 1 * LINE)
-    assert not cache.contains(1 * LINE)
+    for address in addresses:
+        assert cache.contains(address) == (address != 1 * LINE)
+    # The vacated tail slot holds the -1 sentinel again.
+    assert list(cache._tags) == [0, 2, 3, -1]
 
 
 def test_eviction_shifts_tail_and_restores_sentinel():
@@ -130,8 +127,7 @@ def test_eviction_shifts_tail_and_restores_sentinel():
     assert evicted is not None and evicted.address == 1 * LINE
     assert cache.contains(0) and cache.contains(2 * LINE)
     assert not cache.contains(1 * LINE)
-    flags = cache.classify_batch([1 * LINE] * BATCH_MIN_ACCESSES)
-    assert not any(flags)
+    assert list(cache._tags) == [0, 2]
 
 
 # ----------------------------------------------------------------------

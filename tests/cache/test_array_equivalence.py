@@ -5,18 +5,12 @@ object-per-line reference model (:mod:`tests.cache.reference`) stream
 for stream — every hit/miss verdict, every victim choice, every
 write-back record, under all three replacement policies.  Hypothesis
 drives random access streams (and mixed probe/install/invalidate/
-merge_dirty/classify op sequences) through both on a tiny
+merge_dirty/contains op sequences) through both on a tiny
 eviction-heavy geometry and asserts the observable sequences match
-exactly.  A subprocess leg re-runs a seeded subset under
-``REPRO_NO_NUMPY=1`` so the scalar classification is held to the same
-bar as the vectorized one.
+exactly.
 """
 
-import os
 import random
-import subprocess
-import sys
-import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -80,7 +74,7 @@ def test_access_streams_are_bit_identical(policy, stream):
 mixed_ops = st.lists(
     st.tuples(
         st.sampled_from(["access", "probe", "install",
-                         "invalidate", "merge_dirty", "classify"]),
+                         "invalidate", "merge_dirty", "contains"]),
         st.integers(0, N_LINES - 1),
         st.integers(0, 255),
     ),
@@ -123,11 +117,10 @@ def test_mixed_op_sequences_are_bit_identical(policy, ops):
         elif op == "merge_dirty":
             obj.merge_dirty(address, extra)
             arr.merge_dirty(address, extra)
-        elif op == "classify":
-            probe_set = [(line + i) % N_LINES * LINE for i in range(20)]
-            assert arr.classify_batch(probe_set) == obj.classify_batch(
-                probe_set
-            )
+        elif op == "contains":
+            for i in range(20):
+                probe = (line + i) % N_LINES * LINE
+                assert arr.contains(probe) == obj.contains(probe)
         obj_state = obj.line_state(address)
         arr_state = arr.line_state(address)
         assert (obj_state is None) == (arr_state is None)
@@ -137,66 +130,8 @@ def test_mixed_op_sequences_are_bit_identical(policy, ops):
     assert arr.dirty_lines() == obj.dirty_lines()
 
 
-# ----------------------------------------------------------------------
-# REPRO_NO_NUMPY leg: the array-module scalar path meets the same bar
-# ----------------------------------------------------------------------
-_NO_NUMPY_PROBE = textwrap.dedent(
-    """
-    import random
-
-    from repro.cache.set_assoc import ArraySetCache
-    from repro.ecc import batch
-    from tests.cache.reference import SetAssociativeCache
-
-    assert not batch.HAS_NUMPY, "probe must run on the scalar build"
-    LINE = 64
-    for policy in ("lru", "clock", "mac"):
-        rng = random.Random(1234)
-        obj = SetAssociativeCache(LINE * 8, 2, policy=policy)
-        arr = ArraySetCache(LINE * 8, 2, policy=policy)
-        stream = [
-            (rng.randrange(24) * LINE, rng.random() < 0.3)
-            for _ in range(600)
-        ]
-        for address, is_write in stream:
-            obj_hit, obj_ev = obj.access(address, is_write)
-            arr_hit, arr_ev = arr.access(address, is_write)
-            assert arr_hit == obj_hit
-            assert (obj_ev is None) == (arr_ev is None)
-            if obj_ev is not None:
-                assert arr_ev.address == obj_ev.address
-                assert arr_ev.dirty_mask == obj_ev.dirty_mask
-        assert arr.dirty_lines() == obj.dirty_lines()
-        assert arr.stats.hits == obj.stats.hits
-        assert arr.stats.misses == obj.stats.misses
-        # classify_batch must fall back to the scalar scan, identically.
-        addresses = [a for a, _ in stream[:64]]
-        assert arr.classify_batch(addresses) == obj.classify_batch(addresses)
-    print("SCALAR-EQUIV-OK")
-    """
-)
-
-
-def test_no_numpy_equivalence_subprocess():
-    env = dict(os.environ, REPRO_NO_NUMPY="1")
-    root = os.path.join(os.path.dirname(__file__), "..", "..")
-    env["PYTHONPATH"] = os.pathsep.join(
-        os.path.abspath(os.path.join(root, path)) for path in ("src", ".")
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_PROBE],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "SCALAR-EQUIV-OK" in proc.stdout
-
-
 def test_seeded_smoke_equivalence():
-    """Deterministic (non-hypothesis) leg mirroring the subprocess probe
-    on the current build — the subset CI's no-numpy job also runs."""
+    """Deterministic (non-hypothesis) leg: one seeded stream per policy."""
     for policy in POLICIES:
         rng = random.Random(99)
         obj, arr = _pair(policy)

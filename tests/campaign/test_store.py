@@ -86,8 +86,7 @@ def test_complete_only_for_current_owner_and_only_once(store):
     # Double-complete refused; the row stays done.
     assert store.complete("c1", leased.job_index, "w1") is False
     counts = state_partition(store, "c1")
-    assert counts["done"] == 1 and counts["leased"] == 0
-    assert store.all_done("c1")
+    assert counts["done"] == counts["total"] == 1 and counts["leased"] == 0
 
 
 def test_fail_requeues_with_backoff_then_dead_letters(tmp_path):

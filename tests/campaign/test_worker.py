@@ -36,7 +36,7 @@ def test_worker_drains_campaign_and_caches_results(store, cache):
     completed = worker.run(campaign="c1", once=True)
     assert completed == 3
     assert worker.executed == 3 and worker.failed == 0
-    assert store.all_done("c1")
+    assert store.counts("c1")["done"] == 3
     for job in jobs:
         got = cache.get(job.cache_key())
         assert got is not None
@@ -51,7 +51,7 @@ def test_worker_serves_cache_hits_without_executing(store, cache):
     worker = Worker(store, cache, worker_id="w1", execute=_fake_execute)
     assert worker.run(campaign="c1", once=True) == 2
     assert worker.executed == 0 and worker.cached == 2
-    assert store.all_done("c1")
+    assert store.counts("c1")["done"] == 2
 
 
 def test_poison_job_dead_letters_with_traceback(store, cache):
@@ -110,7 +110,7 @@ def test_worker_retries_through_backoff_gate(tmp_path, cache):
     completed = worker.run(campaign="c1", once=True, poll_seconds=0.05)
     assert completed == 1
     assert len(calls) == 2
-    assert store.all_done("c1")
+    assert store.counts("c1")["done"] == 1
     assert store.job("c1", 0)["attempts"] == 2
     store.close()
 
@@ -157,7 +157,7 @@ def test_heartbeat_keeps_slow_job_leased(tmp_path, cache):
     worker = Worker(store, cache, worker_id="w1", execute=slow)
     leased = store.lease("w1", "c1")
     assert worker.run_one(leased) is True
-    assert store.all_done("c1")
+    assert store.counts("c1")["done"] == 1
     store.close()
 
 

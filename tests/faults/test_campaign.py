@@ -1,5 +1,6 @@
 """End-to-end campaigns: reproducibility, convergence, self-test, CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,11 @@ from repro.trace.record import AccessKind, TraceRecord
 pytestmark = pytest.mark.faults
 
 SMALL = dict(target_requests=800)
+
+#: sha256 of ``repro faults --smoke --seed 1 --json``'s stdout.
+SMOKE_SEED1_REPORT_SHA256 = (
+    "196deb346e483570384b89620423d5f20145192695d718de0e632df009449bc5"
+)
 
 
 class TestPayloadAdapter:
@@ -127,3 +133,9 @@ class TestFaultsCli:
         first = capsys.readouterr().out
         main(["faults", "--smoke", "--json", "--seed", "7"])
         assert capsys.readouterr().out == first
+
+    def test_smoke_report_is_pinned(self, capsys):
+        """The seed-1 smoke report, byte for byte (sha256 of the JSON)."""
+        assert main(["faults", "--smoke", "--seed", "1", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
+        assert digest.hexdigest() == SMOKE_SEED1_REPORT_SHA256

@@ -8,8 +8,9 @@ its dirty words.
 
 import random
 
+import pytest
 
-from repro.core.systems import make_system
+from repro.core.systems import make_front_end, make_system
 from repro.memory.memsys import MainMemory
 from repro.memory.request import (
     MemoryRequest,
@@ -127,3 +128,53 @@ def test_storage_shared_across_channels():
         controller.storage is memory.storage
         for controller in memory.controllers
     )
+
+
+#: The functional reference run (rwow-rde/canneal, seed 7, 3000 requests),
+#: direct and behind a 0.25 MB DRAM tier: tier MB -> (events, ticks,
+#: lines the store holds, ``results_digest`` with the attribution header
+#: held fixed).
+FUNCTIONAL_REFERENCE = {
+    None: (6150, 364931, 2041,
+           "c5cde6113c4f31e42fc8d390bd9c845de793b18ea4ac07382f28e2a1a909ed77"),
+    0.25: (5913, 213644, 2685,
+           "d0a6c428ac3aafd6a7575b8dadbad7eadef4dca90ae10a96faa8e72716428ff5"),
+}
+
+
+def _functional_reference_run(tier_mb, monkeypatch):
+    from repro.sim import results_io
+    from repro.sim.simulator import SimulationParams, SystemSimulator
+
+    # The manifest names the checkout and the host; hold it fixed so the
+    # digest covers only what the run computed.
+    monkeypatch.setattr(results_io, "code_version", lambda: "pinned")
+    monkeypatch.setattr(results_io, "run_manifest",
+                        lambda seed=-1: {"seed": seed})
+    extra = {}
+    if tier_mb is not None:
+        extra["front_end"] = make_front_end("dram", capacity_mb=tier_mb)
+    sim = SystemSimulator(
+        make_system("rwow-rde", functional=True),
+        "canneal",
+        SimulationParams(target_requests=3000, seed=7, **extra),
+    )
+    result = sim.run()
+    return sim, result, results_io.results_digest([result])
+
+
+@pytest.mark.parametrize("tier_mb", [None, 0.25], ids=["direct", "tier"])
+def test_functional_reference_run_is_pinned(tier_mb, monkeypatch):
+    _sim, result, digest = _functional_reference_run(tier_mb, monkeypatch)
+    events, ticks, _lines, expected = FUNCTIONAL_REFERENCE[tier_mb]
+    assert (result.profile.events_dispatched, result.sim_ticks) == (
+        events, ticks
+    )
+    assert digest == expected
+
+
+@pytest.mark.parametrize("tier_mb", [None, 0.25], ids=["direct", "tier"])
+def test_store_holds_only_the_lines_the_run_touched(tier_mb, monkeypatch):
+    """Lines materialise on first touch: reads and committed writes."""
+    sim, _result, _digest = _functional_reference_run(tier_mb, monkeypatch)
+    assert len(sim.memory.storage) == FUNCTIONAL_REFERENCE[tier_mb][2]

@@ -10,7 +10,6 @@ import json
 from pathlib import Path
 
 from repro import cli
-from repro.ecc import batch
 from repro.perf import SCHEMA_VERSION, check_payload, run_suite
 
 #: Top-level keys of the BENCH_perf.json payload, in any order.
@@ -19,14 +18,11 @@ TOP_LEVEL_KEYS = {
     "benchmarks", "speedups", "metrics_fingerprint",
 }
 
-#: Every speedup is a same-process ratio; the vector-path one exists only
-#: on numpy builds.
+#: Every speedup is a same-process ratio.
 SAME_PROCESS_SPEEDUPS = {"codec.encode_vs_reference", "codec.decode_vs_reference"}
-NUMPY_SPEEDUPS = {"batch_codec.encode_vs_scalar"}
 
 BENCHMARK_NAMES = [
-    "codec", "batch_codec", "storage", "engine", "trace_gen",
-    "timeseries", "tracing",
+    "codec", "storage", "engine", "trace_gen", "timeseries", "tracing",
 ]
 
 #: Trace events of the smoke reference run (rwow-rde/canneal, 600
@@ -93,21 +89,10 @@ def test_perf_payload_schema(capsys):
     assert tracing["config"]["target_requests"] == 600
     assert tracing["metrics"]["events"] == SMOKE_TRACE_EVENTS_SEED3
     assert tracing["metrics"]["overhead_ratio"] > 0
-    # The batch report declares which path it measured; on numpy builds
-    # it must carry the gated vectorization ratio.  It times encoding
-    # only: no run decodes in bulk.
-    batch_codec = by_name["batch_codec"]
-    assert batch_codec["config"]["numpy"] is batch.HAS_NUMPY
-    if batch.HAS_NUMPY:
-        assert batch_codec["metrics"]["encode_vs_scalar"] > 0
-        assert "batch_codec.encode_vs_scalar" in payload["speedups"]
-    else:
-        assert "encode_vs_scalar" not in batch_codec["metrics"]
-        assert "batch_codec.encode_vs_scalar" not in payload["speedups"]
-    assert not any("decode" in key for key in batch_codec["metrics"])
-    assert set(payload["speedups"]) == SAME_PROCESS_SPEEDUPS | (
-        NUMPY_SPEEDUPS if batch.HAS_NUMPY else set()
-    )
+    assert set(by_name["storage"]["metrics"]) == {
+        "cold_line_us", "write_line_us", "diff_mask_us",
+    }
+    assert set(payload["speedups"]) == SAME_PROCESS_SPEEDUPS
     # Smoke suites pin only the smoke-budget legs (the full ones need
     # full-budget runs); the reference configs match the suite seed.
     fingerprint = payload["metrics_fingerprint"]
@@ -130,7 +115,7 @@ def test_committed_payload_has_the_current_schema():
     payload = json.loads((path / "BENCH_perf.json").read_text())
     assert payload["schema"] == SCHEMA_VERSION
     assert set(payload) == TOP_LEVEL_KEYS
-    assert set(payload["speedups"]) == SAME_PROCESS_SPEEDUPS | NUMPY_SPEEDUPS
+    assert set(payload["speedups"]) == SAME_PROCESS_SPEEDUPS
 
 
 def test_run_suite_passes_its_own_regression_gate():
@@ -157,36 +142,6 @@ def test_check_payload_reports_missing_metrics():
     failures = check_payload({"speedups": {}, "benchmarks": []})
     assert len(failures) == 2
     assert all("missing" in f for f in failures)
-
-
-def test_check_payload_gates_batch_codec_on_numpy_builds():
-    base = {
-        "speedups": {
-            "codec.encode_vs_reference": 2.0,
-            "codec.decode_vs_reference": 5.0,
-        },
-    }
-    slow = dict(base, benchmarks=[{
-        "name": "batch_codec",
-        "config": {"numpy": True},
-        "metrics": {"encode_vs_scalar": 1.5},
-    }])
-    failures = check_payload(slow)
-    assert any("5x vectorization floor" in f for f in failures)
-    missing = dict(base, benchmarks=[{
-        "name": "batch_codec",
-        "config": {"numpy": True},
-        "metrics": {"scalar_encode_us": 1.0},
-    }])
-    failures = check_payload(missing)
-    assert any("missing metric" in f for f in failures)
-    # Scalar-only builds carry no ratios and are never gated.
-    scalar = dict(base, benchmarks=[{
-        "name": "batch_codec",
-        "config": {"numpy": False},
-        "metrics": {"scalar_encode_us": 1.0},
-    }])
-    assert check_payload(scalar) == []
 
 
 def test_check_payload_gates_sampling_overhead_at_full_budget():

@@ -5,7 +5,7 @@ requests: 6150 events / 364931 ticks) emits 55,701 trace events into a
 ``RingBufferSink``.  Counting ``TraceEvent`` constructions pins the
 contract: none while the run records, and exactly one per retained event
 when ``events`` is read.  The count is deterministic, so it holds on
-every CPython version and on the scalar (no-numpy) build alike.
+every CPython version.
 """
 
 from repro.core.systems import make_system

@@ -193,6 +193,18 @@ def test_irlp_equals_the_per_chip_merge_reference(span, activities, grow):
 # ----------------------------------------------------------------------
 # IrlpRecorder
 # ----------------------------------------------------------------------
+def _irlp_summary(*recorders):
+    """``MainMemory.irlp_summary`` over one recorder per channel."""
+    from types import SimpleNamespace
+
+    from repro.memory.memsys import MainMemory
+
+    memory = SimpleNamespace(
+        controllers=[SimpleNamespace(irlp=r) for r in recorders]
+    )
+    return MainMemory.irlp_summary(memory)
+
+
 def test_recorder_average_over_windows():
     recorder = IrlpRecorder()
     w1 = recorder.open_window(0, 100)
@@ -201,14 +213,16 @@ def test_recorder_average_over_windows():
     w2.add_activity(0, 200, 300)
     w2.add_activity(1, 200, 300)
     w2.add_activity(2, 200, 300)
-    assert recorder.average() == pytest.approx(2.0)
-    assert recorder.maximum() == pytest.approx(3.0)
+    mean, peak = _irlp_summary(recorder)
+    assert mean == pytest.approx(2.0)
+    assert peak == pytest.approx(3.0)
 
 
 def test_recorder_empty_average_is_zero():
     recorder = IrlpRecorder()
-    assert recorder.average() == 0.0
-    assert recorder.maximum() == 0.0
+    assert _irlp_summary(recorder) == (0.0, 0.0)
+    recorder.open_window(50, 50)  # zero duration: never averaged
+    assert _irlp_summary(recorder) == (0.0, 0.0)
 
 
 def test_drain_busy_ticks_unions_service_spans():

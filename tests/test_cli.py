@@ -596,6 +596,21 @@ def test_sweep_options_that_do_not_apply_exit_2(argv, option, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("option, value", [
+    # Values equal to the defaults count too: the option was given.
+    pytest.param("--front-end", "none", id="front-end"),
+    pytest.param("--replacement", "lru", id="replacement"),
+    pytest.param("--frontend-mb", "0.25", id="frontend-mb"),
+])
+def test_faults_refuses_tier_options(option, value, capsys):
+    """Fault campaigns run the direct path, so a tier option would be
+    silently ignored: each exits 2 naming the option."""
+    assert main(["faults", "--smoke", "--seed", "1", option, value]) == 2
+    captured = capsys.readouterr()
+    assert f"repro faults: {option} does not apply" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
 @pytest.mark.campaign
 def test_serve_until_done(tmp_path, capsys):
     store = str(tmp_path / "campaign.sqlite")

@@ -1,16 +1,20 @@
-"""numpy loads on first use, never on ``import repro``.
+"""No run imports numpy; timing-only runs defer the functional cache stack.
 
 Every case runs in a fresh interpreter, so ``sys.modules`` reflects only
-the code under test, not whatever earlier tests imported.
+the code under test, not whatever earlier tests imported.  A stub
+``numpy`` sits first on ``PYTHONPATH``: importing it logs the attempt
+and raises ``ImportError``, as a missing or broken install would.  So
+each case must succeed without numpy, leave ``numpy`` out of
+``sys.modules``, and not even try the import (a guarded ``try: import
+numpy`` is caught by the log, in worker processes too).
 
-* Timing-only runs never import numpy, nor the functional cache stack
+* Timing-only runs also never import the functional cache stack
   (``repro.cache.hierarchy``): ``import repro``, the end-to-end
   benchmark's imports, the reference run direct, behind a DRAM tier and
   traced and sampled, and a two-worker sweep.
-* A functional build imports numpy while the simulator is built (when
-  numpy is usable), so the import never lands inside ``run()``.
-* A numpy that raises ``ImportError`` on import still selects the scalar
-  path, exactly as a missing one does.
+* Functional runs need no numpy either: the reference run with a
+  backing store, direct and behind the tier, and ``repro faults
+  --smoke``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import pytest
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
-#: Modules that load on first use and that no timing-only run uses.
+#: Modules no timing-only run imports.
 DEFERRED = ("numpy", "repro.cache.hierarchy")
 
 #: What each timing-only case runs; the harness then asserts every
@@ -89,87 +93,76 @@ TIMING_ONLY = {
     """,
 }
 
-FUNCTIONAL_BUILD = """
-    import sys
+#: Runs that build a backing store or a fault campaign; the harness
+#: asserts numpy is still absent.
+FUNCTIONAL = {
+    "functional-direct": """
+        from repro.core.systems import make_system
+        from repro.sim.simulator import SimulationParams, SystemSimulator
 
-    from repro.core.systems import make_system
-    from repro.sim.simulator import SimulationParams, SystemSimulator
+        params = SimulationParams(target_requests=3000, seed=7)
+        result = SystemSimulator(
+            make_system("rwow-rde", functional=True), "canneal", params
+        ).run()
+        assert (result.profile.events_dispatched, result.sim_ticks) == (
+            6150, 364931
+        ), (result.profile.events_dispatched, result.sim_ticks)
+    """,
+    "functional-tier": """
+        from repro.core.systems import make_front_end, make_system
+        from repro.sim.simulator import SimulationParams, SystemSimulator
 
-    assert "numpy" not in sys.modules
-    sim = SystemSimulator(
-        make_system("rwow-rde", functional=True), "canneal",
-        SimulationParams(target_requests=600, seed=7),
+        params = SimulationParams(
+            target_requests=3000, seed=7,
+            front_end=make_front_end("dram", capacity_mb=0.25),
+        )
+        result = SystemSimulator(
+            make_system("rwow-rde", functional=True), "canneal", params
+        ).run()
+        assert (result.profile.events_dispatched, result.sim_ticks) == (
+            5913, 213644
+        ), (result.profile.events_dispatched, result.sim_ticks)
+    """,
+    "faults-smoke": """
+        from repro.cli import main
+
+        assert main(["faults", "--smoke", "--seed", "1"]) == 0
+    """,
+}
+
+
+def _run_without(code: str, absent: tuple, tmp_path) -> None:
+    """Run ``code`` in a fresh interpreter whose ``numpy`` is a stub that
+    logs the attempt and fails; then assert every ``absent`` module is
+    missing from ``sys.modules`` and that nothing tried numpy."""
+    log = tmp_path / "numpy-imports.log"
+    stub = tmp_path / "stub" / "numpy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text(
+        f"open({str(log)!r}, 'a').write('numpy import attempted\\n')\n"
+        "raise ImportError('numpy stub: no run may import numpy')\n"
     )
-    loaded = "numpy" in sys.modules  # before anything reads batch.HAS_NUMPY
-
-    from repro.ecc import batch
-
-    assert loaded == batch.HAS_NUMPY, (loaded, batch.numpy_disabled_reason())
-    sim.run()
-    assert ("numpy" in sys.modules) == loaded
-    print("FUNCTIONAL-OK", loaded)
-"""
-
-#: A numpy whose import fails the way a broken install does.
-BROKEN_NUMPY = 'raise ImportError("numpy stub: deliberately broken")\n'
-
-BROKEN_PROBE = """
-    import random
-
-    from repro.cache.set_assoc import ArraySetCache
-    from repro.ecc import batch
-    from repro.memory.storage import MemoryStorage
-
-    assert batch.HAS_NUMPY is False
-    assert batch.np is None
-    reason = batch.numpy_disabled_reason()
-    assert reason and "deliberately broken" in reason, reason
-
-    rng = random.Random(5)
-    addresses = rng.sample(range(1 << 24), 32)
-    batched, scalar = MemoryStorage(), MemoryStorage()
-    assert batched.prefetch(addresses) == len(addresses)
-    for address in addresses:
-        assert batched.read_line(address) == scalar.read_line(address)
-
-    cache = ArraySetCache(64 * 8, 2)
-    cache.install(0)
-    assert cache.classify_batch([0, 64] * 16) == [True, False] * 16
-    print("BROKEN-NUMPY-OK")
-"""
-
-
-def _python(code: str, *path: str, unset: tuple = ()) -> str:
-    """Run ``code`` in a fresh interpreter with ``path`` + src importable."""
-    env = {key: value for key, value in os.environ.items() if key not in unset}
-    env["PYTHONPATH"] = os.pathsep.join(path + (SRC,))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join((str(stub.parent), SRC))
+    probe = "import sys\n" + textwrap.dedent(code) + textwrap.dedent(f"""
+        loaded = [name for name in {absent!r} if name in sys.modules]
+        assert not loaded, loaded
+        print("ABSENT-OK")
+    """)
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, "-c", probe],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert "ABSENT-OK" in proc.stdout
+    assert not log.exists(), log.read_text()
 
 
 @pytest.mark.parametrize("case", sorted(TIMING_ONLY))
-def test_timing_only_runs_skip_the_deferred_imports(case):
-    out = _python(
-        "import sys\n" + textwrap.dedent(TIMING_ONLY[case]) + textwrap.dedent(f"""
-            loaded = [name for name in {DEFERRED!r} if name in sys.modules]
-            assert not loaded, loaded
-            print("DEFERRED-OK")
-        """)
-    )
-    assert "DEFERRED-OK" in out
+def test_timing_only_runs_skip_the_deferred_imports(case, tmp_path):
+    _run_without(TIMING_ONLY[case], DEFERRED, tmp_path)
 
 
-def test_functional_build_imports_numpy_at_construction():
-    assert "FUNCTIONAL-OK" in _python(FUNCTIONAL_BUILD)
-
-
-def test_broken_numpy_falls_back_to_the_scalar_path(tmp_path):
-    stub = tmp_path / "numpy"
-    stub.mkdir()
-    (stub / "__init__.py").write_text(BROKEN_NUMPY)
-    out = _python(BROKEN_PROBE, str(tmp_path), unset=("REPRO_NO_NUMPY",))
-    assert "BROKEN-NUMPY-OK" in out
+@pytest.mark.parametrize("case", sorted(FUNCTIONAL))
+def test_functional_runs_never_import_numpy(case, tmp_path):
+    _run_without(FUNCTIONAL[case], ("numpy",), tmp_path)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.memory.request import LINE_BYTES
 from repro.trace.record import AccessKind
-from repro.trace.synthetic import ON_EPOCH_BATCH, SyntheticTraceGenerator
+from repro.trace.synthetic import SyntheticTraceGenerator
 from repro.trace.workloads import ALL_WORKLOADS, get_workload
 
 
@@ -292,22 +292,16 @@ def test_take_then_records_continues_mid_burst():
     assert head + list(islice(generator.records(), 2000 - cut)) == reference
 
 
-def test_hook_sees_each_batch_of_the_stream_before_it_is_read():
-    reference = _generator().take(10 + 2 * ON_EPOCH_BATCH)
-    generator = _generator()
-    head = generator.take(10)
-    batches = []
-    stream = generator.records(on_epoch=batches.append)
-    first = next(stream)
-    assert batches == [reference[10:10 + ON_EPOCH_BATCH]]
-    rest = list(islice(stream, ON_EPOCH_BATCH))
-    assert batches[1:] == [reference[10 + ON_EPOCH_BATCH:]]
-    assert head + [first] + rest == reference[:11 + ON_EPOCH_BATCH]
-
-
-@pytest.mark.parametrize("tier_mb", [None, 0.25], ids=["direct", "tier"])
-def test_a_run_draws_only_the_records_its_cores_issue(tier_mb, monkeypatch):
-    """Every core's generator stops just past its last issued record."""
+@pytest.mark.parametrize("tier_mb, functional", [
+    pytest.param(None, False, id="direct"),
+    pytest.param(0.25, False, id="tier"),
+    pytest.param(None, True, id="direct-functional"),
+    pytest.param(0.25, True, id="tier-functional"),
+])
+def test_a_run_draws_only_the_records_its_cores_issue(tier_mb, functional,
+                                                      monkeypatch):
+    """Every core's generator stops just past its last issued record,
+    with or without a backing store."""
     from repro.core.systems import make_front_end, make_system
     from repro.sim.simulator import SimulationParams, SystemSimulator
 
@@ -325,7 +319,7 @@ def test_a_run_draws_only_the_records_its_cores_issue(tier_mb, monkeypatch):
     if tier_mb is not None:
         extra["front_end"] = make_front_end("dram", capacity_mb=tier_mb)
     sim = SystemSimulator(
-        make_system("rwow-rde"),
+        make_system("rwow-rde", functional=functional),
         "canneal",
         SimulationParams(target_requests=3000, seed=7, **extra),
     )
