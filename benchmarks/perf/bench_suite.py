@@ -1,10 +1,10 @@
 """Full perf suite: refreshes the committed BENCH_perf.json.
 
-Runs every microbenchmark at full budget, writes the seed- and
-git-stamped payload — including the regression sentinel's pinned
-``metrics_fingerprint`` section — to ``benchmarks/results/BENCH_perf.json``
-(the file tracked in version control), and applies the gross-regression
-gate.
+Runs every microbenchmark at full budget, applies the gross-regression
+gate, and only when it passes writes the seed- and git-stamped payload —
+including the regression sentinel's pinned ``metrics_fingerprint``
+section — to ``benchmarks/results/BENCH_perf.json`` (the file tracked in
+version control), so a failing run never replaces the committed one.
 """
 
 import json
@@ -23,7 +23,7 @@ def test_perf_suite(benchmark):
     payload = benchmark.pedantic(
         lambda: run_suite(seed=PERF_SEED), rounds=1, iterations=1
     )
+    assert check_payload(payload) == []
     path = os.path.normpath(os.path.join(_RESULTS_DIR, "BENCH_perf.json"))
     atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
     write_report("perf_suite", format_payload(payload))
-    assert check_payload(payload) == []

@@ -119,9 +119,7 @@ class ArraySetCache:
         self._fill_state = self.policy.fill_state
 
         n_lines = self.n_sets * associativity
-        # Tag slots outside a set's resident prefix hold the -1 sentinel
-        # (no real tag is negative).
-        self._tags = array("q", b"\xff" * (8 * n_lines))
+        self._tags = array("q", bytes(8 * n_lines))
         self._last_use = array("q", bytes(8 * n_lines))
         self._dirty = array("B", bytes(n_lines))
         self._policy = array("i", bytes(4 * n_lines))
@@ -349,7 +347,6 @@ class ArraySetCache:
                 self._words[idx:last - 1] = self._words[idx + 1:last]
         elif self._words is not None:
             self._words[idx] = None
-        self._tags[last - 1] = -1  # restore the vacated slot's sentinel
         self._count[set_index] -= 1
 
     def _write_word(self, idx: int, word: int, value: int) -> None:

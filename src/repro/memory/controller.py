@@ -209,7 +209,7 @@ class MemoryController:
                 tick=request.arrival,
                 channel=self.channel_id,
                 req_id=request.req_id,
-                kind=request.kind.value,
+                kind=request.kind._value_,
             )
         is_read = request.kind is RequestKind.READ
         if is_read:
@@ -246,11 +246,6 @@ class MemoryController:
     def idle(self) -> bool:
         """True when both queues are empty (no pending work)."""
         return self.read_q.empty and self.write_q.empty
-
-    @property
-    def open_window_count(self) -> int:
-        """Write windows currently open (time-series sampler probe)."""
-        return len(self._open_windows)
 
     # ==================================================================
     # Scheduling loop
@@ -493,7 +488,7 @@ class MemoryController:
                 channel=self.channel_id,
                 req_id=req.req_id,
                 kind="read",
-                reason=req.service_class.value,
+                reason=req.service_class._value_,
                 extra={"latency_ns": ticks_to_ns(latency)},
             )
         if self.read_completion_hook is not None:
@@ -587,7 +582,7 @@ class MemoryController:
                 start=start,
                 end=end,
                 kind="write",
-                reason=req.service_class.value,
+                reason=req.service_class._value_,
             )
         if self.storage is not None and req.new_words is not None:
             self.storage.write_line(
@@ -606,7 +601,7 @@ class MemoryController:
                 channel=self.channel_id,
                 req_id=req.req_id,
                 kind="write",
-                reason=req.service_class.value,
+                reason=req.service_class._value_,
             )
         self._kick()
 

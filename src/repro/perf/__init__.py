@@ -13,8 +13,9 @@ Entry points: the ``repro perf`` CLI command and the thin wrappers in
 """
 
 from repro.perf.suites import (
+    CALLS_PER_SAMPLE_CEILING,
+    CALLS_PER_TRACE_EVENT_CEILING,
     SCHEMA_VERSION,
-    TIMESERIES_OVERHEAD_CEILING,
     BenchReport,
     bench_codec,
     bench_engine_dispatch,
@@ -23,6 +24,7 @@ from repro.perf.suites import (
     bench_trace_gen,
     bench_tracing,
     check_payload,
+    count_calls,
     format_payload,
     run_suite,
     time_call,
@@ -30,8 +32,9 @@ from repro.perf.suites import (
 
 __all__ = [
     "BenchReport",
+    "CALLS_PER_SAMPLE_CEILING",
+    "CALLS_PER_TRACE_EVENT_CEILING",
     "SCHEMA_VERSION",
-    "TIMESERIES_OVERHEAD_CEILING",
     "bench_codec",
     "bench_engine_dispatch",
     "bench_storage",
@@ -39,6 +42,7 @@ __all__ = [
     "bench_trace_gen",
     "bench_tracing",
     "check_payload",
+    "count_calls",
     "format_payload",
     "run_suite",
     "time_call",

@@ -104,16 +104,16 @@ class WriteWindow:
         words of any line are in flight, even though a reconstruction read
         plus a trailing write can momentarily touch nine physical chips.
         """
-        if self.duration <= 0:
+        low, high = self.start, self.end
+        if high <= low:
             return 0.0
-        stamp = (self.start, self.end, len(self.activities))
+        stamp = (low, high, len(self.activities))
         if self._irlp_cache is not None and self._irlp_cache[0] == stamp:
             return self._irlp_cache[1]
         # One sort of every chip's clipped endpoints.  A chip is busy
         # while its depth of open intervals is positive, so overlapping
         # or touching intervals on one chip count once; every interval
         # has closed by the last endpoint.
-        low, high = self.start, self.end
         events: List[Tuple[int, int, int]] = []
         for chip, start, end in self.activities:
             if start < low:
@@ -138,7 +138,7 @@ class WriteWindow:
                     count += 1
             elif not open_intervals:  # the chip turns idle
                 count -= 1
-        value = busy / self.duration
+        value = busy / (high - low)
         self._irlp_cache = (stamp, value)
         return value
 

@@ -10,6 +10,7 @@ delayed-read fraction, rollbacks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Union
 
 from repro.cache.frontend import DramCacheFrontEnd, FrontEndConfig
@@ -173,27 +174,29 @@ class SystemSimulator:
             channel = controller.channel_id
             sampler.add_probe(
                 f"ch{channel}.queue.read.depth",
-                lambda c=controller: len(c.read_q),
+                lambda q=controller.read_q: len(q.entries),
             )
             sampler.add_probe(
                 f"ch{channel}.queue.write.depth",
-                lambda c=controller: len(c.write_q),
+                lambda q=controller.write_q: len(q.entries),
             )
         # Fine-grained write engines exist only on PCMap-style controllers;
-        # coarse systems report a constant 0 occupancy.
+        # coarse systems report a constant 0 occupancy.  The sums run in C
+        # (``map`` over ``attrgetter``), so a sample costs one call per probe.
         engines = [c.fine for c in controllers if hasattr(c, "fine")]
+        inflight = attrgetter("inflight")
         sampler.add_probe(
-            "write_engine.inflight",
-            lambda: sum(engine.inflight for engine in engines),
+            "write_engine.inflight", lambda: sum(map(inflight, engines))
         )
+        open_windows = attrgetter("_open_windows")
         sampler.add_probe(
             "write.windows_open",
-            lambda: sum(c.open_window_count for c in controllers),
+            lambda: sum(map(len, map(open_windows, controllers))),
         )
         cores = self.multicore.cores
+        rollbacks = attrgetter("rollback_model.rollbacks")
         sampler.add_probe(
-            "rollbacks.cumulative",
-            lambda: sum(core.rollback_model.rollbacks for core in cores),
+            "rollbacks.cumulative", lambda: sum(map(rollbacks, cores))
         )
         sampler.add_probe("irlp.recent", self._recent_irlp)
         # DRAM-tier probes trail the fixed set and appear only when the
@@ -217,11 +220,12 @@ class SystemSimulator:
         Bounded to a handful of windows per channel so the probe stays
         O(1)-ish per sample even on write-heavy runs.
         """
-        values = []
-        for controller in self.memory.controllers:
-            for window in controller.irlp.windows[-4:]:
-                if window.duration > 0:
-                    values.append(window.irlp())
+        values = [
+            window.irlp()
+            for controller in self.memory.controllers
+            for window in controller.irlp.windows[-4:]
+            if window.end > window.start
+        ]
         return sum(values) / len(values) if values else 0.0
 
     def _profile(self, wall_seconds: float) -> RunProfile:

@@ -43,7 +43,6 @@ from repro.telemetry.timeseries import (
     DEFAULT_CADENCE_TICKS,
     TimeSeries,
     TimeseriesSampler,
-    merge_series_dicts,
 )
 from repro.telemetry.tracer import (
     EventType,
@@ -67,7 +66,6 @@ __all__ = [
     "DEFAULT_CADENCE_TICKS",
     "TimeSeries",
     "TimeseriesSampler",
-    "merge_series_dicts",
     "to_openmetrics",
     "lint_openmetrics",
     "timeseries_to_jsonl",

@@ -160,24 +160,6 @@ class TimeSeries:
         return series
 
 
-def merge_series_dicts(dumps: Sequence[dict]) -> dict:
-    """Deterministically combine per-worker :meth:`TimeSeries.as_dict`
-    dumps from *different runs* into one keyed bundle.
-
-    Time series from distinct simulations share no time axis, so unlike
-    :func:`repro.telemetry.registry.merge_dumps` there is nothing to sum —
-    the merged form simply keys each run's series by its label, sorted,
-    so serial and parallel sweeps serialise byte-identically.
-    """
-    merged: Dict[str, dict] = {}
-    for dump in dumps:
-        for label, series in dump.items():
-            if label in merged:
-                raise ValueError(f"duplicate time-series label {label!r}")
-            merged[label] = series
-    return {label: merged[label] for label in sorted(merged)}
-
-
 class TimeseriesSampler:
     """Samples a fixed set of probes at a simulated-tick cadence.
 

@@ -16,11 +16,15 @@ per site — no record is built, no string is formatted.
 
 An enabled run stores each event as a *record*: one plain tuple of
 :class:`TraceEvent`'s fields in declaration order, with the type as its
-string value.  It holds only ints, strs, ``None`` and the ``extra`` dict,
-so the garbage collector untracks every record without ``extra`` (chip
-occupancy, the bulk of a trace) instead of scanning it.  Sinks keep
-records; :class:`TraceEvent` objects are built only when a sink's
-``events`` is read, or a line is written to a JSONL file.
+string value.  Chip occupancy, the bulk of a trace, is stored once per
+rank reservation instead: one record that starts with its event count
+and holds the chips tuple, bank, span, kind and label, and reads back as
+a ``chip.reserve``/``chip.release`` pair per chip.  Records hold only
+ints, strs, tuples of ints, ``None`` and the ``extra`` dict, so the
+garbage collector untracks every record without ``extra`` instead of
+scanning it.  Sinks keep records; :class:`TraceEvent` objects are built
+only when a sink's ``events`` is read, or a line is written to a JSONL
+file.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Iterable, List, Optional, Sequence, Union
+from typing import Deque, Iterable, List, Optional, Tuple, Union
 
 from repro.telemetry.registry import MetricsRegistry
 
@@ -119,27 +123,43 @@ class TraceEvent:
 
 
 _TYPES = {event_type.value: event_type for event_type in EventType}
-_RESERVE = EventType.CHIP_RESERVE.value
-_RELEASE = EventType.CHIP_RELEASE.value
 
 
 def _views(records: Iterable[tuple]) -> List[TraceEvent]:
-    """The :class:`TraceEvent` of each record, in order."""
+    """The :class:`TraceEvent` of each record, in order.
+
+    A reservation record expands to a ``chip.reserve``/``chip.release``
+    pair per chip, stamped at its start (its end when it has none).
+    """
     types = _TYPES
-    return [TraceEvent(types[record[0]], *record[1:]) for record in records]
+    reserve, release = EventType.CHIP_RESERVE, EventType.CHIP_RELEASE
+    views: List[TraceEvent] = []
+    append = views.append
+    for record in records:
+        head = record[0]
+        if head.__class__ is str:
+            append(TraceEvent(types[head], *record[1:]))
+            continue
+        _count, chips, bank, start, end, kind, reason, channel, rank = record
+        tick = start if start >= 0 else end
+        for chip in chips:
+            append(TraceEvent(reserve, tick, channel, rank, chip, bank, -1,
+                              start, end, kind, reason))
+            append(TraceEvent(release, end, channel, rank, chip, bank, -1,
+                              start, end, kind, reason))
+    return views
 
 
 # ======================================================================
-# Sinks: each keeps records (``append`` one, ``extend`` a batch)
+# Sinks: each keeps the records it is handed (``append``)
 # ======================================================================
 class ListSink:
     """Unbounded in-memory sink (tests, short traced runs)."""
 
     def __init__(self) -> None:
         self.records: List[tuple] = []
-        # The list's own methods: a record costs one builtin call.
+        # The list's own method: a record costs one builtin call.
         self.append = self.records.append
-        self.extend = self.records.extend
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -150,7 +170,12 @@ class ListSink:
 
 
 class RingBufferSink:
-    """Keeps only the most recent ``capacity`` events (flight recorder)."""
+    """Keeps only the most recent ``capacity`` events (flight recorder).
+
+    The ring holds the last ``capacity`` records.  Each record is at least
+    one event, so they hold at least the last ``capacity`` events, and a
+    read trims the views to exactly those.
+    """
 
     def __init__(self, capacity: int = 65536):
         if capacity < 1:
@@ -162,23 +187,21 @@ class RingBufferSink:
 
     def append(self, record: tuple) -> None:
         self._records.append(record)
-        self.total_seen += 1
-
-    def extend(self, records: Sequence[tuple]) -> None:
-        self._records.extend(records)
-        self.total_seen += len(records)
+        head = record[0]
+        # A reservation record starts with its event count.
+        self.total_seen += 1 if head.__class__ is str else head
 
     def __len__(self) -> int:
         """Events retained (at most ``capacity``)."""
-        return len(self._records)
+        return min(self.capacity, self.total_seen)
 
     @property
     def events(self) -> List[TraceEvent]:
-        return _views(self._records)
+        return _views(self._records)[-self.capacity:]
 
     @property
     def evicted(self) -> int:
-        return self.total_seen - len(self._records)
+        return self.total_seen - len(self)
 
     def close(self) -> None:
         pass
@@ -193,11 +216,8 @@ class JsonlSink:
         self.written = 0
 
     def append(self, record: tuple) -> None:
-        self.extend((record,))
-
-    def extend(self, records: Iterable[tuple]) -> None:
         handle = self._handle
-        for event in _views(records):
+        for event in _views((record,)):
             json.dump(event.to_dict(), handle, separators=(",", ":"))
             handle.write("\n")
             self.written += 1
@@ -278,23 +298,23 @@ class Tracer:
             sink.append(record)
 
     def emit_reservation(
-        self, kind: str, chips: Iterable[int], bank: int, start: int, end: int,
-        channel: int, rank: int, reason: str,
+        self, kind: str, chips: Tuple[int, ...], bank: int, start: int,
+        end: int, channel: int, rank: int, reason: str,
     ) -> None:
-        """Record one rank reservation: a ``chip.reserve``/``chip.release``
-        pair per chip, handed to each sink in one batch."""
-        tick = start if start >= 0 else end
-        records: List[tuple] = []
-        for chip in chips:
-            records += (
-                (_RESERVE, tick, channel, rank, chip, bank, -1,
-                 start, end, kind, reason, None),
-                (_RELEASE, end, channel, rank, chip, bank, -1,
-                 start, end, kind, reason, None),
-            )
-        self.emitted += len(records)
+        """Record one rank reservation as one record.
+
+        It counts, and reads back, as a ``chip.reserve``/``chip.release``
+        pair per chip.  ``chips`` is kept as given, so it must be a tuple;
+        an empty one records nothing, so every record is at least one
+        event (what keeps a ring's last records covering its capacity).
+        """
+        if not chips:
+            return
+        count = 2 * len(chips)
+        record = (count, chips, bank, start, end, kind, reason, channel, rank)
+        self.emitted += count
         for sink in self.sinks:
-            sink.extend(records)
+            sink.append(record)
 
     def events(self) -> List[TraceEvent]:
         """Events (a fresh list) from the first sink exposing ``events``."""

@@ -1,6 +1,6 @@
 """Unit tests for the columnar set-associative cache's own contracts.
 
-Slab indices from ``probe``, snapshot ``line_state``, sentinel hygiene of
+Slab indices from ``probe``, snapshot ``line_state``, no stale hits from
 vacated tag slots, drain order and functional payloads.
 """
 
@@ -104,7 +104,7 @@ def test_line_state_miss_returns_none():
 
 
 # ----------------------------------------------------------------------
-# Sentinel hygiene: vacated slots must never produce stale hits
+# Vacated slots must never produce stale hits
 # ----------------------------------------------------------------------
 def test_invalidate_restores_sentinel_no_stale_hits():
     cache = _small_cache(sets=1, assoc=4)
@@ -114,8 +114,8 @@ def test_invalidate_restores_sentinel_no_stale_hits():
     cache.invalidate(1 * LINE)
     for address in addresses:
         assert cache.contains(address) == (address != 1 * LINE)
-    # The vacated tail slot holds the -1 sentinel again.
-    assert list(cache._tags) == [0, 2, 3, -1]
+    # The set's resident prefix closed over the vacated slot.
+    assert list(cache._tags[:cache._count[0]]) == [0, 2, 3]
 
 
 def test_eviction_shifts_tail_and_restores_sentinel():

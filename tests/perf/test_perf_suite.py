@@ -10,7 +10,13 @@ import json
 from pathlib import Path
 
 from repro import cli
-from repro.perf import SCHEMA_VERSION, check_payload, run_suite
+from repro.perf import (
+    CALLS_PER_SAMPLE_CEILING,
+    CALLS_PER_TRACE_EVENT_CEILING,
+    SCHEMA_VERSION,
+    check_payload,
+    run_suite,
+)
 
 #: Top-level keys of the BENCH_perf.json payload, in any order.
 TOP_LEVEL_KEYS = {
@@ -144,19 +150,29 @@ def test_check_payload_reports_missing_metrics():
     assert all("missing" in f for f in failures)
 
 
-def test_check_payload_gates_sampling_overhead_at_full_budget():
+def test_check_payload_gates_counted_instrumentation_costs():
     payload = {
-        "smoke": False,
+        "smoke": True,
         "speedups": {
             "codec.encode_vs_reference": 2.0,
             "codec.decode_vs_reference": 5.0,
         },
         "benchmarks": [
-            {"name": "timeseries", "metrics": {"overhead_ratio": 1.5}},
+            {"name": "timeseries", "metrics": {
+                "overhead_ratio": 1.5,
+                "calls_per_sample": CALLS_PER_SAMPLE_CEILING * 1.01,
+            }},
+            {"name": "tracing", "metrics": {
+                "overhead_ratio": 2.0,
+                "calls_per_trace_event": CALLS_PER_TRACE_EVENT_CEILING,
+            }},
         ],
     }
+    # Gated at every budget; the wall ratios are recorded, never gated.
+    for smoke in (True, False):
+        payload["smoke"] = smoke
+        (failure,) = check_payload(payload)
+        assert failure.startswith("timeseries.calls_per_sample = ")
+    del payload["benchmarks"][1]["metrics"]["calls_per_trace_event"]
     failures = check_payload(payload)
-    assert any("overhead_ratio" in f for f in failures)
-    # Smoke runs are too short for a stable ratio — never gated.
-    payload["smoke"] = True
-    assert check_payload(payload) == []
+    assert any("missing metric 'calls_per_trace_event'" in f for f in failures)

@@ -2,17 +2,19 @@
 
 The traced reference run (``rwow-rde`` on canneal, seed 7, 3000
 requests: 6150 events / 364931 ticks) emits 55,701 trace events into a
-``RingBufferSink``.  Counting ``TraceEvent`` constructions pins the
-contract: none while the run records, and exactly one per retained event
-when ``events`` is read.  The count is deterministic, so it holds on
-every CPython version.
+``RingBufferSink``, stored as 15,447 records: one per event, except one
+per rank reservation for its chip occupancy.  Counting ``TraceEvent``
+constructions pins the contract: none while the run records, and exactly
+one per retained event when ``events`` is read.  The counts are
+deterministic, so they hold on every CPython version.
 """
 
 from repro.core.systems import make_system
 from repro.sim.simulator import SimulationParams, simulate
-from repro.telemetry import RingBufferSink, Telemetry, TraceEvent
+from repro.telemetry import ListSink, RingBufferSink, Telemetry, TraceEvent
 
 TRACE_EVENTS = 55_701
+TRACE_RECORDS = 15_447
 
 
 def test_trace_events_are_built_only_when_read(monkeypatch):
@@ -24,15 +26,16 @@ def test_trace_events_are_built_only_when_read(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(TraceEvent, "__init__", counting_init)
-    ring = RingBufferSink()
+    ring, full = RingBufferSink(), ListSink()
     result = simulate(
         make_system("rwow-rde"),
         "canneal",
         SimulationParams(target_requests=3000, seed=7),
-        Telemetry.recording([ring]),
+        Telemetry.recording([ring, full]),
     )
     assert (result.profile.events_dispatched, result.sim_ticks) == (6150, 364931)
     assert ring.total_seen == len(ring) == TRACE_EVENTS
+    assert len(full.records) == TRACE_RECORDS
     assert len(built) == 0
     events = ring.events
     assert len(events) == len(built) == TRACE_EVENTS

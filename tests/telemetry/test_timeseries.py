@@ -6,7 +6,6 @@ from repro.telemetry.timeseries import (
     DEFAULT_CADENCE_TICKS,
     TimeSeries,
     TimeseriesSampler,
-    merge_series_dicts,
 )
 
 
@@ -97,17 +96,3 @@ def test_sampler_probe_registration_rules():
         sampler.add_probe("b", lambda: 3)  # frozen after first sample
     with pytest.raises(ValueError):
         TimeseriesSampler(cadence_ticks=0)
-
-
-def test_merge_series_dicts_sorted_and_collision_checked():
-    one = TimeSeries(["a"], cadence_ticks=1)
-    one.append(0, [1.0])
-    two = TimeSeries(["a"], cadence_ticks=1)
-    two.append(0, [2.0])
-    merged = merge_series_dicts([
-        {"z/run": one.as_dict()},
-        {"a/run": two.as_dict()},
-    ])
-    assert list(merged) == ["a/run", "z/run"]
-    with pytest.raises(ValueError):
-        merge_series_dicts([{"x": one.as_dict()}, {"x": two.as_dict()}])

@@ -186,20 +186,72 @@ def test_reservation_hands_off_a_pair_per_chip():
     ]
 
 
+def test_reservation_is_one_record_and_an_empty_one_is_none():
+    ring, full = RingBufferSink(capacity=2), ListSink()
+    tracer = Tracer([ring, full])
+    _reservation(tracer, chips=(0, 3, 9))
+    _reservation(tracer, chips=())
+    assert tracer.emitted == ring.total_seen == 6
+    assert len(full.records) == 1
+    assert len(ring) == 2 and ring.evicted == 4
+    assert ring.events == full.events[-2:]
+
+
 @pytest.mark.parametrize("capacity", [1, 4, 5, 11, 64])
 def test_ring_keeps_the_last_events_across_emits_and_hand_offs(capacity):
     ring, full = RingBufferSink(capacity=capacity), ListSink()
     tracer = Tracer([ring, full])
     tracer.emit(EventType.REQUEST_ENQUEUE, 1, req_id=1)
-    _reservation(tracer)  # six records, more than some rings hold
+    _reservation(tracer)  # six events, more than some rings hold
     tracer.emit(EventType.REQUEST_ISSUE, 10, req_id=1)
     _reservation(tracer, kind="read", chips=(4,), start=20, end=50)
     tracer.emit(EventType.REQUEST_COMPLETE, 60, req_id=1)
-    assert tracer.emitted == ring.total_seen == len(full.records) == 11
+    assert tracer.emitted == ring.total_seen == len(full.events) == 11
+    # One record per emit and one per reservation.
+    assert len(full.records) == 5
     kept = min(capacity, 11)
     assert len(ring) == kept
     assert ring.evicted == 11 - kept
     assert ring.events == full.events[-kept:]
+
+
+#: One step of a traced run: an emit (``None``) or a reservation's chips.
+_STEP = st.one_of(
+    st.none(),
+    st.lists(st.integers(0, 9), min_size=1, max_size=10).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 64),
+    steps=st.lists(_STEP, max_size=40),
+    straddle=st.integers(0, 9),
+)
+def test_record_bounded_ring_returns_exactly_the_last_events(
+    capacity, steps, straddle, tmp_path_factory
+):
+    path = tmp_path_factory.mktemp("ring") / "events.jsonl"
+    ring, full = RingBufferSink(capacity=capacity), ListSink()
+    with JsonlSink(path) as jsonl:
+        tracer = Tracer([ring, full, jsonl])
+        # Fill up to just short of the capacity in events, then reserve
+        # across the boundary, then run the drawn interleaving.
+        for tick in range(max(capacity - 1 - straddle, 0)):
+            tracer.emit(EventType.REQUEST_ISSUE, tick, req_id=tick)
+        _reservation(tracer, chips=tuple(range(straddle + 1)))
+        for tick, chips in enumerate(steps, start=capacity):
+            if chips is None:
+                tracer.emit(EventType.ROW_DECLINE, tick, reason="busy")
+            else:
+                _reservation(tracer, chips=chips, start=tick, end=tick + 5)
+    events = full.events
+    assert len(events) == tracer.emitted
+    assert ring.events == events[-capacity:]
+    assert len(ring) == min(capacity, tracer.emitted)
+    assert ring.evicted == tracer.emitted - len(ring)
+    assert ring.total_seen == tracer.emitted
+    assert read_jsonl(path) == events
 
 
 def test_read_jsonl_returns_the_emitted_events(tmp_path):
