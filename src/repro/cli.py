@@ -16,8 +16,6 @@ Commands::
         [--campaign NAME] [--store DB] [--requests N] [--max-attempts N]
     python -m repro worker --store DB --cache-dir DIR [--campaign NAME] \\
         [--once] [--lease S] [--timeout S]
-    python -m repro serve --store DB --cache-dir DIR [--workers N] \\
-        [--port P] [--until-done CAMPAIGN] [--lease S] [--timeout S]
     python -m repro status --store DB [--campaign NAME] [--json] [--digest]
     python -m repro gen-trace --workload MP1 --count 1000 --out mp1.trace
     python -m repro trace --workload canneal --system rwow-rde \\
@@ -41,13 +39,13 @@ payload; ``--check`` exits non-zero on gross (machine-independent)
 regressions and ``REPRO_PERF_SMOKE=1`` (or ``--smoke``) shrinks the
 budgets for CI.  See docs/PERFORMANCE.md.
 
-``submit``/``worker``/``serve``/``status`` drive the durable campaign
-service (SQLite job queue, leased workers with crash recovery, HTTP
-status endpoint); ``sweep --resume`` finishes a partially-run campaign,
-computing only what's missing.  A ``sweep`` given ``--timeout`` or
-``--max-attempts`` runs as a throwaway campaign in a temporary
-directory, with the campaign's retry rules.  Each command takes only the
-lease knobs it reads.  See docs/CAMPAIGNS.md.
+``submit``/``worker``/``status`` drive a durable campaign (SQLite job
+queue, leased workers with crash recovery); ``status`` watches it from
+the store, and ``sweep --resume`` finishes it, computing only what's
+missing.  A ``sweep`` given ``--timeout`` or ``--max-attempts`` runs as
+a throwaway campaign in a temporary directory, with the campaign's
+retry rules.  Each command takes only the lease knobs it reads.  See
+docs/CAMPAIGNS.md.
 
 ``trace`` records the structured telemetry events of one run and exports
 them as a Chrome trace (open in ``chrome://tracing`` or Perfetto; chips
@@ -397,7 +395,7 @@ def _drain_campaign(args, store, cache, campaign: str) -> int:
     from itertools import groupby
 
     from repro.sim.campaign import resume_campaign
-    from repro.sim.campaign.service import spawn_worker_process
+    from repro.sim.campaign.worker import spawn_worker_process
 
     missing = [str(row["key"]) for row in store.jobs_in_order(campaign)
                if cache.get(str(row["key"])) is None]
@@ -406,9 +404,8 @@ def _drain_campaign(args, store, cache, campaign: str) -> int:
         for _ in range(min(args.jobs, len(missing)) - 1):
             log = tempfile.TemporaryFile()
             helpers.append((log, spawn_worker_process(
-                str(store.path), str(cache.directory), campaign, once=True,
-                lease_seconds=store.policy.lease_seconds,
-                job_timeout=store.policy.job_timeout, stderr=log,
+                str(store.path), str(cache.directory), campaign,
+                store.policy.lease_seconds, store.policy.job_timeout, log,
             )))
         results = resume_campaign(store, ResultCache(cache.directory),
                                   campaign,
@@ -490,47 +487,9 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Campaign service: worker fleet + lease sweeper + HTTP status."""
-    from repro.sim.campaign import CampaignService, CampaignStore
-
-    store = CampaignStore(args.store, policy=_lease_policy(args))
-    cache = ResultCache(_sweep_cache_dir(args))
-    service = CampaignService(
-        store, cache, workers=args.workers, host=args.host, port=args.port
-    ).start()
-    print(f"campaign service on http://{service.server.host}:"
-          f"{service.server.port} ({args.workers} worker(s), "
-          f"store {store.path})", file=sys.stderr)
-    try:
-        if args.until_done:
-            ok = service.wait_until_done(args.until_done)
-            counts = store.counts(args.until_done)
-            print(f"campaign {args.until_done}: {counts['done']}/"
-                  f"{counts['total']} done, {counts['failed']} dead-lettered",
-                  file=sys.stderr)
-            return 0 if ok else 1
-        while True:  # pragma: no cover - interactive serve loop
-            import time as _time
-
-            _time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 0
-    finally:
-        service.stop()
-
-
 def cmd_status(args: argparse.Namespace) -> int:
-    """Campaign progress, from the HTTP endpoint or the store directly."""
-    if args.url:
-        import urllib.request
-
-        path = (f"/v1/campaigns/{args.campaign}" if args.campaign
-                else "/v1/status")
-        with urllib.request.urlopen(args.url.rstrip("/") + path) as response:
-            print(response.read().decode("utf-8"))
-        return 0
-
+    """Campaign progress, read from the store (and, for ``--digest``, the
+    result cache)."""
     from repro.sim.campaign import (
         CampaignStore,
         campaign_progress,
@@ -773,10 +732,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=1))
     else:
         print(format_payload(payload))
-    if args.out:
-        atomic_write_text(args.out, json.dumps(payload, indent=1) + "\n")
-        if not args.json:
-            print(f"\nwrote {args.out}")
     if args.check:
         failures = check_payload(payload)
         if failures:
@@ -785,6 +740,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
             return 1
         if not args.json:
             print("perf check passed")
+    # Written only once the gate (if asked for) has passed, so a failing
+    # run never replaces a committed payload.
+    if args.out:
+        atomic_write_text(args.out, json.dumps(payload, indent=1) + "\n")
+        if not args.json:
+            print(f"\nwrote {args.out}")
     return 0
 
 
@@ -1046,35 +1007,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_lease_knobs(worker_p, "--lease", "--timeout")
     worker_p.set_defaults(func=cmd_worker)
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="campaign service: worker fleet + HTTP status endpoint",
-    )
-    add_store(serve_p)
-    add_cache_dir(serve_p)
-    serve_p.add_argument("--workers", type=_positive_int,
-                         default=os.cpu_count() or 1,
-                         help="worker subprocesses (default: all cores)")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=0,
-                         help="status port (default: ephemeral, printed "
-                              "on stderr)")
-    serve_p.add_argument("--until-done", metavar="CAMPAIGN",
-                         help="exit once this campaign has no queued or "
-                              "leased jobs (0 iff none dead-lettered)")
-    add_lease_knobs(serve_p, "--lease", "--timeout")
-    serve_p.set_defaults(func=cmd_serve)
-
     status_p = sub.add_parser(
         "status",
-        help="campaign progress from the store or a running service",
+        help="campaign progress, read from the store",
     )
     add_store(status_p)
     add_cache_dir(status_p)
     status_p.add_argument("--campaign", help="one campaign (default: all)")
-    status_p.add_argument("--url",
-                          help="query a running `repro serve` endpoint "
-                               "instead of reading the store")
     status_p.add_argument("--json", action="store_true",
                           help="emit the status documents as JSON")
     status_p.add_argument("--digest", action="store_true",
@@ -1182,7 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf_p.add_argument("--json", action="store_true",
                         help="emit the BENCH_perf.json payload to stdout")
     perf_p.add_argument("--out",
-                        help="also write the payload to this file")
+                        help="also write the payload to this file "
+                             "(with --check, only if the check passes)")
     perf_p.add_argument("--check", action="store_true",
                         help="exit non-zero on gross hot-path regressions")
     perf_p.set_defaults(func=cmd_perf)

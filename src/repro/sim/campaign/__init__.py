@@ -1,4 +1,4 @@
-"""Durable sweep campaigns: SQLite job queue, leased workers, HTTP status.
+"""Durable sweep campaigns: SQLite job queue, leased workers, progress.
 
 The one-shot :mod:`repro.sim.runner` loses all progress on a crash; a
 *campaign* persists the same :class:`~repro.sim.runner.jobs.SweepJob`\\ s
@@ -15,8 +15,7 @@ Public surface::
     from repro.sim.campaign import (
         CampaignStore, LeasePolicy, LeasedJob, StoreCorruptError,
         Worker, run_worker, parse_inject,
-        StatusServer, CampaignService, STATUS_SCHEMA,
-        collect_results, merged_partial, campaign_progress,
+        collect_results, campaign_progress,
         submit_pairs, resume_campaign,
     )
 
@@ -27,17 +26,11 @@ semantics.
 from repro.sim.campaign.aggregate import (
     campaign_progress,
     collect_results,
-    merged_partial,
     resume_campaign,
     submit_pairs,
     verify_campaign_results,
 )
 from repro.sim.campaign.lease import LeasePolicy
-from repro.sim.campaign.service import (
-    STATUS_SCHEMA,
-    CampaignService,
-    StatusServer,
-)
 from repro.sim.campaign.store import (
     JOB_STATES,
     CampaignStore,
@@ -55,11 +48,7 @@ __all__ = [
     "Worker",
     "run_worker",
     "parse_inject",
-    "STATUS_SCHEMA",
-    "StatusServer",
-    "CampaignService",
     "collect_results",
-    "merged_partial",
     "campaign_progress",
     "submit_pairs",
     "resume_campaign",

@@ -1,13 +1,12 @@
-"""Streaming campaign aggregation over the content-addressed cache.
+"""Campaign submission, progress and collection over the result cache.
 
 The store records *which* jobs are done; the :class:`ResultCache` holds
-*what* they produced, keyed by the same content hash.  Aggregation is
-therefore a pure read: collect whatever results exist (in submission
-order), merge their metrics/time-series with the runner's own order-
-insensitive mergers, and report progress — over a finished campaign the
-merge is byte-identical to a serial ``run_pairs`` of the same pairs,
-because each job's payload is a pure function of its content-derived
-seed no matter which worker, host or attempt computed it.
+*what* they produced, keyed by the same content hash.  Collection is
+therefore a pure read: gather whatever results exist, in submission
+order — over a finished campaign the list is byte-identical to a serial
+``run_pairs`` of the same pairs, because each job's payload is a pure
+function of its content-derived seed no matter which worker, host or
+attempt computed it.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from repro.sim.campaign.store import CampaignStore
 from repro.sim.campaign.worker import Worker
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner.cache import ResultCache
-from repro.sim.runner.executor import (
-    SystemLike,
-    WorkloadLike,
-    merged_metrics,
-    merged_timeseries,
-)
+from repro.sim.runner.executor import SystemLike, WorkloadLike
 from repro.sim.runner.jobs import SweepJob, content_hash
 from repro.sim.simulator import SimulationParams
 
@@ -90,31 +84,10 @@ def verify_campaign_results(
     return requeued
 
 
-def merged_partial(
-    store: CampaignStore, cache: ResultCache, campaign: str
-) -> Dict[str, object]:
-    """Merged metrics/time-series over whatever is done *so far*.
-
-    The streaming view behind the status endpoint: as workers complete
-    jobs the merge grows monotonically toward the full-campaign merge,
-    and on a finished campaign it equals the serial one byte for byte.
-    """
-    slots, _ = collect_results(store, cache, campaign)
-    present = [result for result in slots if result is not None]
-    counts = store.counts(campaign)
-    return {
-        "campaign": campaign,
-        "total": counts["total"],
-        "merged_over": len(present),
-        "merged_metrics": merged_metrics(present),
-        "merged_timeseries": merged_timeseries(present),
-    }
-
-
 def campaign_progress(
     store: CampaignStore, campaign: str
 ) -> Dict[str, object]:
-    """Status-endpoint summary: counts, progress fraction, dead letters."""
+    """``repro status`` summary: counts, progress fraction, dead letters."""
     counts = store.counts(campaign)
     total = counts["total"]
     return {
@@ -191,7 +164,6 @@ __all__ = [
     "submit_pairs",
     "collect_results",
     "verify_campaign_results",
-    "merged_partial",
     "campaign_progress",
     "drain",
     "resume_campaign",

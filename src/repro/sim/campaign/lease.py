@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class LeasePolicy:
-    """Knobs shared by the store, the workers and the service."""
+    """Knobs shared by the store and the workers."""
 
     #: Seconds a lease stays valid without a heartbeat.
     lease_seconds: float = 30.0

@@ -18,8 +18,8 @@ workers on two connections (threads, processes or hosts sharing the
 directory) can never lease the same row, complete the same row twice, or
 lose a row: ``queued + leased + done + failed == submitted`` always.
 
-The journal is WAL so readers (the status endpoint, ``repro status``)
-never block the workers.  A corrupted store file surfaces as
+The journal is WAL so readers (``repro status``) never block the
+workers.  A corrupted store file surfaces as
 :class:`StoreCorruptError` — loudly, because silently recreating the
 schema over a damaged campaign would fake an empty-but-healthy queue.
 A zero-byte file, by contrast, *is* a fresh store (SQLite's own

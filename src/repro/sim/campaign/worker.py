@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import traceback
-from typing import Callable, Optional
+from typing import IO, Callable, Optional
 
 from repro.sim.campaign.store import CampaignStore, LeasedJob
 from repro.sim.metrics import SimulationResult
@@ -107,7 +109,7 @@ class Worker:
         (jobs gated behind a retry backoff, or leased by another worker
         whose lease may yet expire, are waited out) — the loop behind a
         campaign ``repro sweep`` and its helpers.  Without it the worker
-        keeps polling for new work like a long-lived fleet member.
+        keeps polling for new work until it is stopped.
         """
         while True:
             self.store.expire_leases()
@@ -217,3 +219,27 @@ def run_worker(
         inject=parse_inject(os.environ.get(INJECT_ENV)),
     )
     return worker.run(campaign=campaign, once=once, poll_seconds=poll_seconds)
+
+
+def spawn_worker_process(
+    store_path: str,
+    cache_dir: str,
+    campaign: str,
+    lease_seconds: float,
+    job_timeout: Optional[float],
+    stderr: IO[bytes],
+) -> subprocess.Popen:
+    """Start one ``repro worker --once`` subprocess draining ``campaign``.
+
+    The subprocess inherits the environment, so ``PYTHONPATH`` and the
+    ``REPRO_CAMPAIGN_INJECT`` fault hook propagate; its stderr goes to
+    ``stderr``.
+    """
+    argv = [
+        sys.executable, "-m", "repro", "worker",
+        "--store", store_path, "--cache-dir", cache_dir,
+        "--campaign", campaign, "--once", "--lease", str(lease_seconds),
+    ]
+    if job_timeout is not None:
+        argv += ["--timeout", str(job_timeout)]
+    return subprocess.Popen(argv, stderr=stderr)

@@ -142,9 +142,9 @@ def result_from_dict(data: dict) -> SimulationResult:
 def results_digest(results: List[SimulationResult]) -> str:
     """SHA-256 over the canonical JSON of ``results`` (order-sensitive).
 
-    The byte-identity oracle for the campaign service: a resumed,
-    multi-worker or kill-and-recovered campaign must digest identically
-    to a serial ``run_pairs`` of the same pairs.  Every field of
+    The byte-identity oracle for campaigns: a resumed, multi-worker or
+    kill-and-recovered campaign must digest identically to a serial
+    ``run_pairs`` of the same pairs.  Every field of
     :func:`result_to_dict` participates — metrics, time-series, the
     attribution manifest — so the digest is machine-local (the manifest
     embeds platform and code version) but exact across processes,

@@ -21,8 +21,6 @@ from repro.sim.runner.executor import (
     ProgressCallback,
     SweepProgress,
     SweepRunner,
-    merged_metrics,
-    merged_timeseries,
     run_jobs,
     run_pairs,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "ProgressCallback",
     "SweepProgress",
     "SweepRunner",
-    "merged_metrics",
-    "merged_timeseries",
     "run_jobs",
     "run_pairs",
     "SweepJob",

@@ -174,25 +174,3 @@ class ResultCache:
         atomic_write_text(path, json.dumps(entry, indent=1))
         self.stats.writes += 1
         return path
-
-    # ------------------------------------------------------------------
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except FileNotFoundError:
-                    pass  # raced with another process: it is gone either way
-                except OSError as exc:
-                    self._note_error("remove", path, exc)
-        return removed
-
-    def entry_count(self) -> int:
-        """Number of entries on disk (not a ``__len__``: an empty cache
-        must never read as falsy where ``cache is not None`` is meant)."""
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))

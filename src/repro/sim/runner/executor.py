@@ -32,7 +32,7 @@ from repro.sim.runner.cache import ResultCache
 from repro.sim.runner.isolate import default_execute
 from repro.sim.runner.jobs import SweepJob
 from repro.sim.simulator import SimulationParams
-from repro.telemetry import RunProfile, WallClock, merge_dumps
+from repro.telemetry import RunProfile, WallClock
 from repro.trace.workloads import WorkloadProfile
 
 
@@ -180,46 +180,6 @@ class SweepRunner:
                 )
             )
         return result
-
-
-# ----------------------------------------------------------------------
-# Cross-worker aggregation
-# ----------------------------------------------------------------------
-def merged_metrics(results: Sequence[SimulationResult]) -> Optional[dict]:
-    """Sweep-wide metrics dump merged across every collected result.
-
-    Results arrive from :meth:`SweepRunner.run` in job order and
-    :func:`~repro.telemetry.registry.merge_dumps` is order-insensitive in
-    its serialised form, so serial and parallel sweeps of the same jobs
-    merge to byte-identical JSON.  ``None`` when no result embedded
-    metrics (``collect_metrics`` off).
-    """
-    dumps = [r.metrics for r in results if r.metrics is not None]
-    if not dumps:
-        return None
-    return merge_dumps(dumps)
-
-
-def merged_timeseries(results: Sequence[SimulationResult]) -> dict:
-    """Per-run time series keyed ``"<workload>/<system>"``, sorted.
-
-    Series from distinct runs share no time axis, so the merge is a
-    keyed collection rather than a sum; repeated (workload, system)
-    pairs — e.g. parameter ablations — get a ``#<n>`` suffix in job
-    order, keeping labels unique and deterministic.
-    """
-    labelled: dict = {}
-    for result in results:
-        if result.timeseries is None:
-            continue
-        label = f"{result.workload_name}/{result.system_name}"
-        if label in labelled:
-            n = 2
-            while f"{label}#{n}" in labelled:
-                n += 1
-            label = f"{label}#{n}"
-        labelled[label] = result.timeseries
-    return {label: labelled[label] for label in sorted(labelled)}
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_dumps,
 )
 from repro.telemetry.timeseries import (
     DEFAULT_CADENCE_TICKS,
@@ -62,7 +61,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_dumps",
     "DEFAULT_CADENCE_TICKS",
     "TimeSeries",
     "TimeseriesSampler",

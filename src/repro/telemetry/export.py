@@ -1,8 +1,7 @@
 """Standard-format exports for the metrics registry and time series.
 
 * :func:`to_openmetrics` renders a :meth:`MetricsRegistry.as_dict` dump
-  (or a :func:`~repro.telemetry.registry.merge_dumps` result) as
-  OpenMetrics/Prometheus text: counters as ``<name>_total``, gauges as a
+  as OpenMetrics/Prometheus text: counters as ``<name>_total``, gauges as a
   value family plus a ``<name>_max`` companion family, histograms as
   cumulative ``_bucket{le=...}`` samples with ``_sum``/``_count``.
 * :func:`lint_openmetrics` structurally validates such text — CI runs it
@@ -14,8 +13,8 @@
   ingest directly.
 
 All output is deterministic: dumps are rendered in sorted-name order and
-numbers format identically across runs, so exports of merged parallel
-sweeps are byte-comparable.
+numbers format identically across runs, so exports of the same run are
+byte-comparable.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ Naming convention: dotted lowercase paths, most-general first, e.g.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -172,47 +172,6 @@ class Histogram:
             "p99": self.percentile(0.99),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Histogram":
-        """Rebuild a histogram from :meth:`as_dict` output.
-
-        Derived fields (mean, percentiles) are recomputed, not trusted.
-        """
-        bounds = [b for b in data["buckets"] if b != cls.OVERFLOW_BOUND]
-        histogram = cls(buckets=bounds)
-        counts = list(data["counts"])
-        if len(counts) != len(histogram.counts):
-            raise ValueError(
-                f"histogram dump has {len(counts)} counts for "
-                f"{len(bounds)} finite buckets"
-            )
-        histogram.counts = counts
-        histogram.count = data["count"]
-        histogram.total = data["sum"]
-        histogram.min_seen = data.get("min")
-        histogram.max_seen = data.get("max")
-        return histogram
-
-    def merge(self, other: "Histogram") -> None:
-        """Accumulate another histogram with identical buckets."""
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.buckets} vs {other.buckets}"
-            )
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.count += other.count
-        self.total += other.total
-        if other.min_seen is not None and (
-            self.min_seen is None or other.min_seen < self.min_seen
-        ):
-            self.min_seen = other.min_seen
-        if other.max_seen is not None and (
-            self.max_seen is None or other.max_seen > self.max_seen
-        ):
-            self.max_seen = other.max_seen
-
 
 class MetricsRegistry:
     """Process-wide (per simulation) namespace of named instruments.
@@ -276,56 +235,3 @@ class MetricsRegistry:
             name: self._instruments[name].as_dict()
             for name in sorted(self._instruments)
         }
-
-
-def merge_dumps(dumps: Iterable[dict]) -> dict:
-    """Merge per-run registry dumps (:meth:`MetricsRegistry.as_dict`).
-
-    The cross-worker aggregation rule — deterministic, so a parallel
-    sweep's merged metrics are byte-identical to the serial run's:
-
-    * **counters** add;
-    * **gauges** add their final values and take the max of maxima
-      (a sweep-wide ``queue.depth`` is the sum of last-seen depths, its
-      ``max`` the worst depth any run ever hit);
-    * **histograms** merge bucket counts, sums and exact min/max
-      (buckets must match), with means/percentiles recomputed.
-
-    Mixing instrument kinds under one name raises ``TypeError``, exactly
-    like the registry's own get-or-create collision check.
-    """
-    merged: Dict[str, object] = {}
-    for dump in dumps:
-        for name, data in dump.items():
-            kind = data["type"]
-            existing = merged.get(name)
-            if existing is None:
-                if kind == "histogram":
-                    merged[name] = Histogram.from_dict(data)
-                else:
-                    merged[name] = dict(data)
-                continue
-            existing_kind = (
-                "histogram" if isinstance(existing, Histogram)
-                else existing["type"]  # type: ignore[index]
-            )
-            if existing_kind != kind:
-                raise TypeError(
-                    f"metric {name!r} merged as both "
-                    f"{existing_kind} and {kind}"
-                )
-            if kind == "histogram":
-                existing.merge(Histogram.from_dict(data))  # type: ignore[union-attr]
-            elif kind == "counter":
-                existing["value"] += data["value"]  # type: ignore[index]
-            elif kind == "gauge":
-                existing["value"] += data["value"]  # type: ignore[index]
-                existing["max"] = max(existing["max"], data["max"])  # type: ignore[index]
-            else:
-                raise TypeError(f"metric {name!r} has unknown kind {kind!r}")
-    return {
-        name: (
-            value.as_dict() if isinstance(value, Histogram) else value
-        )
-        for name, value in sorted(merged.items())
-    }

@@ -6,7 +6,7 @@ Two kinds of jobs appear in these tests:
   determinism tests need genuine results so the byte-identity oracle
   (:func:`repro.sim.results_io.results_digest`) means something.
 * *Fabricated* results (:func:`fake_result`) skip simulation entirely —
-  the store, worker and HTTP tests only exercise the queue protocol, so
+  the store and worker tests only exercise the queue protocol, so
   each "execution" just mints a deterministic result from the job seed.
 
 The ``fast_policy`` fixture removes every real-time wait (zero backoff,

@@ -20,14 +20,12 @@ from repro.sim.campaign import (
     CampaignStore,
     Worker,
     collect_results,
-    merged_partial,
     resume_campaign,
     submit_pairs,
 )
 from repro.sim.results_io import results_digest
 from repro.sim.runner import run_pairs
 from repro.sim.runner.cache import ResultCache
-from repro.sim.runner.executor import merged_metrics
 
 from tests.campaign.conftest import FAST_POLICY, TINY
 
@@ -43,9 +41,9 @@ PAIRS = [
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    """The one-shot serial sweep every durable topology must match."""
-    results = run_pairs(PAIRS, TINY, jobs=1)
-    return results, results_digest(results)
+    """The digest of the one-shot serial sweep every durable topology
+    must match."""
+    return results_digest(run_pairs(PAIRS, TINY, jobs=1))
 
 
 def fresh(tmp_path, name):
@@ -55,15 +53,13 @@ def fresh(tmp_path, name):
 
 
 def test_durable_single_worker_matches_serial(tmp_path, serial_reference):
-    _, reference = serial_reference
     store, cache = fresh(tmp_path, "single")
     results = resume_campaign(store, cache, submit_pairs(store, PAIRS, TINY))
-    assert results_digest(results) == reference
+    assert results_digest(results) == serial_reference
     store.close()
 
 
 def test_two_concurrent_workers_match_serial(tmp_path, serial_reference):
-    _, reference = serial_reference
     store, cache = fresh(tmp_path, "pair")
     campaign = submit_pairs(store, PAIRS, TINY, campaign="pair")
 
@@ -84,18 +80,17 @@ def test_two_concurrent_workers_match_serial(tmp_path, serial_reference):
 
     assert store.counts(campaign)["done"] == len(PAIRS)
     # Both workers actually shared the load or one drained everything —
-    # either way the merge below is order- and ownership-insensitive.
+    # either way the digest below is order- and ownership-insensitive.
     assert sum(w.completed for w in workers) == len(PAIRS)
     slots, stale = collect_results(store, cache, campaign)
     assert not stale and all(r is not None for r in slots)
-    assert results_digest(slots) == reference
+    assert results_digest(slots) == serial_reference
     store.close()
 
 
 def test_interrupted_campaign_resumes_byte_identical(
     tmp_path, serial_reference
 ):
-    serial_results, reference = serial_reference
     store, cache = fresh(tmp_path, "resume")
     campaign = submit_pairs(store, PAIRS, TINY, campaign="resume")
 
@@ -109,33 +104,26 @@ def test_interrupted_campaign_resumes_byte_identical(
 
     # A different process-equivalent resumes: only the holes compute.
     results = resume_campaign(store, cache, campaign, worker_id="rescuer")
-    assert results_digest(results) == reference
+    assert results_digest(results) == serial_reference
     # The one completed job came from cache, not recomputation.
     rescuer_counts = store.counts(campaign)
     assert rescuer_counts["done"] == len(PAIRS)
-
-    # And the streaming merge over the finished campaign equals the
-    # serial merge of the reference results.
-    merged = merged_partial(store, cache, campaign)
-    assert merged["merged_over"] == len(PAIRS)
-    assert merged["merged_metrics"] == merged_metrics(serial_results)
     store.close()
 
 
 def test_rerunning_a_finished_campaign_is_pure_cache(
     tmp_path, serial_reference
 ):
-    _, reference = serial_reference
     store, cache = fresh(tmp_path, "rerun")
     first = resume_campaign(
         store, cache, submit_pairs(store, PAIRS, TINY, campaign="rerun")
     )
-    assert results_digest(first) == reference
+    assert results_digest(first) == serial_reference
     hits_before = cache.stats.hits
     again = resume_campaign(
         store, cache, submit_pairs(store, PAIRS, TINY, campaign="rerun")
     )
-    assert results_digest(again) == reference
+    assert results_digest(again) == serial_reference
     # Nothing re-simulated: the second pass only read the cache.
     assert cache.stats.hits > hits_before
     store.close()

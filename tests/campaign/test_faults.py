@@ -1,6 +1,6 @@
 """Crash-recovery fault harness: real subprocess workers, real SIGKILL.
 
-The headline scenario of the campaign service: a ``repro worker``
+The headline scenario of durable campaigns: a ``repro worker``
 subprocess is killed -9 mid-job (held open by the
 ``REPRO_CAMPAIGN_INJECT=sleep:...`` hook), its lease expires, the job is
 re-leased and recomputed, and the finished campaign's results digest is

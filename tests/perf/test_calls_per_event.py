@@ -10,13 +10,13 @@ without validation or stdlib draw frames, and collecting IRLP in one
 sweep brought it from 78.67 to 65.9 on CPython 3.11.7, the same for
 every ``PYTHONHASHSEED`` tried.  A change that adds calls to the
 per-event path, or brings back drawing records no core issues, fails
-here before it shows in wall time.
+here before it shows in wall time.  The count goes through
+:func:`repro.perf.count_calls`, which collects garbage first, so the
+finalisers of runs that earlier tests left behind stay out of it.
 """
 
-import cProfile
-import pstats
-
 from repro.core.systems import make_system
+from repro.perf import count_calls
 from repro.sim.simulator import SimulationParams, SystemSimulator
 
 #: Measured calls per event of the reference run, and the allowed rise.
@@ -30,15 +30,11 @@ def test_reference_run_calls_per_event():
         "canneal",
         SimulationParams(target_requests=3000, seed=7),
     )
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        result = sim.run()
-    finally:
-        profile.disable()
+    results = []
+    calls = count_calls(lambda: results.append(sim.run()))
+    (result,) = results
     events = result.profile.events_dispatched
     assert (events, result.sim_ticks) == (6150, 364931)
-    calls = sum(stat[1] for stat in pstats.Stats(profile).stats.values())
     per_event = calls / events
     limit = MEASURED_CALLS_PER_EVENT * (1 + TOLERANCE)
     assert per_event <= limit, (

@@ -150,6 +150,29 @@ def test_check_payload_reports_missing_metrics():
     assert all("missing" in f for f in failures)
 
 
+def test_perf_out_is_written_only_after_a_passing_check(
+    tmp_path, monkeypatch, capsys
+):
+    """A failing ``--check`` leaves ``--out`` unwritten, so a regressed
+    run never replaces a committed payload; a passing one writes it."""
+    import repro.perf
+
+    out = tmp_path / "BENCH_perf.json"
+    argv = ["perf", "--check", "--json", "--out", str(out)]
+    monkeypatch.setattr(repro.perf, "run_suite",
+                        lambda seed, smoke: {"benchmarks": []})
+    assert cli.main(argv) == 1
+    assert "PERF CHECK FAILED" in capsys.readouterr().err
+    assert not out.exists()
+
+    passing = {"speedups": {"codec.encode_vs_reference": 2.0,
+                            "codec.decode_vs_reference": 5.0},
+               "benchmarks": []}
+    monkeypatch.setattr(repro.perf, "run_suite", lambda seed, smoke: passing)
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text()) == passing
+
+
 def test_check_payload_gates_counted_instrumentation_costs():
     payload = {
         "smoke": True,

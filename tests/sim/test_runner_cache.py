@@ -44,7 +44,7 @@ def test_roundtrip_preserves_payload_and_profile(tmp_path):
     assert loaded.profile.events_dispatched == 50
     assert loaded.profile.wall_seconds == 0.25
     assert cache.stats.hits == 1 and cache.stats.misses == 1
-    assert cache.entry_count() == 1
+    assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 def test_missing_profile_is_tolerated(tmp_path):
@@ -98,14 +98,6 @@ def test_atomic_put_leaves_no_temp_files(tmp_path):
     assert names == [f"{KEY}.json"]
 
 
-def test_clear_removes_entries(tmp_path):
-    cache = ResultCache(tmp_path)
-    cache.put(KEY, _result())
-    cache.put("b" * 64, _result())
-    assert cache.clear() == 2
-    assert cache.entry_count() == 0
-
-
 def test_permission_denied_entry_recomputes_and_is_counted(
     tmp_path, monkeypatch, capsys
 ):
@@ -139,17 +131,3 @@ def test_permission_denied_entry_recomputes_and_is_counted(
     assert cache.get(KEY) is None  # still failing: counted again ...
     assert cache.stats.errors == 4
     assert capsys.readouterr().err == ""  # ... but warned only once
-
-
-def test_clear_counts_undeletable_entries(tmp_path, monkeypatch):
-    cache = ResultCache(tmp_path)
-    path = cache.put(KEY, _result())
-    cache.put("b" * 64, _result())
-
-    def deny_unlink(self, missing_ok=False):
-        raise PermissionError(13, "Permission denied", str(self))
-
-    monkeypatch.setattr(type(path), "unlink", deny_unlink)
-    assert cache.clear() == 0
-    assert cache.stats.errors == 2
-    assert cache.entry_count() == 2

@@ -16,8 +16,6 @@ from repro.sim.runner import (
     ResultCache,
     SweepJob,
     SweepRunner,
-    merged_metrics,
-    merged_timeseries,
     run_jobs,
     run_pairs,
 )
@@ -54,48 +52,17 @@ def test_parallel_results_bit_identical_to_serial():
     assert len({r.seed for r in serial}) == len(serial)
 
 
-def test_parallel_merged_metrics_byte_identical_to_serial():
-    """The cross-worker merge is deterministic: a parallel sweep's merged
-    registry dump and keyed time-series bundle serialise byte-for-byte
-    the same as the serial run's."""
+def test_parallel_observed_results_bit_identical_to_serial():
+    """With observability on, every result carries its registry dump and
+    time series, and a parallel sweep's payloads (those sections
+    included) are bit-identical to the serial run's."""
     serial = run_jobs(_jobs(OBSERVED), jobs=1)
     parallel = run_jobs(_jobs(OBSERVED), jobs=4)
-
-    serial_metrics = merged_metrics(serial)
-    parallel_metrics = merged_metrics(parallel)
-    assert serial_metrics is not None
-    assert json.dumps(serial_metrics, sort_keys=True) == json.dumps(
-        parallel_metrics, sort_keys=True
+    assert all(
+        r.metrics is not None and r.timeseries is not None
+        for r in serial + parallel
     )
-    # Merged counters really aggregate across runs.
-    assert serial_metrics["reads.completed"]["value"] == sum(
-        r.memory.reads_completed for r in serial
-    )
-
-    serial_series = merged_timeseries(serial)
-    parallel_series = merged_timeseries(parallel)
-    assert list(serial_series) == sorted(serial_series)
-    assert len(serial_series) == 4
-    assert json.dumps(serial_series, sort_keys=True) == json.dumps(
-        parallel_series, sort_keys=True
-    )
-    # Full persisted payloads (now carrying metrics/timeseries sections)
-    # stay bit-identical too.
     assert _payloads(serial) == _payloads(parallel)
-
-
-def test_merged_metrics_none_without_collection():
-    results = run_jobs(_jobs(), jobs=1)
-    assert merged_metrics(results) is None
-    assert merged_timeseries(results) == {}
-
-
-def test_merged_timeseries_disambiguates_repeated_pairs():
-    results = run_pairs(
-        [("MP2", "baseline"), ("MP2", "baseline")], OBSERVED
-    )
-    labels = list(merged_timeseries(results))
-    assert labels == ["MP2/baseline", "MP2/baseline#2"]
 
 
 def test_observed_results_round_trip_through_cache(tmp_path):

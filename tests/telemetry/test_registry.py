@@ -3,12 +3,7 @@
 import pytest
 
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.registry import (
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    merge_dumps,
-)
+from repro.telemetry.registry import DEFAULT_BUCKETS, Gauge, Histogram
 
 
 def test_counter_math():
@@ -115,26 +110,6 @@ def test_histogram_percentile_clamps_to_observed_range():
         assert histogram.percentile(q) == 150.0
 
 
-def test_histogram_from_dict_round_trip_and_merge():
-    first = Histogram(buckets=(10, 20))
-    for value in (1, 5, 15, 99):
-        first.observe(value)
-    rebuilt = Histogram.from_dict(first.as_dict())
-    assert rebuilt.as_dict() == first.as_dict()
-
-    second = Histogram(buckets=(10, 20))
-    second.observe(3)
-    second.observe(500)
-    first.merge(second)
-    assert first.count == 6
-    assert first.total == sum((1, 5, 15, 99, 3, 500))
-    assert first.min_seen == 1 and first.max_seen == 500
-    assert first.counts == [3, 1, 2]
-
-    with pytest.raises(ValueError):
-        first.merge(Histogram(buckets=(1, 2)))
-
-
 def test_histogram_empty_and_validation():
     histogram = Histogram()
     assert histogram.buckets == DEFAULT_BUCKETS
@@ -162,38 +137,6 @@ def test_histogram_as_dict_round_numbers():
     assert data["sum"] == 4.0
     assert data["min"] == 1 and data["max"] == 3
     assert data["p50"] == 1.0 and data["p99"] == 3.0
-
-
-def test_merge_dumps_is_deterministic_and_typed():
-    left = MetricsRegistry()
-    left.counter("reads").inc(3)
-    left.gauge("depth").set(2)
-    left.histogram("lat", buckets=(10, 20)).observe(5)
-    right = MetricsRegistry()
-    right.counter("reads").inc(4)
-    right.gauge("depth").set(7)
-    right.histogram("lat", buckets=(10, 20)).observe(15)
-    right.counter("writes").inc()
-
-    merged = merge_dumps([left.as_dict(), right.as_dict()])
-    assert list(merged) == sorted(merged)
-    assert merged["reads"]["value"] == 7
-    assert merged["depth"] == {"type": "gauge", "value": 9, "max": 7}
-    assert merged["lat"]["counts"] == [1, 1, 0]
-    assert merged["lat"]["min"] == 5 and merged["lat"]["max"] == 15
-    assert merged["writes"]["value"] == 1
-    # Merge order does not matter for the serialised form.
-    import json
-
-    swapped = merge_dumps([right.as_dict(), left.as_dict()])
-    assert json.dumps(merged, sort_keys=True) == json.dumps(
-        swapped, sort_keys=True
-    )
-
-    clash = MetricsRegistry()
-    clash.gauge("reads").set(1)
-    with pytest.raises(TypeError):
-        merge_dumps([left.as_dict(), clash.as_dict()])
 
 
 def test_registry_get_or_create_is_idempotent():

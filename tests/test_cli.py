@@ -321,7 +321,7 @@ def test_parser_requires_command():
 
 
 # ----------------------------------------------------------------------
-# Durable campaign commands (submit / worker / serve / status / resume)
+# Durable campaign commands (submit / worker / status / resume)
 # ----------------------------------------------------------------------
 
 CAMPAIGN_SCALE = ["--requests", "120", "--cores", "2", "--seed", "7"]
@@ -451,20 +451,20 @@ def helpers(monkeypatch):
     """The ``repro worker`` helpers campaign sweeps start, able to import
     this ``repro`` however pytest was launched."""
     import repro
-    import repro.sim.campaign.service as service
+    import repro.sim.campaign.worker as worker
 
     src = str(Path(repro.__file__).resolve().parents[1])
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))
     ))
     started = []
-    spawn = service.spawn_worker_process
+    spawn = worker.spawn_worker_process
 
     def recording(*args, **kwargs):
         started.append(spawn(*args, **kwargs))
         return started[-1]
 
-    monkeypatch.setattr(service, "spawn_worker_process", recording)
+    monkeypatch.setattr(worker, "spawn_worker_process", recording)
     return started
 
 
@@ -544,7 +544,6 @@ def test_failed_campaign_sweep_exits_1_listing_dead_letters(capsys):
     pytest.param(["submit", "--workloads", "MP3", "--timeout", "5"], "--timeout", id="submit-timeout"),
     pytest.param(["submit", "--workloads", "MP3", "--lease", "5"], "--lease", id="submit-lease"),
     pytest.param(["worker", "--store", "unused.sqlite", "--max-attempts", "2"], "--max-attempts", id="worker-max-attempts"),
-    pytest.param(["serve", "--max-attempts", "2"], "--max-attempts", id="serve-max-attempts"),
     pytest.param(["sweep", "--workloads", "MP3", "--retries", "1"], "--retries", id="sweep-retries"),
     pytest.param(["sweep", "--workloads", "MP3", "--systems", "baseline", "--requests", "50", "--no-cache", "--lease", "5"], "--lease", id="sweep-lease"),
     pytest.param(["sweep", "--resume", "c", "--max-attempts", "2"], "--max-attempts", id="resume-max-attempts"),
@@ -554,7 +553,7 @@ def test_lease_knobs_a_command_ignores_exit_2(argv, option, capsys):
     """Each command takes only the lease knobs it reads."""
     # Parse first: a knob the parser accepts must be refused by
     # ``sweep`` itself, before it opens a store or runs a job, never by
-    # starting a worker or service that polls forever.
+    # starting a worker that polls forever.
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -609,25 +608,6 @@ def test_faults_refuses_tier_options(option, value, capsys):
     captured = capsys.readouterr()
     assert f"repro faults: {option} does not apply" in captured.err
     assert "Traceback" not in captured.err and not captured.out
-
-
-@pytest.mark.campaign
-def test_serve_until_done(tmp_path, capsys):
-    store = str(tmp_path / "campaign.sqlite")
-    cache = str(tmp_path / "cache")
-    assert main([
-        "submit", "--workloads", "MP3", "--systems", "baseline",
-        "--campaign", "srv", "--store", store, *CAMPAIGN_SCALE,
-    ]) == 0
-    capsys.readouterr()
-    assert main([
-        "serve", "--store", store, "--cache-dir", cache,
-        "--workers", "1", "--until-done", "srv",
-    ]) == 0
-    err = capsys.readouterr().err
-    assert "campaign service on http://" in err
-    assert "campaign srv: 1/1 done, 0 dead-lettered" in err
-
 
 
 @pytest.mark.parametrize("argv, listed", [
