@@ -173,6 +173,9 @@ class FineWriteEngine:
             self.begin_inflight(
                 req, start, completion, decoded, hold_completion=True
             )
+            # The window may expire at data_end before this step widens
+            # it, so it is not final until the step has run.
+            c.irlp.hold(window)
 
             def _step_two() -> None:
                 pcc_end = self.issue_code_update(
@@ -181,6 +184,7 @@ class FineWriteEngine:
                 final = max(completion, pcc_end)
                 window.extend(final)
                 window.note_service_end(final)
+                c.irlp.release(window)
                 c.engine.call_at(final, c._complete_write, req)
 
             c.engine.call_at(data_end, _step_two)

@@ -14,9 +14,15 @@ from dataclasses import dataclass
 from repro.memory.request import LINE_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecodedAddress:
-    """Coordinates of one cache line inside the memory system."""
+    """Coordinates of one cache line inside the memory system.
+
+    Built once per submitted request and read on every scheduler scan:
+    slots build in one ``__init__`` and read as fast as plain attributes
+    (a frozen dataclass builds through ``object.__setattr__``, and a
+    named tuple's fields read slower).  Never mutated after decode.
+    """
 
     channel: int
     rank: int
@@ -24,10 +30,6 @@ class DecodedAddress:
     row: int
     column: int
     line_address: int
-
-    def bank_key(self) -> tuple:
-        """Hashable (rank, bank) pair within a channel."""
-        return (self.rank, self.bank)
 
 
 @dataclass(frozen=True)
@@ -99,40 +101,29 @@ class AddressMapper:
 
     def __init__(self, geometry: MemoryGeometry):
         self.geometry = geometry
-        #: Decode memo: every request is decoded once at submit and the
-        #: footprint's addresses repeat heavily, so the (immutable) result
-        #: is cached per mapper.  Bounded by the working set of distinct
-        #: line addresses.
-        self._decoded: dict = {}
+        #: ``geometry.lines_per_row``, a derived property, read per decode.
+        self._lines_per_row = geometry.lines_per_row
+
+    def channel_of(self, address: int) -> int:
+        """The channel of a byte address (unchecked; see :meth:`decode`)."""
+        return address // LINE_BYTES % self.geometry.n_channels
 
     def decode(self, address: int) -> DecodedAddress:
         """Decode a byte address.  The address must be line aligned."""
-        cached = self._decoded.get(address)
-        if cached is not None:
-            return cached
+        geo = self.geometry
         if address % LINE_BYTES:
             raise ValueError(f"address {address:#x} not line aligned")
-        if not 0 <= address < self.geometry.capacity_bytes:
+        if not 0 <= address < geo.capacity_bytes:
             raise ValueError(
                 f"address {address:#x} outside capacity "
-                f"{self.geometry.capacity_bytes:#x}"
+                f"{geo.capacity_bytes:#x}"
             )
-        geo = self.geometry
         line = address // LINE_BYTES
         rest, channel = divmod(line, geo.n_channels)
-        rest, column = divmod(rest, geo.lines_per_row)
+        rest, column = divmod(rest, self._lines_per_row)
         rest, bank = divmod(rest, geo.banks_per_rank)
         row, rank = divmod(rest, geo.ranks_per_channel)
-        decoded = DecodedAddress(
-            channel=channel,
-            rank=rank,
-            bank=bank,
-            row=row,
-            column=column,
-            line_address=line,
-        )
-        self._decoded[address] = decoded
-        return decoded
+        return DecodedAddress(channel, rank, bank, row, column, line)
 
     def encode(
         self, channel: int, rank: int, bank: int, row: int, column: int

@@ -633,13 +633,22 @@ class MemoryController:
 
     def _prune_windows(self) -> None:
         # Runs every kick with windows open; rebuild the list only when
-        # something expired.
+        # something expired.  An expired window takes no more activity,
+        # so the open set releases its hold on it.
         windows = self._open_windows
         now = self.engine.now
         for window in windows:
             if window.end <= now:
-                self._open_windows = [w for w in windows if w.end > now]
-                return
+                break
+        else:
+            return
+        kept: List[WriteWindow] = []
+        for window in windows:
+            if window.end > now:
+                kept.append(window)
+            else:
+                self.irlp.release(window)
+        self._open_windows = kept
 
     def _record_activity(
         self, chips: Tuple[int, ...], start: int, end: int

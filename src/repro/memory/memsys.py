@@ -73,9 +73,6 @@ class MainMemory:
             )
             for channel in range(config.geometry.n_channels)
         ]
-        #: address -> owning controller; cores probe ``can_accept`` before
-        #: every issue, and the footprint's addresses repeat heavily.
-        self._route: dict = {}
 
     # ------------------------------------------------------------------
     def controller_for(self, address: int) -> MemoryController:
@@ -84,12 +81,9 @@ class MainMemory:
         return self.controllers[decoded.channel]
 
     def can_accept(self, kind: RequestKind, address: int) -> bool:
-        # controller_for with a routing memo: cores poll this before
-        # every issue, usually for addresses seen before.
-        controller = self._route.get(address)
-        if controller is None:
-            controller = self.controllers[self.mapper.decode(address).channel]
-            self._route[address] = controller
+        # Cores poll this before every issue: route by the channel digit
+        # alone and leave the checked decode to ``submit``.
+        controller = self.controllers[self.mapper.channel_of(address)]
         return controller.can_accept(kind)
 
     def submit(self, request: MemoryRequest) -> None:
@@ -114,19 +108,21 @@ class MainMemory:
     def irlp_summary(self) -> Tuple[float, float]:
         """(mean, max) IRLP over all write windows of all channels.
 
-        One walk builds the window values for both; the mean is ``sum``
-        over them in channel then window order (CPython 3.12's float
-        ``sum`` is compensated, so the order and the call both matter).
+        The mean adds the window values left to right, in channel then
+        window-creation order: ``sum`` compensates floats on CPython 3.12
+        and would round differently there than on 3.10 and 3.11.
         """
         values = [
-            window.irlp()
+            value
             for controller in self.controllers
-            for window in controller.irlp.windows
-            if window.duration > 0
+            for value in controller.irlp.values()
         ]
         if not values:
             return 0.0, 0.0
-        return sum(values) / len(values), max(values)
+        total = 0.0
+        for value in values:
+            total += value
+        return total / len(values), max(values)
 
     def write_service_busy_ticks(self) -> int:
         """Total write-window busy time, summed over channels."""

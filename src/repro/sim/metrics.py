@@ -7,14 +7,17 @@ write service window is open.  The controller opens a
 attributes chip activity intervals — the dirty-word writes themselves plus
 any reads overlapped by RoW — to the window.  ECC/PCC update activity is
 deliberately excluded so the metric tops out at 8.0, matching the paper.
+Once a window is final, :class:`IrlpRecorder` folds it into its IRLP value
+and service span, so a run keeps those per window, not the window.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from array import array
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.engine import ns_to_ticks, ticks_to_ns
 
@@ -54,6 +57,10 @@ class WriteWindow:
     service_end: int = -1
     #: (chip, start, end) data-word activity intervals.
     activities: List[Tuple[int, int, int]] = field(default_factory=list)
+    #: Holders that may still change the window: the controller's open
+    #: set, and RoW's deferred PCC step while it is pending
+    #: (:meth:`IrlpRecorder.hold`).  The window is final at 0.
+    holds: int = 1
     #: Memoised ``irlp()`` result: ((start, end, len(activities)), value).
     #: Activities only ever append and the span only moves via the
     #: mutators below, so that triple is a complete mutation stamp; the
@@ -87,10 +94,6 @@ class WriteWindow:
     def note_service_end(self, end: int) -> None:
         """Record when the window's full service (ECC/PCC tail) finished."""
         self.service_end = max(self.service_end, end)
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
 
     @property
     def busy_end(self) -> int:
@@ -144,23 +147,68 @@ class WriteWindow:
 
 
 class IrlpRecorder:
-    """Collects a controller's write windows (``MainMemory.irlp_summary``
-    summarises their IRLP)."""
+    """A controller's write windows, each folded into its IRLP value and
+    service span once final (``MainMemory.irlp_summary`` averages the
+    values, :meth:`drain_busy_ticks` unions the spans).
+
+    Windows fold in creation order: a final window waits behind an older
+    one that is not, so :meth:`values` keeps the order the IRLP mean
+    sums in.  A window still pending when the run ends reads as it stands.
+    """
 
     def __init__(self) -> None:
-        self.windows: List[WriteWindow] = []
+        #: IRLP of each folded window of positive duration.
+        self._values = array("d")
+        #: ``start, busy_end`` of each folded window with busy time.
+        self._spans = array("q")
+        #: Windows opened and not folded yet, oldest first.
+        self._pending: Deque[WriteWindow] = deque()
+        #: The last four windows opened, final or not, newest last (what
+        #: the ``irlp.recent`` probe reads).
+        self.recent: Deque[WriteWindow] = deque(maxlen=4)
 
     def open_window(self, start: int, end: int) -> WriteWindow:
+        """A new window, held by the controller's open set."""
         window = WriteWindow(start, end)
-        self.windows.append(window)
+        self._pending.append(window)
+        self.recent.append(window)
         return window
+
+    def hold(self, window: WriteWindow) -> None:
+        """A deferred step will still change ``window``."""
+        window.holds += 1
+
+    def release(self, window: WriteWindow) -> None:
+        """Drop one hold on ``window``; fold the final windows it frees."""
+        window.holds -= 1
+        pending = self._pending
+        while pending and not pending[0].holds:
+            head = pending.popleft()
+            start = head.start
+            if head.end > start:
+                self._values.append(head.irlp())
+            busy_end = head.busy_end
+            if busy_end > start:
+                self._spans.extend((start, busy_end))
+
+    def values(self) -> List[float]:
+        """IRLP of every window of positive duration, in creation order."""
+        folded = self._values.tolist()
+        folded.extend(w.irlp() for w in self._pending if w.end > w.start)
+        return folded
+
+    def spans(self) -> List[Tuple[int, int]]:
+        """``(start, busy_end)`` of every window with busy time."""
+        flat = self._spans
+        spans = list(zip(flat[::2], flat[1::2]))
+        spans.extend(
+            (w.start, w.busy_end) for w in self._pending if w.busy_end > w.start
+        )
+        return spans
 
     def drain_busy_ticks(self) -> int:
         """Union duration of all write service spans (incl. ECC/PCC tails)."""
-        spans = [
-            (w.start, w.busy_end) for w in self.windows if w.busy_end > w.start
-        ]
-        return sum(end - start for start, end in merge_intervals(spans))
+        return sum(end - start for start, end in merge_intervals(self.spans()))
 
 
 #: Registry name pattern of the per-chip PCM word-write counters.

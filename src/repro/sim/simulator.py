@@ -215,18 +215,19 @@ class SystemSimulator:
         return sampler
 
     def _recent_irlp(self) -> float:
-        """Mean IRLP over each channel's most recent write windows.
+        """Mean IRLP over the last four windows opened per channel.
 
-        Bounded to a handful of windows per channel so the probe stays
-        O(1)-ish per sample even on write-heavy runs.
+        Bounded so the probe stays O(1) per sample even on write-heavy
+        runs; added left to right, as ``MainMemory.irlp_summary`` does.
         """
-        values = [
-            window.irlp()
-            for controller in self.memory.controllers
-            for window in controller.irlp.windows[-4:]
-            if window.end > window.start
-        ]
-        return sum(values) / len(values) if values else 0.0
+        total = 0.0
+        count = 0
+        for controller in self.memory.controllers:
+            for window in controller.irlp.recent:
+                if window.end > window.start:
+                    total += window.irlp()
+                    count += 1
+        return total / count if count else 0.0
 
     def _profile(self, wall_seconds: float) -> RunProfile:
         """Engine profile of the finished run (also fed to the registry)."""

@@ -10,7 +10,7 @@ from repro.core.systems import make_system
 from repro.memory.memsys import make_controller
 from repro.memory.request import MemoryRequest, make_read, make_write
 from repro.sim.engine import Engine
-from repro.sim.metrics import MemoryStats
+from repro.sim.metrics import IrlpRecorder, MemoryStats
 
 try:  # Deterministic hypothesis runs: no random example order, no
     # wall-clock deadline flakes; every rerun explores the same cases.
@@ -110,3 +110,27 @@ def pcmap():
 
 def harness(system_name: str, **overrides) -> ControllerHarness:
     return ControllerHarness(system_name, **overrides)
+
+
+class ShadowIrlpRecorder(IrlpRecorder):
+    """An IRLP recorder that also keeps every window it opens, unfolded.
+
+    Read at the end of a run, the kept windows give what the recorder's
+    folded values and spans must equal (:meth:`expected_values`,
+    :meth:`expected_spans`).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.windows = []
+
+    def open_window(self, start, end):
+        window = super().open_window(start, end)
+        self.windows.append(window)
+        return window
+
+    def expected_values(self):
+        return [w.irlp() for w in self.windows if w.end > w.start]
+
+    def expected_spans(self):
+        return [(w.start, w.busy_end) for w in self.windows if w.busy_end > w.start]

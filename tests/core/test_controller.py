@@ -55,9 +55,9 @@ def test_silent_write_fast_and_windowed():
     h.run()
     assert req.service_class is ServiceClass.SILENT
     assert req.latency <= DEFAULT_TIMING.array_write_ticks
-    windows = h.controller.irlp.windows
-    assert len(windows) == 1
-    assert windows[0].irlp() == 0.0
+    irlp = h.controller.irlp
+    assert len(irlp.spans()) == 1
+    assert irlp.values() == [0.0]
 
 
 def test_wow_consolidates_disjoint_writes():
@@ -197,9 +197,10 @@ def test_ecc_contention_serialises_fixed_layout_groups():
     for i in range(28):
         h.write(i, 1 << (i % 8))
     h.run()
+    # Without RoW a window's span ends where its service does.
     grouped = [
-        w for w in h.controller.irlp.windows
-        if w.duration > int(1.3 * DEFAULT_TIMING.array_write_ticks)
+        (start, end) for start, end in h.controller.irlp.spans()
+        if end - start > int(1.3 * DEFAULT_TIMING.array_write_ticks)
     ]
     assert grouped, "expected ECC-tail-stretched windows in wow-nr"
 
@@ -211,7 +212,7 @@ def test_rde_rotation_raises_irlp_over_fixed():
             h.write(i, 1 << (i % 3))  # clustered offsets 0-2
         h.run()
         # The window values MainMemory.irlp_summary averages.
-        values = [w.irlp() for w in h.controller.irlp.windows if w.duration > 0]
+        values = h.controller.irlp.values()
         return sum(values) / len(values)
 
     assert run("rwow-rde") > run("rwow-nr")

@@ -1,9 +1,11 @@
 """Independent unit tests for repro.core.row (RoW window engine)."""
 
+import pytest
+
 from repro.core.row import ReadOverWritePolicy
 from repro.memory.timing import DEFAULT_TIMING
 
-from tests.conftest import harness
+from tests.conftest import ShadowIrlpRecorder, harness
 
 
 def counter(h, name) -> int:
@@ -115,3 +117,66 @@ def test_zero_rollback_rate_never_rolls_back():
     h = _run_reconstructing_workload(rate=0.0)
     assert h.stats.verify_count >= 1
     assert h.stats.rollbacks == 0
+
+
+# ----------------------------------------------------------------------
+# IRLP folding of RoW windows
+# ----------------------------------------------------------------------
+def _row_window_kicked_at_its_end(kick_at=None, kick_first=True):
+    """Run row-nr's first RoW window, optionally with a controller kick at
+    ``kick_at`` queued before (``kick_first``) or after the window's
+    deferred PCC step; returns (recorder, window, data end, what the kick
+    saw of the window)."""
+    h = harness("row-nr")
+    c = h.controller
+    c.irlp = shadow = ShadowIrlpRecorder()
+    opened = {}
+    seen = {}
+
+    def kick() -> None:
+        row_window = opened["window"]
+        seen["end_before"] = row_window.end
+        c._kick()
+        seen["open_after"] = row_window in c._open_windows
+        seen["holds_after"] = row_window.holds
+
+    issue = c.fine.issue_fine_write
+
+    def issue_fine_write(req, decoded, now, window, defer_pcc=False):
+        result = issue(req, decoded, now, window=window, defer_pcc=defer_pcc)
+        if defer_pcc and not opened:
+            opened["window"], opened["data_end"] = window, result[1]
+            if kick_at is not None and not kick_first:
+                c.engine.call_at(kick_at, kick)  # queued after the step
+        return result
+
+    c.fine.issue_fine_write = issue_fine_write
+    if kick_at is not None and kick_first:
+        c.engine.call_at(kick_at, kick)  # queued before the step
+    for i in range(28):
+        h.write(i, 0b1)
+    h.read(1000)
+    h.run()
+    assert h.all_done()
+    return shadow, opened["window"], opened["data_end"], seen
+
+
+@pytest.mark.parametrize("kick_first", [True, False], ids=["prune-first", "step-first"])
+def test_row_window_folds_after_its_deferred_step(kick_first):
+    """The PCC step fires at the window's end tick and widens the window;
+    a kick at that tick prunes it first or finds it already widened."""
+    *_, data_end, _seen = _row_window_kicked_at_its_end()
+    shadow, window, again, seen = _row_window_kicked_at_its_end(
+        data_end, kick_first
+    )
+    assert again == data_end
+    assert window.end > data_end  # the step widened the window
+    if kick_first:
+        # Pruned at its data end, while the step still held it.
+        assert seen == {"end_before": data_end, "open_after": False,
+                        "holds_after": 1}
+    else:
+        assert seen["end_before"] == window.end and seen["open_after"]
+    assert window.holds == 0
+    assert shadow.values() == shadow.expected_values()
+    assert shadow.spans() == shadow.expected_spans()

@@ -13,25 +13,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.timeline import occupancy_from_trace
-from repro.core.systems import SYSTEM_NAMES, make_system
+from repro.core.systems import COMPARATOR_SYSTEM_NAMES, SYSTEM_NAMES, make_system
 from repro.memory.memsys import make_controller
 from repro.memory.request import make_read, make_write
 from repro.sim.engine import Engine
 from repro.sim.metrics import MemoryStats
 from repro.telemetry import Telemetry
 
+from tests.conftest import ShadowIrlpRecorder
+
 ALL_SYSTEMS = SYSTEM_NAMES + ["write-pausing"]
 
 
-def _drive(system_name, operations, seed=1, log=False):
+def _drive(system_name, operations, seed=1, log=False, irlp=None):
     """Run (kind, line, mask, gap) operations through one controller;
-    with ``log`` the run is traced and rank 0's chip occupancy returned."""
+    with ``log`` the run is traced and rank 0's chip occupancy returned;
+    ``irlp`` replaces the controller's IRLP recorder."""
     engine = Engine()
     config = make_system(system_name)
     telemetry = Telemetry.recording() if log else None
     controller = make_controller(
         engine, config, channel_id=0, seed=seed, telemetry=telemetry
     )
+    if irlp is not None:
+        controller.irlp = irlp
     stride = 64 * config.geometry.n_channels
     requests = []
     req_id = 0
@@ -119,9 +124,21 @@ def test_irlp_bounds_under_random_load(system_name):
     rng = random.Random(23)
     ops = _random_operations(rng, 200)
     controller, _requests, _ = _drive(system_name, ops)
-    for window in controller.irlp.windows:
-        if window.duration > 0:
-            assert 0.0 <= window.irlp() <= 8.0
+    for value in controller.irlp.values():
+        assert 0.0 <= value <= 8.0
+
+
+@pytest.mark.parametrize("system_name", SYSTEM_NAMES + COMPARATOR_SYSTEM_NAMES)
+@pytest.mark.parametrize("seed", [23, 42])
+def test_folded_irlp_matches_unfolded_windows(system_name, seed):
+    """Each window folded mid-run reads what it reads at the end."""
+    rng = random.Random(seed)
+    ops = _random_operations(rng, 250)
+    shadow = ShadowIrlpRecorder()
+    _drive(system_name, ops, irlp=shadow)
+    assert len(shadow._pending) < len(shadow.windows) // 2  # most folded
+    assert shadow.values() == shadow.expected_values()
+    assert shadow.spans() == shadow.expected_spans()
 
 
 @given(

@@ -102,11 +102,6 @@ def test_same_row_lines_share_bank_and_row():
     assert a.column + 1 == b.column
 
 
-def test_bank_key():
-    decoded = MAPPER.decode(0)
-    assert decoded.bank_key() == (decoded.rank, decoded.bank)
-
-
 def test_invalid_geometry_rejected():
     with pytest.raises(ValueError):
         MemoryGeometry(row_bytes=100)  # not a multiple of the line size

@@ -87,9 +87,9 @@ def test_baseline_irlp_equals_dirty_count():
     h = harness("baseline")
     h.write(0, 0b111)  # 3 dirty words
     h.run()
-    windows = [w for w in h.controller.irlp.windows if w.duration > 0]
-    assert len(windows) == 1
-    assert windows[0].irlp() == pytest.approx(3.0)
+    values = h.controller.irlp.values()
+    assert len(values) == 1
+    assert values[0] == pytest.approx(3.0)
 
 
 def test_baseline_writes_serialise():

@@ -127,7 +127,7 @@ def test_busy_end_defaults_to_window_end():
 def reference_irlp(window):
     """IRLP as computed before the one-sort sweep: merge each chip's
     clipped intervals, then sweep the merged spans' endpoints."""
-    if window.duration <= 0:
+    if window.end <= window.start:
         return 0.0
     per_chip = {}
     for chip, start, end in window.activities:
@@ -148,7 +148,7 @@ def reference_irlp(window):
         count += delta
         previous = time
     busy += min(count, MAX_IRLP) * (window.end - previous)
-    return busy / window.duration
+    return busy / (window.end - window.start)
 
 
 # Small coordinates so intervals often touch, nest and repeat; twelve
@@ -231,6 +231,45 @@ def test_drain_busy_ticks_unions_service_spans():
     w1.note_service_end(150)
     recorder.open_window(120, 200)  # overlaps w1's tail
     assert recorder.drain_busy_ticks() == 200
+
+
+def test_recorder_folds_final_windows_in_creation_order():
+    recorder = IrlpRecorder()
+    early = recorder.open_window(0, 100)
+    early.add_activity(0, 0, 100)
+    late = recorder.open_window(10, 20)
+    late.add_activity(1, 10, 20)
+    late.add_activity(2, 10, 20)
+    recorder.release(late)  # final, but waits behind the open ``early``
+    assert list(recorder._pending) == [early, late]
+    recorder.release(early)
+    assert not recorder._pending
+    early.add_activity(3, 0, 100)  # no longer read
+    assert recorder.values() == [1.0, 2.0]
+    assert recorder.spans() == [(0, 100), (10, 20)]
+
+
+def test_held_window_folds_once_its_last_hold_goes():
+    recorder = IrlpRecorder()
+    window = recorder.open_window(0, 100)
+    window.add_activity(0, 0, 100)
+    recorder.hold(window)  # a deferred step will still widen it
+    recorder.release(window)  # dropped from the open set
+    assert list(recorder._pending) == [window]
+    window.extend(200)
+    window.note_service_end(250)
+    recorder.release(window)
+    assert not recorder._pending
+    assert recorder.values() == [0.5]
+    assert recorder.spans() == [(0, 250)]
+
+
+def test_recorder_keeps_the_last_four_windows_opened():
+    recorder = IrlpRecorder()
+    windows = [recorder.open_window(t, t + 10) for t in range(0, 60, 10)]
+    for window in windows:
+        recorder.release(window)
+    assert list(recorder.recent) == windows[-4:]
 
 
 # ----------------------------------------------------------------------
