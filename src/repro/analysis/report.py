@@ -61,9 +61,15 @@ class FigureSeries:
     values: Dict[str, float]
 
     def mean(self) -> float:
+        """Mean over workloads, added left to right in insertion order
+        (``sum`` compensates floats on CPython 3.12 and would round
+        differently there than on 3.10 and 3.11)."""
         if not self.values:
             return 0.0
-        return sum(self.values.values()) / len(self.values)
+        total = 0.0
+        for value in self.values.values():
+            total += value
+        return total / len(self.values)
 
 
 def figure_report(

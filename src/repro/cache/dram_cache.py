@@ -17,37 +17,12 @@ timing) and the timed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+# DramCacheConfig must stay importable here: sweep jobs pickled before it
+# moved to repro.cache.config name this module.
+from repro.cache.config import DramCacheConfig
 from repro.cache.set_assoc import ArraySetCache, Eviction
-
-
-@dataclass(frozen=True)
-class DramCacheConfig:
-    """Table I parameters for the DRAM cache."""
-
-    size_bytes: int = 256 * 1024 * 1024
-    associativity: int = 8
-    #: Hit latency in CPU cycles.  The timed front end
-    #: (:class:`repro.cache.frontend.DramCacheFrontEnd`) schedules every
-    #: tier hit ``access_cycles`` CPU cycles after submission; with the
-    #: front end off (``front_end=none``) traces are post-LLC and the
-    #: latency is folded into the core's base CPI instead (DESIGN.md §5).
-    access_cycles: int = 100
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < 64 * self.associativity:
-            raise ValueError(
-                "dram cache smaller than one set "
-                f"({self.size_bytes} bytes, {self.associativity}-way)"
-            )
-        if self.size_bytes % (64 * self.associativity):
-            raise ValueError(
-                "dram cache size must be a multiple of line x associativity"
-            )
-        if self.access_cycles < 1:
-            raise ValueError("dram cache access_cycles must be >= 1")
 
 
 class DramCache:

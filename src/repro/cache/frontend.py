@@ -37,8 +37,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 
-from repro.cache.dram_cache import DramCache, DramCacheConfig
-from repro.cache.replacement import REPLACEMENT_POLICIES
+# FrontEndConfig must stay importable here: sweep jobs pickled before it
+# moved to repro.cache.config name this module.
+from repro.cache.config import FrontEndConfig
+from repro.cache.dram_cache import DramCache
 from repro.cache.set_assoc import Eviction
 from repro.memory.request import MemoryRequest, RequestKind
 from repro.telemetry import Telemetry
@@ -47,60 +49,10 @@ if TYPE_CHECKING:
     from repro.memory.port import MemoryPort
     from repro.sim.engine import Engine
 
-#: Recognised ``FrontEndConfig.kind`` values.
-FRONT_END_KINDS = ("none", "dram")
-
 #: Tier-generated transactions get their own request-id namespaces, far
 #: above the per-core ``core_id << 32`` ranges the trace cores use.
 FILL_ID_BASE = 1 << 60
 WRITE_BACK_ID_BASE = (1 << 60) | (1 << 59)
-
-
-@dataclass(frozen=True)
-class FrontEndConfig:
-    """Configuration of the simulated memory front end.
-
-    Frozen (and nested-frozen) so it participates in
-    :class:`~repro.sim.simulator.SimulationParams` content hashing — the
-    sweep runner's cache keys cover the tier configuration for free.
-    """
-
-    #: ``"none"`` — no tier, today's direct path, bit-for-bit.
-    #: ``"dram"`` — the timed DRAM cache described above.
-    kind: str = "none"
-    dram: DramCacheConfig = DramCacheConfig()
-    #: Replacement policy name (:mod:`repro.cache.replacement`).
-    replacement: str = "lru"
-    #: Miss-status-holding registers: concurrent outstanding line fills.
-    mshrs: int = 16
-    #: Tier-side write-back buffer entries (evictions waiting to enter a
-    #: controller write queue).
-    writeback_buffer: int = 16
-
-    def __post_init__(self) -> None:
-        if self.kind not in FRONT_END_KINDS:
-            raise ValueError(
-                f"unknown front-end kind {self.kind!r}; "
-                f"expected one of {FRONT_END_KINDS}"
-            )
-        if self.replacement not in REPLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown replacement policy {self.replacement!r}; "
-                f"known: {sorted(REPLACEMENT_POLICIES)}"
-            )
-        if self.mshrs < 1:
-            raise ValueError("front end needs at least one MSHR")
-        if self.writeback_buffer < 1:
-            raise ValueError("front end needs at least one write-back slot")
-
-    @property
-    def enabled(self) -> bool:
-        return self.kind != "none"
-
-    @property
-    def capacity_mb(self) -> float:
-        """Tier capacity in MiB (the ``--frontend-mb`` sizing knob)."""
-        return self.dram.size_bytes / (1024 * 1024)
 
 
 @dataclass

@@ -66,6 +66,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import format_table, percent
@@ -85,10 +86,8 @@ from repro.telemetry import (
     JsonlSink,
     RingBufferSink,
     Telemetry,
-    write_chrome_trace,
 )
 from repro.trace.synthetic import SyntheticTraceGenerator
-from repro.trace.trace_io import save_trace
 from repro.trace.workloads import ALL_WORKLOADS, get_workload, workload_names
 
 
@@ -541,6 +540,8 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run once with tracing on; export a Chrome trace (and maybe JSONL)."""
+    from repro.telemetry.chrome import write_chrome_trace
+
     ring = RingBufferSink(capacity=args.buffer)
     sinks: List[object] = [ring]
     jsonl: Optional[JsonlSink] = None
@@ -844,6 +845,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
+    from repro.trace.trace_io import save_trace
+
     generator = SyntheticTraceGenerator(
         get_workload(args.workload), seed=args.seed
     )
@@ -1183,10 +1186,44 @@ def _reject_unknown_names(parser: argparse.ArgumentParser, args) -> None:
                              f"valid: {', '.join(valid)}")
 
 
+#: Options naming a file a command writes (``trace``, ``metrics``,
+#: ``report``, ``faults``, ``perf``, ``gen-trace``).
+_OUTPUT_OPTIONS = ("out", "jsonl", "timeseries")
+
+
+def _unwritable_output(args: argparse.Namespace) -> Optional[str]:
+    """One line naming the first output option whose path cannot be
+    written, or ``None``.  Missing directories on a writable path are
+    created, as ``atomic_write_text`` would create them after the run."""
+    for dest in _OUTPUT_OPTIONS:
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        target = Path(path)
+        # The nearest ancestor that exists; "." or "/" at the latest.
+        existing = next(p for p in target.parents if p.exists())
+        if target.is_dir():
+            problem = "it is a directory"
+        elif not existing.is_dir():
+            problem = f"{existing} is not a directory"
+        elif not os.access(existing, os.W_OK):
+            problem = f"{existing} is not writable"
+        else:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            continue
+        return f"cannot write --{dest} {path}: {problem}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _reject_unknown_names(parser, args)
+    # Checked before the command runs, so a bad path costs no run.
+    problem = _unwritable_output(args)
+    if problem is not None:
+        print(f"repro {args.command}: {problem}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

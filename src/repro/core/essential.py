@@ -16,10 +16,12 @@ dirty masks directly and the detector only validates them.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.memory.request import MemoryRequest, WORDS_PER_LINE
-from repro.memory.storage import MemoryStorage
+
+if TYPE_CHECKING:  # built by functional runs only
+    from repro.memory.storage import MemoryStorage
 
 
 def diff_words(old: Tuple[int, ...], new: Tuple[int, ...]) -> int:
@@ -38,7 +40,7 @@ def diff_words(old: Tuple[int, ...], new: Tuple[int, ...]) -> int:
 class EssentialWordDetector:
     """Determines (or validates) the dirty mask of each write-back."""
 
-    def __init__(self, storage: Optional[MemoryStorage] = None):
+    def __init__(self, storage: Optional["MemoryStorage"] = None):
         self.storage = storage
 
     def detect(self, request: MemoryRequest) -> int:

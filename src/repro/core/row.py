@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.ecc import hamming, parity
 from repro.memory.address import DecodedAddress
 from repro.memory.bus import BusDirection
 from repro.memory.policy import (
@@ -32,11 +31,7 @@ from repro.memory.policy import (
     ReadAdmission,
     WriteContext,
 )
-from repro.memory.request import (
-    MemoryRequest,
-    ServiceClass,
-    WORDS_PER_LINE,
-)
+from repro.memory.request import MemoryRequest, ServiceClass
 from repro.sim.metrics import WriteWindow
 from repro.telemetry import EventType
 
@@ -360,12 +355,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
 
         req.service_class = ServiceClass.ROW_OVERLAP
         if c.storage is not None:
-            stored = c.storage.read_line(line)
-            partial = [
-                None if w == missing_word else stored.words[w]
-                for w in range(WORDS_PER_LINE)
-            ]
-            req.data_words = parity.reconstruct_word(partial, stored.pcc)
+            req.data_words = c.storage.reconstruct_line(line, missing_word)
         c.read_q.remove(req)
         c.engine.call_at(end, c._complete_read, req)
         self._schedule_verify(req, decoded, missing_word, end)
@@ -436,13 +426,9 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
 
         corrupted = False
         if c.storage is not None and req.data_words is not None:
-            stored = c.storage.read_line(decoded.line_address)
-            result = hamming.decode(
-                req.data_words[missing_word], stored.checks[missing_word]
-            )
-            corrupted = (
-                not result.ok or result.data != stored.words[missing_word]
-                or req.data_words[missing_word] != stored.words[missing_word]
+            corrupted = c.storage.word_corrupted(
+                decoded.line_address, missing_word,
+                req.data_words[missing_word],
             )
         # Statistical model: the CPU consumed the value before this check
         # with the workload's probability (Table IV's rollback rates).

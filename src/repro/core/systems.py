@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.cache.dram_cache import DramCacheConfig
-from repro.cache.frontend import FRONT_END_KINDS, FrontEndConfig
+from repro.cache.config import FRONT_END_KINDS, DramCacheConfig, FrontEndConfig
 from repro.core.config import SystemConfig, pcmap_config
 
 if TYPE_CHECKING:
@@ -138,7 +137,7 @@ def all_systems(**overrides) -> List[SystemConfig]:
 # Front-end (cache tier) composition
 # ======================================================================
 #: Front-end kinds the CLI and sweeps accept (mirrors the cache layer's
-#: :data:`~repro.cache.frontend.FRONT_END_KINDS` the way ``SYSTEM_NAMES``
+#: :data:`~repro.cache.config.FRONT_END_KINDS` the way ``SYSTEM_NAMES``
 #: mirrors ``_FACTORIES``).
 FRONT_END_NAMES: List[str] = list(FRONT_END_KINDS)
 
@@ -156,7 +155,7 @@ def make_front_end(
     ``capacity_mb`` is the sizing knob behind ``--frontend-mb``: it
     derives ``size_bytes`` (so paper-scale 256 MB tiers are one flag),
     and the set/way geometry is validated by
-    :class:`~repro.cache.dram_cache.DramCacheConfig` — the size must
+    :class:`~repro.cache.config.DramCacheConfig` — the size must
     yield at least one whole set of 64-byte lines.  Keyword overrides
     forward to :class:`FrontEndConfig` (``mshrs``, ``writeback_buffer``)
     or, via ``dram_overrides`` semantics below, to the

@@ -1,7 +1,5 @@
-"""Trace-driven CPU model: cores, multicore wrapper, rollback accounting."""
+"""Trace-driven CPU model: cores, multicore wrapper, rollback accounting.
 
-from repro.cpu.core import CoreParams, TraceCore
-from repro.cpu.multicore import Multicore
-from repro.cpu.rollback import RollbackModel
-
-__all__ = ["CoreParams", "TraceCore", "Multicore", "RollbackModel"]
+The package imports nothing: import the submodule you need
+(``repro.cpu.core``, ``repro.cpu.multicore``, ``repro.cpu.rollback``).
+"""

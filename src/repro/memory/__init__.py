@@ -1,64 +1,6 @@
-"""DDR3-style PCM main-memory substrate (DRAMSim2-equivalent, from scratch)."""
+"""DDR3-style PCM main-memory substrate (DRAMSim2-equivalent, from scratch).
 
-from repro.memory.address import (
-    AddressMapper,
-    BASELINE_GEOMETRY,
-    DecodedAddress,
-    MemoryGeometry,
-    PCMAP_GEOMETRY,
-)
-from repro.memory.controller import MemoryController
-from repro.memory.memsys import MainMemory, make_controller
-from repro.memory.policy import (
-    BaseSchedulerPolicy,
-    CoarseWritePolicy,
-    PolicyChain,
-    ReadAdmission,
-    SchedulerPolicy,
-    WriteContext,
-)
-from repro.memory.request import (
-    LINE_BYTES,
-    MemoryRequest,
-    RequestKind,
-    ServiceClass,
-    WORDS_PER_LINE,
-    make_read,
-    make_write,
-)
-from repro.memory.power import DEFAULT_ENERGY_MODEL, EnergyModel
-from repro.memory.storage import MemoryStorage
-from repro.memory.timing import DEFAULT_TIMING, TimingParams, WriteLatencyMode
-from repro.memory.wear import StartGapRemapper, WearStats
-
-__all__ = [
-    "AddressMapper",
-    "BASELINE_GEOMETRY",
-    "DecodedAddress",
-    "MemoryGeometry",
-    "PCMAP_GEOMETRY",
-    "MemoryController",
-    "MainMemory",
-    "make_controller",
-    "BaseSchedulerPolicy",
-    "CoarseWritePolicy",
-    "PolicyChain",
-    "ReadAdmission",
-    "SchedulerPolicy",
-    "WriteContext",
-    "LINE_BYTES",
-    "MemoryRequest",
-    "RequestKind",
-    "ServiceClass",
-    "WORDS_PER_LINE",
-    "make_read",
-    "make_write",
-    "MemoryStorage",
-    "DEFAULT_ENERGY_MODEL",
-    "EnergyModel",
-    "StartGapRemapper",
-    "WearStats",
-    "DEFAULT_TIMING",
-    "TimingParams",
-    "WriteLatencyMode",
-]
+The package imports nothing: import the submodule you need
+(``repro.memory.memsys``, ``repro.memory.request``, ...).  The functional
+store, the energy model and the wear model load only where they are used.
+"""

@@ -45,14 +45,16 @@ from repro.memory.request import (
     ServiceClass,
     WORDS_PER_LINE,
 )
-from repro.memory.storage import MemoryStorage
 from repro.memory.timing import WriteLatencyMode
 from repro.sim.engine import Engine, EventHandle, ticks_to_ns
 from repro.sim.metrics import IrlpRecorder, WriteWindow
 from repro.telemetry import EventType, Telemetry
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
+if TYPE_CHECKING:
+    # The config is imported lazily at runtime to avoid a package cycle;
+    # the store only by functional runs, which build it.
     from repro.core.config import SystemConfig
+    from repro.memory.storage import MemoryStorage
 
 #: ``_wake_time`` when no wake-up is pending or noted.
 NO_WAKE = sys.maxsize
@@ -66,7 +68,7 @@ class MemoryController:
         engine: Engine,
         config: "SystemConfig",
         channel_id: int = 0,
-        storage: Optional[MemoryStorage] = None,
+        storage: Optional["MemoryStorage"] = None,
         seed: int = 1,
         telemetry: Optional[Telemetry] = None,
     ):

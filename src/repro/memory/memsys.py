@@ -12,20 +12,22 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.memory.address import AddressMapper
 from repro.memory.controller import MemoryController
 from repro.memory.request import MemoryRequest, RequestKind
-from repro.memory.storage import MemoryStorage
 from repro.sim.engine import Engine
 from repro.sim.metrics import MemoryStats
 from repro.telemetry import Telemetry
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
+if TYPE_CHECKING:
+    # The config is imported lazily at runtime to avoid a package cycle;
+    # the store (and the codec it loads) only by functional runs.
     from repro.core.config import SystemConfig
+    from repro.memory.storage import MemoryStorage
 
 
 def make_controller(
     engine: Engine,
     config: "SystemConfig",
     channel_id: int = 0,
-    storage: Optional[MemoryStorage] = None,
+    storage: Optional["MemoryStorage"] = None,
     seed: int = 1,
     telemetry: Optional[Telemetry] = None,
 ) -> MemoryController:
@@ -55,7 +57,7 @@ class MainMemory:
         engine: Engine,
         config: "SystemConfig",
         seed: int = 1,
-        storage: Optional[MemoryStorage] = None,
+        storage: Optional["MemoryStorage"] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.engine = engine
@@ -65,6 +67,8 @@ class MainMemory:
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.mapper = AddressMapper(config.geometry)
         if storage is None and config.functional:
+            from repro.memory.storage import MemoryStorage
+
             storage = MemoryStorage(keep_pcc=config.geometry.has_pcc_chip)
         self.storage = storage
         self.controllers: List[MemoryController] = [

@@ -154,6 +154,32 @@ class MemoryStorage:
         return dirty_mask
 
     # ------------------------------------------------------------------
+    # RoW's codec steps (paper §IV-B).  They live with the store so that
+    # the codec loads only with it: a timing-only run never imports it.
+    # ------------------------------------------------------------------
+    def reconstruct_line(
+        self, line_address: int, missing_word: int
+    ) -> Tuple[int, ...]:
+        """The line as a RoW read returns it while ``missing_word``'s
+        chip is busy: the other seven words plus the PCC parity word."""
+        stored = self.read_line(line_address)
+        partial = [
+            None if w == missing_word else stored.words[w]
+            for w in range(WORDS_PER_LINE)
+        ]
+        return parity.reconstruct_word(partial, stored.pcc)
+
+    def word_corrupted(self, line_address: int, word: int, value: int) -> bool:
+        """The deferred SECDED verify of a reconstructed word: ``True``
+        when ``value`` fails the check or differs from the stored word."""
+        stored = self.read_line(line_address)
+        result = hamming.decode(value, stored.checks[word])
+        return (
+            not result.ok or result.data != stored.words[word]
+            or value != stored.words[word]
+        )
+
+    # ------------------------------------------------------------------
     # Fault injection (used to exercise RoW's deferred verification)
     # ------------------------------------------------------------------
     def corrupt_bit(self, line_address: int, word: int, bit: int) -> None:

@@ -279,15 +279,22 @@ class MemoryStats:
 
     # ------------------------------------------------------------------
     def chip_write_imbalance(self) -> float:
-        """Coefficient of variation of per-chip word writes (0 = even)."""
+        """Coefficient of variation of per-chip word writes (0 = even).
+
+        The squared deviations are added left to right, in chip order:
+        ``sum`` compensates floats on CPython 3.12 and would round
+        differently there than on 3.10 and 3.11.
+        """
         counts = list(self.chip_word_writes.values())
         if len(counts) < 2:
             return 0.0
         mean = sum(counts) / len(counts)
         if mean == 0:
             return 0.0
-        variance = sum((c - mean) ** 2 for c in counts) / len(counts)
-        return variance ** 0.5 / mean
+        squares = 0.0
+        for count in counts:
+            squares += (count - mean) ** 2
+        return (squares / len(counts)) ** 0.5 / mean
 
     # ------------------------------------------------------------------
     @property

@@ -11,9 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform as platform_module
 import stat
-import subprocess
 from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Union
@@ -41,6 +39,10 @@ def code_version() -> str:
     """
     global _CODE_VERSION
     if _CODE_VERSION is None:
+        # Imported here: only a sweep or a saved result asks, once per
+        # process, so a simulator run never loads ``subprocess``.
+        import subprocess
+
         try:
             _CODE_VERSION = subprocess.run(
                 ["git", "describe", "--always", "--dirty", "--tags"],
@@ -62,11 +64,13 @@ def code_version() -> str:
 def run_manifest(seed: int = -1) -> dict:
     """Attribution header for a persisted run: where did this number
     come from?  Seed, code state, interpreter and host platform."""
+    import platform
+
     return {
         "seed": seed,
         "code_version": code_version(),
-        "python": platform_module.python_version(),
-        "platform": platform_module.platform(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
     }
 
 

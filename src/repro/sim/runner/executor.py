@@ -22,7 +22,6 @@ Timeouts, retries and durability live in :mod:`repro.sim.campaign`; a
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -119,6 +118,9 @@ class SweepRunner:
                     result, job, clock.elapsed, completed, total
                 )
         else:
+            # Only a pool run pays for the pool's import.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {

@@ -15,13 +15,15 @@ never deadlock against a parent that is already waiting in ``join``.
 
 from __future__ import annotations
 
-import multiprocessing
 import traceback
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner.jobs import SweepJob
 from repro.sim.simulator import simulate
+
+if TYPE_CHECKING:
+    import multiprocessing
 
 
 class JobExecutionError(RuntimeError):
@@ -69,6 +71,9 @@ def run_job_isolated(
     the child runs exactly :func:`default_execute` on the job's own
     derived seed, so an isolated result is bit-identical to an inline one.
     """
+    # Imported here: only a timed campaign job runs in its own process.
+    import multiprocessing
+
     execute = execute if execute is not None else default_execute
     recv, send = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(
@@ -99,7 +104,7 @@ def run_job_isolated(
     )
 
 
-def _reap(proc: multiprocessing.Process) -> None:
+def _reap(proc: "multiprocessing.Process") -> None:
     """Terminate (then kill) a child and wait for it."""
     proc.terminate()
     proc.join(1.0)

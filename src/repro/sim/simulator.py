@@ -11,19 +11,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.cache.frontend import DramCacheFrontEnd, FrontEndConfig
+from repro.cache.config import FrontEndConfig
 from repro.core.config import SystemConfig
 from repro.cpu.core import CoreParams
 from repro.cpu.multicore import Multicore
 from repro.memory.memsys import MainMemory
-from repro.memory.storage import MemoryStorage
 from repro.sim.engine import Engine
 from repro.sim.metrics import SimulationResult
 from repro.telemetry import RunProfile, Telemetry, WallClock
 from repro.telemetry.timeseries import DEFAULT_CAPACITY, TimeseriesSampler
 from repro.trace.workloads import WorkloadProfile, get_workload
+
+if TYPE_CHECKING:
+    # Loaded by the runs that use them: the tier when one is configured,
+    # the store by functional runs.
+    from repro.cache.frontend import DramCacheFrontEnd
+    from repro.memory.storage import MemoryStorage
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,10 @@ class SystemSimulator:
         #: Timed DRAM-cache tier between the cores and PCM; ``None`` on
         #: the default direct path (``front_end.kind == "none"``), where
         #: nothing is constructed and the event stream stays bit-identical.
-        self.frontend: Optional[DramCacheFrontEnd] = None
+        self.frontend: Optional["DramCacheFrontEnd"] = None
         if self.params.front_end.enabled:
+            from repro.cache.frontend import DramCacheFrontEnd
+
             self.frontend = DramCacheFrontEnd(
                 self.engine,
                 self.memory,
@@ -275,7 +282,7 @@ def simulate(
     workload: Union[str, WorkloadProfile],
     params: Optional[SimulationParams] = None,
     telemetry: Optional[Telemetry] = None,
-    storage: Optional[MemoryStorage] = None,
+    storage: Optional["MemoryStorage"] = None,
 ) -> SimulationResult:
     """One-shot convenience: build, run, return the result."""
     return SystemSimulator(system, workload, params, telemetry, storage).run()

@@ -23,14 +23,12 @@ Three cooperating pieces (docs/TELEMETRY.md has the full guide):
 
 :class:`Telemetry` bundles a tracer and a registry and is what the
 simulator threads through the controller stack.
+
+The exporters (:mod:`repro.telemetry.chrome`,
+:mod:`repro.telemetry.export`) load on first use of their names: a run
+records telemetry, and only the command that writes it out needs them.
 """
 
-from repro.telemetry.chrome import to_chrome_trace, write_chrome_trace
-from repro.telemetry.export import (
-    lint_openmetrics,
-    timeseries_to_jsonl,
-    to_openmetrics,
-)
 from repro.telemetry.profiler import EngineProfiler, RunProfile, WallClock
 from repro.telemetry.registry import (
     Counter,
@@ -83,3 +81,21 @@ __all__ = [
     "RunProfile",
     "WallClock",
 ]
+
+
+#: Exporter names resolved on first use, by the module that defines them.
+_LAZY_EXPORTS = {
+    **dict.fromkeys(("to_chrome_trace", "write_chrome_trace"), "chrome"),
+    **dict.fromkeys(
+        ("lint_openmetrics", "timeseries_to_jsonl", "to_openmetrics"), "export"
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        from importlib import import_module
+
+        module = import_module(f"{__name__}.{_LAZY_EXPORTS[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,38 +1,6 @@
-"""Workload profiles, synthetic trace generation and trace file I/O."""
+"""Workload profiles, synthetic trace generation and trace file I/O.
 
-from repro.trace.record import AccessKind, TraceRecord
-from repro.trace.synthetic import SyntheticTraceGenerator
-from repro.trace.trace_io import iter_trace, load_trace, save_trace
-from repro.trace.workloads import (
-    ALL_WORKLOADS,
-    FIGURE_MP_NAMES,
-    FIGURE_MT_NAMES,
-    MULTI_PROGRAM,
-    MULTI_THREADED,
-    SPEC_SINGLES,
-    TABLE4_NAMES,
-    WorkloadKind,
-    WorkloadProfile,
-    get_workload,
-    workload_names,
-)
-
-__all__ = [
-    "AccessKind",
-    "TraceRecord",
-    "SyntheticTraceGenerator",
-    "iter_trace",
-    "load_trace",
-    "save_trace",
-    "ALL_WORKLOADS",
-    "FIGURE_MP_NAMES",
-    "FIGURE_MT_NAMES",
-    "MULTI_PROGRAM",
-    "MULTI_THREADED",
-    "SPEC_SINGLES",
-    "TABLE4_NAMES",
-    "WorkloadKind",
-    "WorkloadProfile",
-    "get_workload",
-    "workload_names",
-]
+The package imports nothing: import the submodule you need
+(``repro.trace.workloads``, ``repro.trace.synthetic``,
+``repro.trace.trace_io``).
+"""

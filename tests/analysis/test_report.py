@@ -37,6 +37,13 @@ def test_figure_series_mean():
     assert FigureSeries("empty", {}).mean() == 0.0
 
 
+def test_figure_series_mean_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so the mean is 0.0 on every
+    # CPython; a compensated sum (3.12's ``sum``) keeps the 1.0.
+    series = FigureSeries("s", {"a": 1e16, "b": 1.0, "c": -1e16})
+    assert series.mean() == 0.0
+
+
 def test_figure_report_has_average_row():
     series = [FigureSeries("sys", {"w1": 1.0, "w2": 2.0})]
     text = figure_report("T", ["w1", "w2"], series)

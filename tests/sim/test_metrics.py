@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.systems import make_system
 from repro.sim.engine import ticks_to_ns
 from repro.sim.metrics import (
     IrlpRecorder,
@@ -13,6 +14,7 @@ from repro.sim.metrics import (
     WriteWindow,
     merge_intervals,
 )
+from repro.sim.simulator import SimulationParams, SystemSimulator
 from repro.telemetry import MetricsRegistry
 
 
@@ -309,6 +311,16 @@ def test_from_registry_dirty_words_and_chip_writes():
     # Ascending chip order, whatever order the chips were first written
     # in or their registry names sort in.
     assert list(stats.chip_word_writes) == [2, 9, 10]
+
+
+def test_chip_write_imbalance_is_pinned_across_pythons():
+    # The squared deviations are added left to right: CPython 3.12's
+    # compensated ``sum`` read ...037 on this run, 3.10 and 3.11 ...038.
+    result = SystemSimulator(
+        make_system("rwow-rd"), "canneal",
+        SimulationParams(target_requests=1500, seed=3),
+    ).run()
+    assert result.memory.chip_write_imbalance() == 0.6340100700502038
 
 
 def test_merge_combines_counters():

@@ -655,3 +655,38 @@ def test_bad_numbers_exit_2_naming_the_option(argv, option, capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(["trace", "--workload", "MP3", "--out", "{bad}/run.json"], "--out", id="trace-out"),
+    pytest.param(["trace", "--workload", "MP3", "--out", "{ok}/run.json", "--jsonl", "{bad}/run.jsonl"], "--jsonl", id="trace-jsonl"),
+    pytest.param(["metrics", "--out", "{bad}/metrics.txt"], "--out", id="metrics-out"),
+    pytest.param(["metrics", "--timeseries", "{bad}/series.jsonl"], "--timeseries", id="metrics-timeseries"),
+    pytest.param(["report", "--out", "{bad}/report.html"], "--out", id="report-out"),
+    pytest.param(["faults", "--smoke", "--out", "{bad}/faults.json"], "--out", id="faults-out"),
+    pytest.param(["perf", "--smoke", "--out", "{bad}/perf.json"], "--out", id="perf-out"),
+    pytest.param(["gen-trace", "--workload", "MP1", "--out", "{bad}/mp1.trace"], "--out", id="gen-trace-out"),
+])
+def test_unwritable_output_exits_2_before_the_run(argv, option, tmp_path, capsys):
+    # The output's parent is a regular file, so no run could write there.
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = [arg.format(bad=blocker, ok=tmp_path) for arg in argv]
+    path = argv[argv.index(option) + 1]
+    small = ["--requests", "200", "--cores", "2"]
+    if argv[0] in ("trace", "metrics", "report"):
+        argv += small
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing ran
+    assert err.splitlines() == [
+        f"repro {argv[0]}: cannot write {option} {path}: "
+        f"{blocker} is not a directory"
+    ]
+
+
+def test_output_directories_are_created_before_the_run(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "mp1.trace"
+    assert main(["gen-trace", "--workload", "MP1", "--count", "5",
+                 "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 6  # header + 5 records
