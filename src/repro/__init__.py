@@ -16,12 +16,7 @@ Quick start::
 __version__ = "1.0.0"
 
 from repro.core.config import SystemConfig, pcmap_config
-from repro.core.systems import (
-    PCMAP_SYSTEM_NAMES,
-    SYSTEM_NAMES,
-    all_systems,
-    make_system,
-)
+from repro.core.systems import PCMAP_SYSTEM_NAMES, SYSTEM_NAMES, make_system
 from repro.memory.memsys import MainMemory
 from repro.memory.request import MemoryRequest, RequestKind, make_read, make_write
 from repro.memory.timing import TimingParams, WriteLatencyMode
@@ -33,7 +28,6 @@ __all__ = [
     "pcmap_config",
     "PCMAP_SYSTEM_NAMES",
     "SYSTEM_NAMES",
-    "all_systems",
     "make_system",
     "MainMemory",
     "MemoryRequest",

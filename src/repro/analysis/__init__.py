@@ -12,7 +12,6 @@ from repro.analysis.report import (
     format_table,
     percent,
     ratio,
-    summarize_result,
 )
 
 __all__ = [
@@ -24,15 +23,12 @@ __all__ = [
     "svg_grouped_bars",
     "svg_line_chart",
     "occupancy_from_trace",
-    "occupancy_summary",
     "render_occupancy",
-    "render_trace_occupancy",
     "FigureSeries",
     "figure_report",
     "format_table",
     "percent",
     "ratio",
-    "summarize_result",
 ]
 
 #: Renderer names resolved on first use, by the module that defines them.
@@ -43,8 +39,7 @@ _LAZY_EXPORTS = {
     **dict.fromkeys(
         (
             "BarSeries", "LineSeries", "svg_grouped_bars", "svg_line_chart",
-            "occupancy_from_trace", "occupancy_summary", "render_occupancy",
-            "render_trace_occupancy",
+            "occupancy_from_trace", "render_occupancy",
         ),
         "timeline",
     ),

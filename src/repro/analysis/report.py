@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.sim.metrics import SimulationResult
-
 
 def format_table(
     headers: Sequence[str],
@@ -91,20 +89,3 @@ def figure_report(
         [average_label] + [value_format(s.mean()) for s in series]
     )
     return format_table(headers, rows, title=title)
-
-
-def summarize_result(result: SimulationResult) -> Dict[str, float]:
-    """Flat metric dict for one run (handy in tests and notebooks)."""
-    return {
-        "ipc": result.ipc,
-        "irlp_average": result.irlp_average,
-        "irlp_max": result.irlp_max,
-        "mean_read_latency_ns": result.mean_read_latency_ns,
-        "write_throughput": result.write_throughput,
-        "delayed_read_fraction": result.memory.delayed_read_fraction,
-        "row_reads": float(result.memory.row_reads),
-        "wow_member_writes": float(result.memory.wow_member_writes),
-        "rollbacks": float(result.memory.rollbacks),
-        "reads": float(result.memory.reads_completed),
-        "writes": float(result.memory.writes_completed),
-    }

@@ -7,8 +7,7 @@ rank reservation emits a ``chip.reserve`` event.
 from a JSONL file) into :class:`OccupancyEvent` records, and
 :func:`render_occupancy` turns them into a one-row-per-chip,
 one-column-per-time-slice text grid, the visual the paper uses to
-explain RoW and WoW (Figure 5).  :func:`render_trace_occupancy` goes
-straight from trace to grid.
+explain RoW and WoW (Figure 5).
 """
 
 from __future__ import annotations
@@ -120,9 +119,8 @@ def occupancy_from_trace(
 
     ``channel``/``rank`` filter to one resource domain (``None`` keeps
     all, which only makes sense for single-channel harness runs).  The
-    returned list feeds :func:`render_occupancy` and
-    :func:`occupancy_summary` unchanged, so a saved JSONL trace can
-    regenerate the Figure-5 grid long after the run.
+    returned list feeds :func:`render_occupancy` unchanged, so a saved
+    JSONL trace can regenerate the Figure-5 grid long after the run.
     """
     lifted: List[OccupancyEvent] = []
     for event in events:
@@ -141,38 +139,6 @@ def occupancy_from_trace(
             label=event.reason,
         ))
     return lifted
-
-
-def render_trace_occupancy(
-    events: Iterable[TraceEvent],
-    n_chips: int,
-    title: str = "",
-    tick_step: int = 250,
-    chip_names: Optional[Sequence[str]] = None,
-    channel: Optional[int] = None,
-    rank: Optional[int] = None,
-) -> str:
-    """Render the occupancy grid directly from a recorded trace."""
-    return render_occupancy(
-        occupancy_from_trace(events, channel, rank),
-        n_chips,
-        title=title,
-        tick_step=tick_step,
-        chip_names=chip_names,
-    )
-
-
-def occupancy_summary(events: Iterable[OccupancyEvent]) -> dict:
-    """Aggregate busy ticks per chip and per mark kind (tests, reports)."""
-    per_chip: dict = {}
-    per_kind = {"W": 0, "c": 0, "R": 0}
-    for event in events:
-        if event.start < 0 or event.end <= event.start:
-            continue
-        duration = event.end - event.start
-        per_chip[event.chip] = per_chip.get(event.chip, 0) + duration
-        per_kind[event_mark(event)] += duration
-    return {"per_chip": per_chip, "per_kind": per_kind}
 
 
 # ----------------------------------------------------------------------

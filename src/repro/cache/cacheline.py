@@ -14,8 +14,6 @@ from typing import Optional, Tuple
 
 from repro.memory.request import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
 
-FULL_MASK = (1 << WORDS_PER_LINE) - 1
-
 
 @dataclass
 class CacheLine:
@@ -41,9 +39,6 @@ class CacheLine:
         if not 0 <= word < WORDS_PER_LINE:
             raise ValueError(f"word index out of range: {word}")
         self.dirty_mask |= 1 << word
-
-    def mark_all_dirty(self) -> None:
-        self.dirty_mask = FULL_MASK
 
     def write_word(self, word: int, value: int) -> None:
         """Functional store: update one word and mark it dirty."""

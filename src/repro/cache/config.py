@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.replacement import REPLACEMENT_POLICY_NAMES
-
 #: Recognised ``FrontEndConfig.kind`` values.
 FRONT_END_KINDS = ("none", "dram")
+
+#: Replacement policy names, in the order the CLI lists them.  The
+#: policies themselves (:data:`repro.cache.replacement.REPLACEMENT_POLICIES`,
+#: keyed by these names) load only with a tier.
+REPLACEMENT_POLICY_NAMES = ("lru", "clock", "mac")
 
 
 @dataclass(frozen=True)

@@ -62,20 +62,6 @@ class DramCache:
             write_backs.append(evicted)
         return hit, write_backs
 
-    def flush(self) -> List[Eviction]:
-        """Evict every dirty line (end-of-run write-back drain).
-
-        Drains in :meth:`ArraySetCache.dirty_lines` order: first-fill
-        order of sets, residency order within each set.
-        """
-        drained: List[Eviction] = []
-        for line_address in self.cache.dirty_lines():
-            eviction = self.cache.invalidate(line_address)
-            if eviction is not None:
-                self.write_backs += 1
-                drained.append(eviction)
-        return drained
-
     @property
     def stats(self):
         return self.cache.stats

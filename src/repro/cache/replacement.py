@@ -26,7 +26,9 @@ byte-identical across ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
+
+from repro.cache.config import REPLACEMENT_POLICY_NAMES
 
 #: Per-hit state transitions the cache inlines (no method call on the
 #: hit path): 0 — none (LRU), 1 — set the reference bit (CLOCK),
@@ -120,15 +122,13 @@ class MacReplacement:
         return best - base
 
 
-#: name -> policy class, mirroring how ``systems.build_policies`` maps
-#: feature flags to scheduler-policy chains.
-REPLACEMENT_POLICIES: Dict[str, type] = {
-    policy.name: policy
-    for policy in (LruReplacement, ClockReplacement, MacReplacement)
-}
-
-#: Stable listing for CLI choices and docs.
-REPLACEMENT_POLICY_NAMES: Tuple[str, ...] = tuple(REPLACEMENT_POLICIES)
+#: name -> policy class, keyed by
+#: :data:`~repro.cache.config.REPLACEMENT_POLICY_NAMES` in its order,
+#: mirroring how ``systems.build_policies`` maps feature flags to
+#: scheduler-policy chains.
+REPLACEMENT_POLICIES: Dict[str, type] = dict(
+    zip(REPLACEMENT_POLICY_NAMES, (LruReplacement, ClockReplacement, MacReplacement))
+)
 
 
 def make_replacement_policy(name: Optional[str]):

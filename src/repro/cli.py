@@ -70,7 +70,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import format_table, percent
-from repro.cache.replacement import REPLACEMENT_POLICY_NAMES
+from repro.cache.config import REPLACEMENT_POLICY_NAMES
 from repro.core.systems import (
     COMPARATOR_SYSTEM_NAMES,
     FRONT_END_NAMES,
@@ -134,17 +134,16 @@ def _front_end(args: argparse.Namespace):
 
 
 #: Defaults of the simulation options every run command takes.
-_COMMON_DEFAULTS = {
-    "requests": 4_000, "seed": 1, "cores": 8,
-    "front_end": "none", "replacement": "lru", "frontend_mb": None,
-}
+_RUN_DEFAULTS = {"requests": 4_000, "seed": 1, "cores": 8}
+
+#: Defaults of the DRAM-tier options every run command but ``faults``
+#: takes (fault campaigns run the direct path).
+_TIER_DEFAULTS = {"front_end": "none", "replacement": "lru", "frontend_mb": None}
+
+_COMMON_DEFAULTS = {**_RUN_DEFAULTS, **_TIER_DEFAULTS}
 
 #: The grid a campaign fixes at submit, which ``sweep --resume`` refuses.
 _GRID_OPTIONS = ("workloads", "systems", *_COMMON_DEFAULTS)
-
-#: The DRAM-tier options, which ``faults`` refuses: its runs take the
-#: direct path.
-_TIER_OPTIONS = ("front_end", "replacement", "frontend_mb")
 
 
 def _params(args: argparse.Namespace) -> SimulationParams:
@@ -752,11 +751,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Seeded fault campaign / convergence check / oracle self-test."""
-    for dest in _TIER_OPTIONS:
-        if getattr(args, dest) is not None:
-            print(f"repro faults: --{dest.replace('_', '-')} does not apply: "
-                  "fault campaigns run the direct path", file=sys.stderr)
-            return 2
     from repro.faults import (
         DEFAULT_FAULTS,
         FaultCampaignSpec,
@@ -865,11 +859,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-workloads").set_defaults(func=cmd_list_workloads)
     sub.add_parser("list-systems").set_defaults(func=cmd_list_systems)
 
-    def add_common(p):
+    def add_run_options(p):
         p.add_argument("--requests", type=_positive_int,
                        help="total main-memory requests to simulate")
         p.add_argument("--seed", type=int)
         p.add_argument("--cores", type=_positive_int)
+        p.set_defaults(**_RUN_DEFAULTS)
+
+    def add_tier_options(p):
         p.add_argument("--front-end", dest="front_end",
                        choices=FRONT_END_NAMES,
                        help="simulated cache tier in front of PCM "
@@ -886,7 +883,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "derived and validated from the size. Only "
                             "meaningful with --front-end dram; distinct "
                             "sizes hash to distinct sweep-cache keys.")
-        p.set_defaults(**_COMMON_DEFAULTS)
+        p.set_defaults(**_TIER_DEFAULTS)
+
+    def add_common(p):
+        add_run_options(p)
+        add_tier_options(p)
 
     run_p = sub.add_parser("run", help="one workload on one system")
     run_p.add_argument("--workload", required=True)
@@ -1158,9 +1159,9 @@ def build_parser() -> argparse.ArgumentParser:
     faults_p.add_argument("--convergence", action="store_true",
                           help="all six systems must reach identical "
                                "end-state (faults off)")
-    add_common(faults_p)
-    # None marks a tier option as not given: cmd_faults refuses them all.
-    faults_p.set_defaults(func=cmd_faults, **dict.fromkeys(_TIER_OPTIONS))
+    # Fault campaigns run the direct path: no tier options.
+    add_run_options(faults_p)
+    faults_p.set_defaults(func=cmd_faults)
 
     gen_p = sub.add_parser("gen-trace", help="export a synthetic trace file")
     gen_p.add_argument("--workload", required=True)
@@ -1173,13 +1174,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _reject_unknown_names(parser: argparse.ArgumentParser, args) -> None:
-    """Exit 2, listing the valid names, on an unknown workload or system."""
+    """Exit 2, listing the valid names, on an unknown workload or system.
+
+    An empty name (``--workload ""``, ``--systems a,``) is unknown too.
+    """
     for kind, valid in (("workload", workload_names()),
                         ("system", SYSTEM_NAMES + COMPARATOR_SYSTEM_NAMES)):
         for dest in (kind, kind + "s"):  # --workload, then --workloads
-            value = getattr(args, dest, None) or ""
+            value = getattr(args, dest, None)
+            if value is None:  # not given, or not this command's option
+                continue
             given = [value] if dest == kind else value.split(",")
-            unknown = [name for name in given if name and name not in valid]
+            unknown = [name for name in given if name not in valid]
             if unknown:
                 parser.error(f"--{dest}: unknown {kind} "
                              f"{', '.join(map(repr, unknown))}; "

@@ -41,11 +41,6 @@ class SystemConfig:
     #: Prior-art comparator: reads preempt ongoing writes (write pausing,
     #: the paper's related work [11]).  Mutually exclusive with PCMap.
     enable_write_pausing: bool = False
-    #: Scope of the write-engine token serialising array write service:
-    #: ``"rank"`` models the rank-wide PCM write-power budget (all PCMap
-    #: systems); ``"bank"`` frees concurrent services on distinct banks —
-    #: the PALP-style ``palp-lite`` comparator (Song et al.).
-    write_engine_scope: str = "rank"
 
     # ----- controller policy -------------------------------------------
     read_queue_capacity: int = 8
@@ -97,31 +92,12 @@ class SystemConfig:
             raise ValueError("row_max_essential_words must be >= 1")
         if self.wow_max_group < 1:
             raise ValueError("wow_max_group must be >= 1")
-        if self.write_engine_scope not in ("rank", "bank"):
-            raise ValueError(
-                f"unknown write_engine_scope {self.write_engine_scope!r}; "
-                "expected 'rank' or 'bank'"
-            )
-        if self.write_engine_scope == "bank":
-            if not self.fine_grained_writes:
-                raise ValueError(
-                    "a bank-scoped write engine requires fine-grained writes"
-                )
-            if self.enable_row or self.enable_wow:
-                raise ValueError(
-                    "the bank-scoped write engine is the PALP-style "
-                    "comparator; it cannot be combined with RoW/WoW"
-                )
 
     # ------------------------------------------------------------------
     @property
     def is_pcmap(self) -> bool:
         """True for any system with fine-grained writes (non-baseline)."""
         return self.fine_grained_writes
-
-    def with_timing(self, timing: TimingParams) -> "SystemConfig":
-        """Copy with different timing (used by the Table III sweep)."""
-        return replace(self, timing=timing)
 
     def with_rollback_rate(self, rate: float) -> "SystemConfig":
         """Copy with a different RoW rollback rate (Table IV)."""
@@ -140,8 +116,6 @@ class SystemConfig:
             features.append("rot(data)")
         if self.enable_write_pausing:
             features.append("write pausing (prior art)")
-        if self.write_engine_scope == "bank":
-            features.append("partition-parallel writes (prior art)")
         if not features:
             features.append("coarse writes, read-priority drain")
         return f"{self.name}: {', '.join(features)}"

@@ -8,17 +8,17 @@ now a policy chain (see :mod:`repro.memory.policy`):
 * :mod:`repro.core.row` — RoW windows, overlap-read admission, deferred
   verify and rollback (§IV-B);
 * :mod:`repro.core.wow` — two-pass WoW group admission and service
-  (§IV-C);
-* :mod:`repro.core.palp` — the PALP-style partition-parallel comparator.
+  (§IV-C).
 
 :func:`repro.core.systems.build_policies` maps the config's feature
 flags to the chain, so the §IV-D2 dispatch order (silent -> RoW ->
 WoW -> plain fine) is the chain order rather than an if/elif ladder.
 
 What remains here is only what is genuinely per-controller state shared
-by every fine-grained policy: the :class:`~repro.core.fine.FineWriteEngine`,
-the DIMM status registers, and the oldest-*ready*-first write-candidate
-discipline that replaces the baseline's strict FIFO.
+by every fine-grained policy: the :class:`~repro.core.fine.FineWriteEngine`
+(which also charges the DIMM status register's ``Status`` poll, §IV-D1)
+and the oldest-*ready*-first write-candidate discipline that replaces the
+baseline's strict FIFO.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.fine import FineWriteEngine
-from repro.core.status import DimmStatusRegister
 from repro.memory.controller import NO_WAKE, MemoryController
 from repro.memory.policy import PolicyChain, WriteContext
 from repro.memory.request import MemoryRequest
 
 
 class PCMapController(MemoryController):
-    """Controller for the five PCMap system variants (and ``palp-lite``)."""
+    """Controller for the five PCMap system variants."""
 
     def _build_policy_chain(self) -> PolicyChain:
         if not self.config.fine_grained_writes:
@@ -41,20 +40,10 @@ class PCMapController(MemoryController):
                 "PCMapController requires fine_grained_writes; "
                 "use MemoryController for the baseline"
             )
-        # Shared resources the fine-grained policies bind against; they
+        # The shared engine the fine-grained policies bind against; it
         # must exist before the chain is composed.
-        self.fine = FineWriteEngine(
-            self, scope=self.config.write_engine_scope
-        )
-        self.status_registers = [
-            DimmStatusRegister(rank, self.timing) for rank in self.ranks
-        ]
+        self.fine = FineWriteEngine(self)
         return super()._build_policy_chain()
-
-    @property
-    def _inflight_writes(self) -> int:
-        """Fine-grained writes currently in flight (engine-owned count)."""
-        return self.fine.inflight
 
     # ==================================================================
     # Write-candidate discipline
@@ -86,7 +75,7 @@ class PCMapController(MemoryController):
         token_free = fine.token_free
         for req in write_q.pending:
             decoded = req.decoded
-            token = token_free[decoded.rank][decoded.bank] if req.dirty_mask else 0
+            token = token_free[decoded.rank] if req.dirty_mask else 0
             ready = req.ready_bound
             if token > ready:
                 ready = token

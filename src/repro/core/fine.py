@@ -8,10 +8,11 @@
   buffering, Figure 7);
 * the **write-engine token** — one write *group* in array service per
   rank at a time, because the PCM write-power budget serialises array
-  writes rank-wide (DESIGN.md §5).  The PALP-style comparator narrows
-  the token's scope to one per (rank, bank) *partition* instead, which
-  is the whole difference between ``palp-lite`` and a plain fine-write
-  system.
+  writes rank-wide (DESIGN.md §5);
+* the ``Status`` poll of the DIMM register's busy flags (§IV-D1): every
+  fine or silent write starts ``status_poll_ticks`` after the scheduler
+  picks it, while the flags themselves are the chips' busy times in
+  :class:`~repro.memory.rank.RankState`.
 
 Two chain policies live here because they are pure engine drivers:
 
@@ -24,7 +25,7 @@ Two chain policies live here because they are pure engine drivers:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.memory.address import DecodedAddress
 from repro.memory.bus import BusDirection
@@ -36,45 +37,25 @@ if TYPE_CHECKING:
     from repro.memory.controller import MemoryController
     from repro.sim.metrics import WriteWindow
 
-#: Scope of the write-engine token: ``"rank"`` models the rank-wide PCM
-#: write-power budget (all PCMap systems); ``"bank"`` frees concurrent
-#: write services on different banks (the PALP-style comparator).
-ENGINE_SCOPES = ("rank", "bank")
-
 
 class FineWriteEngine:
     """Shared fine-grained write mechanics for one channel controller."""
 
-    def __init__(self, controller: "MemoryController", scope: str = "rank"):
-        if scope not in ENGINE_SCOPES:
-            raise ValueError(
-                f"unknown write-engine scope {scope!r}; expected one of "
-                f"{ENGINE_SCOPES}"
-            )
+    def __init__(self, controller: "MemoryController"):
         self.c = controller
-        self.scope = scope
         #: Fine-grained writes currently in flight on this channel.
         self.inflight = 0
-        #: Tick each write-engine token frees, as ``[rank][bank]``.  A
-        #: rank-scoped hold raises every bank of its rank, so readers
-        #: index one slot whatever the scope.  Free times only move
-        #: forward, like the chips' busy times.
-        self.token_free: List[List[int]] = [
-            [0] * rank.n_banks for rank in controller.ranks
-        ]
+        #: Tick each rank's write-engine token frees.  Free times only
+        #: move forward, like the chips' busy times.
+        self.token_free: List[int] = [0] * len(controller.ranks)
 
     # ------------------------------------------------------------------
     # Write-engine token
     # ------------------------------------------------------------------
     def hold(self, decoded: DecodedAddress, until: int) -> None:
         """Extend the engine-token reservation to ``until``."""
-        slots = self.token_free[decoded.rank]
-        banks: Iterable[int] = (
-            range(len(slots)) if self.scope == "rank" else (decoded.bank,)
-        )
-        for bank in banks:
-            if until > slots[bank]:
-                slots[bank] = until
+        if until > self.token_free[decoded.rank]:
+            self.token_free[decoded.rank] = until
 
     # ------------------------------------------------------------------
     # Fine-grained writes (§IV-A2)

@@ -129,12 +129,6 @@ class RankLayout:
             dirty_mask & _FULL_MASK
         ]
 
-    def word_of_chip(self, line_address: int, chip: int) -> Optional[int]:
-        """Which data word of the line lives on ``chip`` (None if none)."""
-        if not 0 <= chip < self.n_chips:
-            return None
-        return self._word_of_chip_by_offset[line_address % self._period][chip]
-
     def read_chips(self, line_address: int) -> Tuple[int, ...]:
         """Chips involved in a normal coarse read (data + ECC)."""
         return self._read_by_offset[line_address % self._period]

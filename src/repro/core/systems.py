@@ -13,9 +13,8 @@ RoW's reconstruction requires the PCC chip; ``wow-nr`` keeps the PCC chip
 too so the five PCMap variants differ only in policy, matching the paper's
 controlled comparison.
 
-Two prior-art comparators ride along (``COMPARATOR_SYSTEM_NAMES``):
-``write-pausing`` (Qureshi et al., the paper's [11]) and ``palp-lite``
-(partition-parallel write issue after Song et al.).
+One prior-art comparator rides along (``COMPARATOR_SYSTEM_NAMES``):
+``write-pausing`` (Qureshi et al., the paper's [11]).
 
 Every system — paper variants and comparators alike — instantiates
 through the same scheduler-policy chain: :func:`build_policies` maps a
@@ -47,7 +46,7 @@ SYSTEM_NAMES: List[str] = [
 PCMAP_SYSTEM_NAMES: List[str] = SYSTEM_NAMES[1:]
 
 #: Prior-art comparator systems (not part of the paper's six).
-COMPARATOR_SYSTEM_NAMES: List[str] = ["write-pausing", "palp-lite"]
+COMPARATOR_SYSTEM_NAMES: List[str] = ["write-pausing"]
 
 
 def make_baseline(**overrides) -> SystemConfig:
@@ -59,13 +58,6 @@ def make_write_pausing(**overrides) -> SystemConfig:
     """Prior-art comparator: baseline + read-preempts-write (paper [11])."""
     overrides.setdefault("name", "write-pausing")
     return SystemConfig(enable_write_pausing=True, **overrides)
-
-
-def make_palp_lite(**overrides) -> SystemConfig:
-    """PALP-style comparator: bank-parallel fine writes, no RoW/WoW."""
-    overrides.setdefault("name", "palp-lite")
-    overrides.setdefault("write_engine_scope", "bank")
-    return pcmap_config(**overrides)
 
 
 def make_row_nr(**overrides) -> SystemConfig:
@@ -104,7 +96,6 @@ def make_rwow_rde(**overrides) -> SystemConfig:
 _FACTORIES: Dict[str, Callable[..., SystemConfig]] = {
     "baseline": make_baseline,
     "write-pausing": make_write_pausing,
-    "palp-lite": make_palp_lite,
     "row-nr": make_row_nr,
     "wow-nr": make_wow_nr,
     "rwow-nr": make_rwow_nr,
@@ -126,11 +117,6 @@ def make_system(name: str, **overrides) -> SystemConfig:
             f"unknown system {name!r}; expected one of {SYSTEM_NAMES}"
         ) from None
     return factory(**overrides)
-
-
-def all_systems(**overrides) -> List[SystemConfig]:
-    """All six systems with shared overrides applied."""
-    return [make_system(name, **overrides) for name in SYSTEM_NAMES]
 
 
 # ======================================================================
@@ -189,25 +175,6 @@ def make_front_end(
     )
 
 
-def front_end_for_system(
-    system_name: str, kind: str = "dram", replacement: str = "lru", **overrides
-) -> FrontEndConfig:
-    """Table I front-end config for one of the evaluated systems.
-
-    The paper holds the cache hierarchy constant across all six systems
-    (and both comparators) — the DRAM cache is part of the *platform*,
-    not the proposal — so every system maps to the same tier config and
-    this helper exists to validate the pairing and keep call sites
-    honest about which system a tier is being built for.
-    """
-    if system_name not in _FACTORIES:
-        raise ValueError(
-            f"unknown system {system_name!r}; expected one of "
-            f"{SYSTEM_NAMES + COMPARATOR_SYSTEM_NAMES}"
-        )
-    return make_front_end(kind=kind, replacement=replacement, **overrides)
-
-
 # ======================================================================
 # Policy-chain composition
 # ======================================================================
@@ -217,9 +184,8 @@ def build_policies(config: SystemConfig) -> List["SchedulerPolicy"]:
     The order *is* the §IV-D2 dispatch: silent write-backs first, then a
     RoW attempt (which declines loudly), then WoW grouping — which always
     claims the step, so a trailing plain-fine policy exists only when WoW
-    is off.  Comparators replace the whole stack: pausing is a single
-    coarse policy, ``palp-lite`` swaps the fine fallback for its
-    bank-parallel variant.
+    is off.  The pausing comparator replaces the whole stack with a
+    single coarse policy.
     """
     if config.enable_write_pausing:
         from repro.core.pausing import WritePausingPolicy
@@ -241,10 +207,6 @@ def build_policies(config: SystemConfig) -> List["SchedulerPolicy"]:
         from repro.core.wow import WriteOverWritePolicy
 
         policies.append(WriteOverWritePolicy())
-    elif config.write_engine_scope == "bank":
-        from repro.core.palp import PartitionParallelWritePolicy
-
-        policies.append(PartitionParallelWritePolicy())
     else:
         policies.append(FineWritePolicy())
     return policies

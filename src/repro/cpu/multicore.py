@@ -91,8 +91,5 @@ class Multicore:
         cycle_ticks = self.params.cycle_ticks
         return max(1, (finish - start) // cycle_ticks)
 
-    def aggregate_ipc(self) -> float:
-        return self.instructions_retired / self.total_cpu_cycles()
-
     def total_rollbacks(self) -> int:
         return sum(core.rollback_model.rollbacks for core in self.cores)

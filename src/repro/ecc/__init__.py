@@ -2,7 +2,7 @@
 
 from repro.ecc import hamming, parity
 from repro.ecc.hamming import DecodeResult, DecodeStatus, decode, encode
-from repro.ecc.parity import compute_parity, reconstruct_word, update_parity
+from repro.ecc.parity import compute_parity, reconstruct_word
 
 __all__ = [
     "hamming",
@@ -13,5 +13,4 @@ __all__ = [
     "encode",
     "compute_parity",
     "reconstruct_word",
-    "update_parity",
 ]

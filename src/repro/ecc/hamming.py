@@ -284,13 +284,3 @@ def encode_line(words: Tuple[int, ...]) -> Tuple[int, ...]:
     exactly the 8-byte ECC word stored on the ECC chip (paper §II-A).
     """
     return tuple(map(encode, words))
-
-
-def decode_line(
-    words: Tuple[int, ...], checks: Tuple[int, ...]
-) -> Tuple[Tuple[int, ...], Tuple[DecodeResult, ...]]:
-    """Decode every word of a line; returns (corrected words, results)."""
-    if len(words) != len(checks):
-        raise ValueError("words and checks length mismatch")
-    results = tuple(decode(w, c) for w, c in zip(words, checks))
-    return tuple(r.data for r in results), results

@@ -36,19 +36,6 @@ def compute_parity(words: Sequence[int]) -> int:
     return parity
 
 
-def update_parity(old_parity: int, old_word: int, new_word: int) -> int:
-    """Incremental parity update when one data word changes.
-
-    This is what the PCMap controller does in the second step of a RoW
-    write: the PCC chip is updated with ``parity ^ old ^ new`` rather than
-    re-reading the whole line.
-    """
-    for value in (old_parity, old_word, new_word):
-        if not 0 <= value <= _WORD_MASK:
-            raise ValueError(f"value out of 64-bit range: {value:#x}")
-    return old_parity ^ old_word ^ new_word
-
-
 def reconstruct_word(
     partial_words: Sequence[Optional[int]], parity: int
 ) -> Tuple[int, ...]:
@@ -81,12 +68,3 @@ def reconstruct_word(
     rebuilt = list(partial_words)
     rebuilt[missing[0]] = acc
     return tuple(rebuilt)  # type: ignore[arg-type]
-
-
-def can_reconstruct(busy_word_indices: Sequence[int]) -> bool:
-    """True when the set of busy chips is recoverable by a single parity.
-
-    The controller uses this predicate when deciding whether a read can be
-    served over an ongoing write (RoW eligibility).
-    """
-    return len(set(busy_word_indices)) <= 1

@@ -167,13 +167,6 @@ class DifferentialOracle:
     def ok(self) -> bool:
         return not self.violations
 
-    def assert_clean(self) -> None:
-        if self.violations:
-            head = "; ".join(str(v) for v in self.violations[:5])
-            raise AssertionError(
-                f"differential oracle: {len(self.violations)} violation(s): {head}"
-            )
-
     def as_dict(self) -> dict:
         return {
             "reads_checked": self.reads_checked,

@@ -79,18 +79,6 @@ class MemoryGeometry:
     def lines_per_row(self) -> int:
         return self.row_bytes // LINE_BYTES
 
-    @property
-    def total_lines(self) -> int:
-        return self.capacity_bytes // LINE_BYTES
-
-    @property
-    def rows_per_bank(self) -> int:
-        lines_per_channel = self.total_lines // self.n_channels
-        lines_per_bank = lines_per_channel // (
-            self.ranks_per_channel * self.banks_per_rank
-        )
-        return max(1, lines_per_bank // self.lines_per_row)
-
 
 class AddressMapper:
     """Maps physical byte addresses to (channel, rank, bank, row, column).

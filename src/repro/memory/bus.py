@@ -102,13 +102,3 @@ class ChannelBus:
         self._chip_free_at[chip] = end
         self._chip_last_dir[chip] = direction
         return start, end
-
-    # ------------------------------------------------------------------
-    @property
-    def free_at(self) -> int:
-        """Tick at which the full-width bus becomes free."""
-        return self._free_at
-
-    def chip_free_at(self, chip: int) -> int:
-        """Tick at which one partial bus becomes free."""
-        return self._chip_free_at[chip]

@@ -26,9 +26,7 @@ The concrete mechanisms live next to the systems that introduce them:
 * :class:`repro.core.row.ReadOverWritePolicy` — RoW windows (§IV-B);
 * :class:`repro.core.wow.WriteOverWritePolicy` — WoW grouping (§IV-C);
 * :class:`repro.core.pausing.WritePausingPolicy` — the preemption
-  comparator (paper [11]);
-* :class:`repro.core.palp.PartitionParallelWritePolicy` — the PALP-style
-  bank-parallel comparator (Song et al.).
+  comparator (paper [11]).
 
 :func:`repro.core.systems.build_policies` composes a chain from the
 ``SystemConfig`` feature flags, so system variants are mix-and-match

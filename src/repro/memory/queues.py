@@ -13,7 +13,7 @@ model can apply back-pressure; waiters are notified when space frees up.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.memory.request import MemoryRequest
 from repro.telemetry.registry import Counter, Gauge
@@ -71,11 +71,6 @@ class RequestQueue:
         """Fill fraction in [0, 1]."""
         return len(self.entries) / self.capacity
 
-    @property
-    def high_water(self) -> int:
-        """Peak occupancy seen (the depth gauge's maximum)."""
-        return self._depth_gauge.max_value
-
     # ------------------------------------------------------------------
     def offer(self, request: MemoryRequest) -> bool:
         """Append ``request`` if space allows; returns success."""
@@ -98,10 +93,6 @@ class RequestQueue:
         self.entries.remove(request)
         self._depth_gauge.set(len(self.entries))
         self._notify_space()
-
-    def oldest(self) -> Optional[MemoryRequest]:
-        """Oldest entry, or ``None`` when empty."""
-        return self.entries[0] if self.entries else None
 
     # ------------------------------------------------------------------
     def wait_for_space(self, callback: Callable[[], None]) -> None:
@@ -152,11 +143,6 @@ class WriteQueue(RequestQueue):
     def above_high_watermark(self) -> bool:
         """True when a drain should start (queue > alpha full)."""
         return len(self.entries) > self.high_count
-
-    @property
-    def below_low_watermark(self) -> bool:
-        """True when an active drain should stop."""
-        return len(self.entries) <= self.low_count
 
     # ------------------------------------------------------------------
     def offer(self, request: MemoryRequest) -> bool:

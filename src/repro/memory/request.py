@@ -37,11 +37,6 @@ class ServiceClass(enum.Enum):
     SILENT = "silent"          #: write with zero dirty words (compare only)
 
 
-def popcount(mask: int) -> int:
-    """Number of set bits (dirty words) in a word mask."""
-    return mask.bit_count()
-
-
 #: ``mask -> ascending dirty-word indices`` for all 8-bit masks; shared by
 #: every request's ``dirty_words`` property (the scheduler queries it on
 #: each candidate scan).

@@ -89,12 +89,6 @@ class MemoryStorage:
         """Full line as the chips would return it (data + ECC + PCC)."""
         return self._materialise(line_address)
 
-    def read_word(self, line_address: int, word: int) -> int:
-        """One 64-bit data word (a single chip's contribution)."""
-        if not 0 <= word < WORDS_PER_LINE:
-            raise ValueError(f"word index out of range: {word}")
-        return self._materialise(line_address).words[word]
-
     def diff_mask(self, line_address: int, new_words: Tuple[int, ...]) -> int:
         """Dirty-word mask: which words of ``new_words`` differ from memory.
 

@@ -121,11 +121,6 @@ class TimingParams:
         """Convert a cycle count to ticks."""
         return n * self.cycle_ticks
 
-    @property
-    def write_to_read_ratio(self) -> float:
-        """Array write : array read latency ratio (2.0 in the paper's base)."""
-        return self.array_write_ns / self.array_read_ns
-
     # ------------------------------------------------------------------
     # Variants
     # ------------------------------------------------------------------

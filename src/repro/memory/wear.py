@@ -22,7 +22,7 @@ line in hardware, charged as one extra line write); when it wraps,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 
 @dataclass
@@ -105,13 +105,3 @@ class StartGapRemapper:
             self.gap -= 1
         # The line copied into the freed slot pays one write there.
         self.stats.record(self.gap)
-
-    # ------------------------------------------------------------------
-    def mapping_snapshot(self) -> List[int]:
-        """physical slot of every logical line (tests/inspection)."""
-        return [self.physical_line(line) for line in range(self.n_lines)]
-
-    def is_permutation(self) -> bool:
-        """Sanity: the current mapping must be injective."""
-        snapshot = self.mapping_snapshot()
-        return len(set(snapshot)) == len(snapshot)

@@ -171,16 +171,6 @@ class CampaignStore:
             con.close()
             self._local.con = None
 
-    def integrity_check(self) -> None:
-        """Raise :class:`StoreCorruptError` unless SQLite says ``ok``."""
-        with self._guard():
-            row = self._connect().execute("PRAGMA integrity_check").fetchone()
-        if row is None or row[0] != "ok":
-            raise StoreCorruptError(
-                f"campaign store {self.path} failed integrity_check: "
-                f"{row[0] if row else 'no result'}"
-            )
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------

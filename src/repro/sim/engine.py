@@ -25,7 +25,6 @@ relative ordering is identical whichever is used):
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -43,10 +42,6 @@ def ns_to_ticks(nanoseconds: float) -> int:
 def ticks_to_ns(ticks: int) -> float:
     """Convert integer ticks back to nanoseconds."""
     return ticks / TICKS_PER_NS
-
-
-class CancelledEvent(Exception):
-    """Raised when interacting with an event handle that was cancelled."""
 
 
 class EventHandle:
@@ -111,20 +106,6 @@ class Engine:
         #: Total events fired over the engine's lifetime (always counted —
         #: one integer increment; the telemetry profile reports it).
         self.events_dispatched = 0
-        #: Optional callback-latency profiler (see ``enable_profiling``).
-        self.profiler = None
-
-    def enable_profiling(self, top_n: int = 10):
-        """Attach an :class:`~repro.telemetry.profiler.EngineProfiler`.
-
-        Timestamps every callback, keeping the ``top_n`` slowest.  This
-        roughly doubles per-event dispatch cost, so it is opt-in.
-        Returns the profiler for inspection.
-        """
-        from repro.telemetry.profiler import EngineProfiler
-
-        self.profiler = EngineProfiler(top_n)
-        return self.profiler
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -144,12 +125,6 @@ class Engine:
         heapq.heappush(self._queue, (time, self._seq, callback, (), handle))
         self._live += 1
         return handle
-
-    def schedule_after(self, delay: int, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to fire ``delay`` ticks from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, callback)
 
     def call_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule a never-cancelled ``callback(*args)`` at tick ``time``.
@@ -213,18 +188,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def peek_time(self) -> Optional[int]:
-        """Return the tick of the next pending event, or ``None`` if empty."""
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            handle = entry[4]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(queue)
-                self._cancelled -= 1
-                continue
-            return entry[0]
-        return None
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns ``False`` when idle."""
@@ -237,12 +200,7 @@ class Engine:
             self.now = time
             self.events_dispatched += 1
             self._live -= 1
-            if self.profiler is not None:
-                start = perf_counter()
-                callback(*args)
-                self.profiler.record(perf_counter() - start, time, callback)
-            else:
-                callback(*args)
+            callback(*args)
             return True
         return False
 
@@ -275,12 +233,7 @@ class Engine:
                 self.now = time
                 self.events_dispatched += 1
                 self._live -= 1
-                if self.profiler is not None:
-                    start = perf_counter()
-                    callback(*args)
-                    self.profiler.record(perf_counter() - start, time, callback)
-                else:
-                    callback(*args)
+                callback(*args)
                 fired += 1
         finally:
             self._running = False
@@ -326,7 +279,6 @@ class Engine:
         fired = 0
         queue = self._queue
         pop = heapq.heappop
-        profiler = self.profiler
         limit = float("inf") if max_ticks is None else max_ticks
         boundary = float("inf") if sampler is None else sampler.next_boundary
         self._running = True
@@ -339,12 +291,7 @@ class Engine:
                 self.now = time
                 self.events_dispatched += 1
                 self._live -= 1
-                if profiler is not None:
-                    start = perf_counter()
-                    callback(*args)
-                    profiler.record(perf_counter() - start, time, callback)
-                else:
-                    callback(*args)
+                callback(*args)
                 fired += 1
                 if time >= boundary:
                     sampler.maybe_sample(time)
@@ -363,14 +310,7 @@ class Engine:
                         continue
                     self.events_dispatched += 1
                     self._live -= 1
-                    if profiler is not None:
-                        start = perf_counter()
-                        callback(*args)
-                        profiler.record(
-                            perf_counter() - start, time, callback
-                        )
-                    else:
-                        callback(*args)
+                    callback(*args)
                     fired += 1
         finally:
             self._stop = False

@@ -138,14 +138,3 @@ def sweep_workloads(
             comparison.results[result.system_name] = result
         comparisons.append(comparison)
     return comparisons
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (the conventional average for normalised ratios)."""
-    filtered = [v for v in values if v > 0]
-    if not filtered:
-        return 0.0
-    product = 1.0
-    for value in filtered:
-        product *= value
-    return product ** (1.0 / len(filtered))

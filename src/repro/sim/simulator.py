@@ -238,11 +238,9 @@ class SystemSimulator:
 
     def _profile(self, wall_seconds: float) -> RunProfile:
         """Engine profile of the finished run (also fed to the registry)."""
-        profiler = self.engine.profiler
         profile = RunProfile(
             events_dispatched=self.engine.events_dispatched,
             wall_seconds=wall_seconds,
-            slowest_callbacks=profiler.top() if profiler is not None else [],
         )
         metrics = self.telemetry.metrics
         metrics.gauge("engine.events_dispatched").set(profile.events_dispatched)

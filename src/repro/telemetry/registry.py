@@ -63,9 +63,6 @@ class Gauge:
     def inc(self, amount: int = 1) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: int = 1) -> None:
-        self.set(self.value - amount)
-
     def as_dict(self) -> dict:
         return {"type": "gauge", "value": self.value, "max": self.max_value}
 

@@ -233,17 +233,6 @@ class JsonlSink:
         self.close()
 
 
-def read_jsonl(path: Union[str, Path]) -> List[TraceEvent]:
-    """Load a JSONL trace written by :class:`JsonlSink`."""
-    events = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(TraceEvent.from_dict(json.loads(line)))
-    return events
-
-
 # ======================================================================
 # Tracers
 # ======================================================================

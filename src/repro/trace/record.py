@@ -49,11 +49,6 @@ class TraceRecord:
             raise ValueError("only write-backs carry dirty masks")
 
     @property
-    def is_memory_level(self) -> bool:
-        """True for post-LLC (main-memory) records."""
-        return self.kind in (AccessKind.READ, AccessKind.WRITE_BACK)
-
-    @property
     def line_address(self) -> int:
         return self.address // LINE_BYTES
 

@@ -12,7 +12,7 @@ The format round-trips exactly; see ``tests/trace/test_trace_io.py``.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, Union
 
 from repro.trace.record import AccessKind, TraceRecord
 
@@ -77,8 +77,3 @@ def iter_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
             if not line or line.startswith("#"):
                 continue
             yield parse_record(line)
-
-
-def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
-    """Read the whole trace into memory."""
-    return list(iter_trace(path))

@@ -114,12 +114,6 @@ class WorkloadProfile:
     def mean_dirty_words(self) -> float:
         return sum(i * p for i, p in enumerate(self.dirty_word_distribution))
 
-    @property
-    def one_word_fraction(self) -> float:
-        """Fraction of write-backs that dirty exactly one word."""
-        return self.dirty_word_distribution[1]
-
-
 # ---------------------------------------------------------------------------
 # Multi-threaded workloads (PARSEC-2, Table II)
 # ---------------------------------------------------------------------------

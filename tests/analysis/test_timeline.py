@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.timeline import (
     OccupancyEvent,
     event_mark,
-    occupancy_summary,
     render_occupancy,
 )
 
@@ -76,17 +75,6 @@ def test_tick_step_validated():
         render_occupancy([_event()], n_chips=10, tick_step=0)
 
 
-def test_occupancy_summary():
-    events = [
-        _event(kind="write", chip=1, start=0, end=100),
-        _event(kind="read", chip=1, start=100, end=150),
-        _event(kind="write", chip=2, start=0, end=50, label="code-update"),
-    ]
-    summary = occupancy_summary(events)
-    assert summary["per_chip"] == {1: 150, 2: 50}
-    assert summary["per_kind"] == {"W": 100, "R": 50, "c": 50}
-
-
 def test_renderer_consumes_real_controller_log():
     from repro.analysis.timeline import occupancy_from_trace
     from repro.core.systems import make_system
@@ -130,7 +118,7 @@ def test_occupancy_from_trace_filters_and_lifts():
 
 
 def test_grid_renders_from_recorded_trace():
-    from repro.analysis.timeline import render_trace_occupancy
+    from repro.analysis.timeline import occupancy_from_trace, render_occupancy
     from repro.core.systems import make_system
     from repro.memory.memsys import make_controller
     from repro.memory.request import make_write
@@ -144,7 +132,8 @@ def test_grid_renders_from_recorded_trace():
     )
     controller.submit(make_write(1, 0, 0b11))
     engine.run(max_events=10_000)
-    text = render_trace_occupancy(
-        telemetry.tracer.events(), controller.geometry.chips_per_rank
+    text = render_occupancy(
+        occupancy_from_trace(telemetry.tracer.events()),
+        controller.geometry.chips_per_rank,
     )
     assert "W" in text and "c" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.cacheline import CacheLine, FULL_MASK, line_base, word_index
+from repro.cache.cacheline import CacheLine, line_base, word_index
 
 
 def test_new_line_is_clean():
@@ -24,12 +24,6 @@ def test_mark_dirty_bounds():
     line = CacheLine(tag=1)
     with pytest.raises(ValueError):
         line.mark_dirty(8)
-
-
-def test_mark_all_dirty():
-    line = CacheLine(tag=1)
-    line.mark_all_dirty()
-    assert line.dirty_mask == FULL_MASK == 0xFF
 
 
 def test_write_word_updates_payload_and_mask():

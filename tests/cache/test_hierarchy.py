@@ -33,16 +33,6 @@ def test_dram_cache_write_back_stream():
     assert dram.write_backs == 1
 
 
-def test_dram_cache_flush_drains_dirty_lines():
-    dram = DramCache(DramCacheConfig(size_bytes=8 * LINE, associativity=2))
-    dram.access(0, True)
-    dram.access(LINE, True)
-    dram.access(2 * LINE, False)
-    drained = dram.flush()
-    assert {e.address for e in drained} == {0, LINE}
-    assert all(e.dirty for e in drained)
-
-
 def test_first_touch_misses_to_memory():
     hierarchy = _tiny_hierarchy()
     outcome = hierarchy.reference(0, 0x1000, is_write=False)

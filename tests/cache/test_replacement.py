@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.cache.config import REPLACEMENT_POLICY_NAMES
 from repro.cache.replacement import (
     MAC_LEVELS,
     REPLACEMENT_POLICIES,
-    REPLACEMENT_POLICY_NAMES,
     LruReplacement,
     make_replacement_policy,
 )
@@ -22,7 +22,7 @@ def _cache(policy, sets=1, assoc=4):
 # Registry
 # ---------------------------------------------------------------------------
 def test_registry_names_match_factories():
-    assert set(REPLACEMENT_POLICY_NAMES) <= set(REPLACEMENT_POLICIES)
+    assert REPLACEMENT_POLICY_NAMES == tuple(REPLACEMENT_POLICIES)
     for name in ("lru", "clock", "mac"):
         assert name in REPLACEMENT_POLICIES
         policy = make_replacement_policy(name)

@@ -176,7 +176,6 @@ def test_truncated_store_fails_loudly_and_cache_survives(
 
     def open_and_audit():
         damaged = CampaignStore(store_path)
-        damaged.integrity_check()
         damaged.jobs_in_order("trunc")
 
     with pytest.raises(StoreCorruptError):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import SystemConfig, pcmap_config
 from repro.memory.address import BASELINE_GEOMETRY, PCMAP_GEOMETRY
-from repro.memory.timing import DEFAULT_TIMING
 
 
 def test_default_config_is_baseline():
@@ -58,14 +57,6 @@ def test_with_rollback_rate_copies():
     updated = config.with_rollback_rate(0.058)
     assert updated.row_rollback_rate == 0.058
     assert config.row_rollback_rate == 0.0
-
-
-def test_with_timing_copies():
-    config = SystemConfig()
-    timing = DEFAULT_TIMING.with_write_to_read_ratio(4.0)
-    updated = config.with_timing(timing)
-    assert updated.timing.write_to_read_ratio == pytest.approx(4.0)
-    assert config.timing.write_to_read_ratio == pytest.approx(2.0)
 
 
 def test_wow_group_and_row_word_bounds():

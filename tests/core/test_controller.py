@@ -238,9 +238,35 @@ def test_pcmap_write_data_committed_functionally():
     assert stored.pcc == parity.compute_parity(stored.words)
 
 
-def test_status_registers_exist_per_rank():
-    h = harness("rwow-rde")
-    assert len(h.controller.status_registers) == len(h.controller.ranks)
+def test_status_poll_delays_writes_on_idle_chips():
+    """Every fine-grained write pays the DIMM register's ``Status`` poll
+    (§IV-D1: 2 memory cycles, 8 ticks) before its chips start work.
+    Issued at ``now`` on idle chips, a silent write's compare read starts
+    at ``now + status_poll_ticks``; a fine write's data transfer does too,
+    and its chips' array work follows one burst later."""
+    def idle_at(tick):
+        h = harness("wow-nr")
+        h.run_until(tick)
+        return h, h.controller
+
+    now = 1000
+    h, c = idle_at(now)
+    poll = c.timing.status_poll_ticks
+    assert poll == 8
+    silent = h.enqueue(make_write(1, h._address(0), 0))
+    c.fine.issue_silent_write(silent, silent.decoded, now)
+    assert silent.start_service == now + poll
+    assert silent.service_class is ServiceClass.SILENT
+
+    h, c = idle_at(now)
+    fine = h.enqueue(make_write(2, h._address(0), 0b101))
+    window = c._open_window(-1, -1)
+    start, data_end, _end = c.fine.issue_fine_write(
+        fine, fine.decoded, now, window=window
+    )
+    assert start == fine.start_service == now + poll
+    assert window.start == now + poll + c.timing.burst_ticks
+    assert data_end > window.start
 
 
 def test_inflight_cap_respected():
@@ -251,6 +277,6 @@ def test_inflight_cap_respected():
     for _ in range(200):
         if not h.engine.step():
             break
-        assert h.controller._inflight_writes <= 2
+        assert h.controller.fine.inflight <= 2
     h.run()
     assert h.all_done()

@@ -95,13 +95,13 @@ def test_property_word_of_chip_inverts_data_chip(line, word):
         FullyRotatedLayout(PCMAP_GEOMETRY),
     ):
         chip = layout.data_chip(line, word)
-        assert layout.word_of_chip(line, chip) == word
+        assert layout.all_data_chips(line).index(chip) == word
 
 
 def test_word_of_chip_none_for_code_chip():
     layout = FixedLayout(PCMAP_GEOMETRY)
-    assert layout.word_of_chip(0, 8) is None
-    assert layout.word_of_chip(0, 9) is None
+    assert 8 not in layout.all_data_chips(0)
+    assert 9 not in layout.all_data_chips(0)
 
 
 def test_dirty_chips_follow_mask():

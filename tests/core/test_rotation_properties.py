@@ -7,8 +7,8 @@ properties pin exactly the algebra the schedulers rely on:
   words share a chip, every data word has a home),
 * ``dirty_chips`` agrees with the naive reference bit-loop for every
   (address, mask) pair,
-* ``word_of_chip`` inverts ``data_chip``, and is None exactly on the
-  non-data (ECC/PCC) chips,
+* ``all_data_chips`` inverts ``data_chip``, and the chips it leaves
+  out are exactly the ECC/PCC chips,
 * the ECC and PCC slots never collide with a data word's chip.
 """
 
@@ -93,23 +93,18 @@ def test_dirty_chips_all_256_masks_exhaustive():
 def test_word_of_chip_inverts_data_chip(line, word):
     for layout in LAYOUTS:
         chip = layout.data_chip(line, word)
-        assert layout.word_of_chip(line, chip) == word, layout
+        assert layout.all_data_chips(line).index(chip) == word, layout
 
 
 @given(line=lines)
 def test_word_of_chip_none_exactly_on_non_data_chips(line):
     for layout in LAYOUTS:
         data = set(layout.all_data_chips(line))
+        code = {layout.ecc_chip(line), layout.pcc_chip(line)} - {None}
         for chip in range(layout.n_chips):
-            word = layout.word_of_chip(line, chip)
-            if chip in data:
-                assert word is not None
-                assert layout.data_chip(line, word) == chip
-            else:
-                assert word is None
-        # Out-of-range chips are never data homes.
-        assert layout.word_of_chip(line, layout.n_chips) is None
-        assert layout.word_of_chip(line, -1) is None
+            assert (chip in data) != (chip in code), (layout, chip)
+        # Every data home is an in-range chip.
+        assert data <= set(range(layout.n_chips))
 
 
 @given(line=lines)

@@ -6,7 +6,6 @@ from repro.core.systems import (
     COMPARATOR_SYSTEM_NAMES,
     PCMAP_SYSTEM_NAMES,
     SYSTEM_NAMES,
-    all_systems,
     make_system,
 )
 from repro.memory.memsys import make_controller
@@ -61,12 +60,6 @@ def test_overrides_forwarded():
     assert config.wow_max_group == 4
 
 
-def test_all_systems_shares_overrides():
-    systems = all_systems(read_queue_capacity=16)
-    assert len(systems) == 6
-    assert all(s.read_queue_capacity == 16 for s in systems)
-
-
 def test_name_override_via_factory():
     from repro.core.systems import make_rwow_rde
 
@@ -75,7 +68,7 @@ def test_name_override_via_factory():
 
 
 def test_comparator_systems_defined():
-    assert COMPARATOR_SYSTEM_NAMES == ["write-pausing", "palp-lite"]
+    assert COMPARATOR_SYSTEM_NAMES == ["write-pausing"]
 
 
 EXPECTED_CHAINS = {
@@ -86,7 +79,6 @@ EXPECTED_CHAINS = {
     "rwow-rd": "silent-write -> row-window -> wow-group",
     "rwow-rde": "silent-write -> row-window -> wow-group",
     "write-pausing": "write-pausing",
-    "palp-lite": "silent-write -> palp-partition-write",
 }
 
 

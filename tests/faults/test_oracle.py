@@ -68,7 +68,7 @@ class TestDifferentialOracle:
         storage.read_line(LINE)
         assert oracle.check_all(storage)
         assert oracle.ok
-        oracle.assert_clean()
+        assert not oracle.violations
 
     def test_tracked_faults_are_not_violations(self):
         storage, oracle = wired_pair()
@@ -84,8 +84,6 @@ class TestDifferentialOracle:
         assert not oracle.check_line(storage, LINE)
         assert not oracle.ok
         assert "word[3]" in str(oracle.violations[0])
-        with pytest.raises(AssertionError):
-            oracle.assert_clean()
 
     def test_missed_golden_commit_detected(self):
         # A write that reaches the array but not the golden model (or

@@ -49,7 +49,6 @@ def test_decode_covers_both_ranks():
 def test_controller_builds_one_rankstate_per_rank():
     _engine, controller = _controller("rwow-rde", TWO_RANK)
     assert len(controller.ranks) == 2
-    assert len(controller.status_registers) == 2
 
 
 @pytest.mark.parametrize("system_name", ["baseline", "rwow-rde"])

@@ -30,7 +30,6 @@ PINNED = {
     ("rwow-rd", None): (6229, 378413, "af731f82ebf457c5d5173aab9707d048d223f82f9ef03d6cab77d87320f48d7c"),
     ("rwow-rde", None): (6150, 364931, "c5cde6113c4f31e42fc8d390bd9c845de793b18ea4ac07382f28e2a1a909ed77"),
     ("write-pausing", None): (8073, 413597, "cad45a693986e4cd815456984a12cfe63bdaff2450e2431f83ddca220f1989b8"),
-    ("palp-lite", None): (5885, 371086, "682451367ef2e4c9c9d02498e914bbe1bce20c7517d19dd3dd721512c45ad896"),
     ("baseline", 0.25): (5900, 209609, "f50ea6b9a436f5e73d0f1a85a28b07c40672fba1c16bb42ad952f7e40af22efd"),
     ("row-nr", 0.25): (5900, 209609, "dde1998d5ba5dc2d2ff1e6191b9060f56a562b330c1bac46fd5235b2ef667f53"),
     ("wow-nr", 0.25): (5900, 209609, "757570f275b61b5b1afd8b16ed6277f2b914c711aa85f664c91ff024f746f4bc"),
@@ -38,7 +37,6 @@ PINNED = {
     ("rwow-rd", 0.25): (5901, 209609, "9cf55c9b0134c7b4649327fdf20e85fa0827b788432917e2ca6fc27599dd2262"),
     ("rwow-rde", 0.25): (5913, 213644, "d0a6c428ac3aafd6a7575b8dadbad7eadef4dca90ae10a96faa8e72716428ff5"),
     ("write-pausing", 0.25): (5926, 209068, "61e783a4a0cb8bf5e395aab8821bb49ceb4da8e750264eb1c486028be20034fd"),
-    ("palp-lite", 0.25): (5900, 209609, "659a3157717f5bae42823787e6a874e9efd205f5563d5b3efcce7879853d027f"),
 }
 
 

@@ -14,7 +14,7 @@ from repro.memory.request import LINE_BYTES
 MAPPER = AddressMapper(BASELINE_GEOMETRY)
 
 LINE_ADDRESSES = st.integers(
-    min_value=0, max_value=BASELINE_GEOMETRY.total_lines - 1
+    min_value=0, max_value=BASELINE_GEOMETRY.capacity_bytes // LINE_BYTES - 1
 ).map(lambda line: line * LINE_BYTES)
 
 
@@ -107,7 +107,3 @@ def test_invalid_geometry_rejected():
         MemoryGeometry(row_bytes=100)  # not a multiple of the line size
     with pytest.raises(ValueError):
         MemoryGeometry(n_channels=0)
-
-
-def test_rows_per_bank_positive():
-    assert BASELINE_GEOMETRY.rows_per_bank > 0

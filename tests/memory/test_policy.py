@@ -5,7 +5,6 @@ import inspect
 import pytest
 
 from repro.core.fine import FineWritePolicy, SilentWritePolicy
-from repro.core.palp import PartitionParallelWritePolicy
 from repro.core.pausing import WritePausingPolicy
 from repro.core.row import ReadOverWritePolicy
 from repro.core.wow import WriteOverWritePolicy
@@ -24,7 +23,6 @@ ALL_POLICY_TYPES = [
     FineWritePolicy,
     ReadOverWritePolicy,
     WriteOverWritePolicy,
-    PartitionParallelWritePolicy,
     WritePausingPolicy,
 ]
 

@@ -7,6 +7,7 @@ from repro.memory.queues import RequestQueue
 from repro.memory.rank import RankState
 from repro.memory.request import make_read
 from repro.memory.timing import DEFAULT_TIMING
+from repro.telemetry.registry import MetricsRegistry
 
 
 @given(st.lists(st.sampled_from([BusDirection.READ, BusDirection.WRITE]),
@@ -61,22 +62,24 @@ def test_property_rank_busy_horizons_never_shrink(operations):
        st.lists(st.booleans(), min_size=1, max_size=60))
 @settings(max_examples=100)
 def test_property_queue_occupancy_invariants(capacity, pushes):
+    registry = MetricsRegistry()
     queue = RequestQueue(capacity=capacity)
+    queue.attach_metrics(registry, "q")
     next_id = 0
     for push in pushes:
         if push and not queue.full:
             next_id += 1
             queue.push(make_read(next_id, next_id * 64))
         elif not queue.empty:
-            queue.remove(queue.oldest())
+            queue.remove(queue.entries[0])
         assert 0 <= len(queue) <= capacity
         assert 0.0 <= queue.occupancy <= 1.0
-        assert queue.high_water <= capacity
+        assert registry.gauge("q.depth").max_value <= capacity
 
 
 @given(st.floats(min_value=1.1, max_value=10.0))
 @settings(max_examples=50)
 def test_property_timing_ratio_roundtrip(ratio):
     timing = DEFAULT_TIMING.with_write_to_read_ratio(ratio)
-    assert timing.write_to_read_ratio == __import__("pytest").approx(ratio)
+    assert timing.array_write_ns / timing.array_read_ns == __import__("pytest").approx(ratio)
     assert timing.array_write_ns == DEFAULT_TIMING.array_write_ns

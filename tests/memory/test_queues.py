@@ -4,6 +4,7 @@ import pytest
 
 from repro.memory.queues import RequestQueue, WriteQueue
 from repro.memory.request import make_read, make_write
+from repro.telemetry.registry import MetricsRegistry
 
 
 def _reads(n):
@@ -36,7 +37,7 @@ def test_fifo_order_and_oldest():
     reqs = _reads(3)
     for req in reqs:
         queue.push(req)
-    assert queue.oldest() is reqs[0]
+    assert queue.entries[0] is reqs[0]
     assert queue.entries == reqs
     assert list(queue) == reqs
 
@@ -65,15 +66,14 @@ def test_waiter_fires_once():
 
 
 def test_occupancy_and_high_water():
+    registry = MetricsRegistry()
     queue = RequestQueue(capacity=4)
+    queue.attach_metrics(registry, "q")
     for req in _reads(3):
         queue.push(req)
-    assert queue.occupancy == pytest.approx(0.75)
-    assert queue.high_water == 3
-
-
-def test_oldest_of_empty_queue_is_none():
-    assert RequestQueue(capacity=1).oldest() is None
+    queue.remove(queue.entries[0])
+    assert queue.occupancy == pytest.approx(0.5)
+    assert registry.gauge("q.depth").max_value == 3
 
 
 def test_write_queue_watermarks():
@@ -85,8 +85,8 @@ def test_write_queue_watermarks():
     queue.push(writes[8])
     assert queue.above_high_watermark
     while len(queue) > 2:
-        queue.remove(queue.oldest())
-    assert queue.below_low_watermark
+        queue.remove(queue.entries[0])
+    assert len(queue) <= queue.low_count  # a drain stops here
 
 
 def test_write_queue_invalid_watermarks():

@@ -24,7 +24,7 @@ from repro.memory.timing import DEFAULT_TIMING
 
 from tests.conftest import ControllerHarness, harness
 
-SYSTEMS = ("baseline", "rwow-rde", "palp-lite", "write-pausing")
+SYSTEMS = ("baseline", "rwow-rde", "wow-nr", "write-pausing")
 
 
 # ----------------------------------------------------------------------
@@ -48,11 +48,11 @@ def _ready_snapshot(controller: PCMapController) -> List[int]:
         + [rank.read_ready_time(chips, b) for b in banks]
         + [rank.write_ready_time([c], b) for b in banks for c in chips]
         + [rank.write_ready_time(chips, b) for b in banks]
-        + [free for slots in controller.fine.token_free for free in slots]
+        + list(controller.fine.token_free)
     )
 
 
-@given(st.sampled_from(["rwow-rde", "palp-lite"]),
+@given(st.sampled_from(["rwow-rde", "wow-nr"]),
        st.lists(_RANK_OPS, min_size=1, max_size=40))
 @settings(max_examples=100)
 def test_property_ready_times_never_decrease(system, operations):
@@ -119,7 +119,7 @@ def reference_write_scan(
         if req.dirty_mask:
             ready = max(
                 rank.write_ready_time(req.chips, d.bank),
-                c.fine.token_free[d.rank][d.bank],
+                c.fine.token_free[d.rank],
             )
         else:
             ready = rank.read_ready_time(req.chips, d.bank)

@@ -7,7 +7,6 @@ from repro.memory.request import (
     RequestKind,
     make_read,
     make_write,
-    popcount,
 )
 
 
@@ -81,12 +80,6 @@ def test_complete_fires_callback():
     req.complete(123)
     assert seen == [req]
     assert req.completion == 123
-
-
-def test_popcount():
-    assert popcount(0) == 0
-    assert popcount(0xFF) == 8
-    assert popcount(0b1010) == 2
 
 
 def test_dirty_words_empty_for_silent_write():

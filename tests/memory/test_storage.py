@@ -1,7 +1,5 @@
 """Unit tests for the functional backing store."""
 
-import pytest
-
 from repro.ecc import hamming, parity
 from repro.memory.storage import MemoryStorage, _cold_pattern
 
@@ -16,18 +14,6 @@ def test_cold_read_has_consistent_codes():
     line = storage.read_line(7)
     assert line.checks == hamming.encode_line(line.words)
     assert line.pcc == parity.compute_parity(line.words)
-
-
-def test_read_word_matches_line():
-    storage = MemoryStorage()
-    line = storage.read_line(3)
-    for w in range(8):
-        assert storage.read_word(3, w) == line.words[w]
-
-
-def test_read_word_index_checked():
-    with pytest.raises(ValueError):
-        MemoryStorage().read_word(0, 8)
 
 
 def test_diff_mask_detects_changes_and_silent_words():

@@ -23,14 +23,15 @@ def test_array_latencies_from_paper():
 
 
 def test_default_write_to_read_ratio_is_two():
-    assert DEFAULT_TIMING.write_to_read_ratio == pytest.approx(2.0)
+    ratio = DEFAULT_TIMING.array_write_ns / DEFAULT_TIMING.array_read_ns
+    assert ratio == pytest.approx(2.0)
 
 
 def test_with_write_to_read_ratio_holds_write_constant():
     for ratio in (2.0, 4.0, 6.0, 8.0):
         timing = DEFAULT_TIMING.with_write_to_read_ratio(ratio)
         assert timing.array_write_ns == DEFAULT_TIMING.array_write_ns
-        assert timing.write_to_read_ratio == pytest.approx(ratio)
+        assert timing.array_write_ns / timing.array_read_ns == pytest.approx(ratio)
 
 
 def test_with_write_to_read_ratio_rejects_nonpositive():
@@ -42,7 +43,7 @@ def test_symmetric_variant_equalises_latencies():
     symmetric = DEFAULT_TIMING.symmetric()
     assert symmetric.array_write_ticks == symmetric.array_read_ticks
     assert symmetric.array_write_set_ticks == symmetric.array_read_ticks
-    assert symmetric.write_to_read_ratio == pytest.approx(1.0)
+    assert symmetric.array_write_ns == pytest.approx(symmetric.array_read_ns)
 
 
 def test_ecc_update_cheaper_than_word_write():

@@ -46,7 +46,7 @@ def test_clock_advances_to_event_time():
 def test_schedule_after_is_relative():
     engine = Engine()
     times = []
-    engine.schedule_at(10, lambda: engine.schedule_after(5, lambda: times.append(engine.now)))
+    engine.schedule_at(10, lambda: engine.call_after(5, lambda: times.append(engine.now)))
     engine.run()
     assert times == [15]
 
@@ -62,7 +62,7 @@ def test_cannot_schedule_in_the_past():
 def test_negative_delay_rejected():
     engine = Engine()
     with pytest.raises(ValueError):
-        engine.schedule_after(-1, lambda: None)
+        engine.call_after(-1, lambda: None)
 
 
 def test_cancelled_event_does_not_fire():
@@ -72,14 +72,6 @@ def test_cancelled_event_does_not_fire():
     handle.cancel()
     engine.run()
     assert fired == []
-
-
-def test_cancelled_event_skipped_by_peek():
-    engine = Engine()
-    handle = engine.schedule_at(10, lambda: None)
-    engine.schedule_at(20, lambda: None)
-    handle.cancel()
-    assert engine.peek_time() == 20
 
 
 def test_run_until_stops_before_later_events():
@@ -131,7 +123,7 @@ def test_events_scheduled_during_run_are_processed():
     def chain(depth):
         fired.append(depth)
         if depth < 5:
-            engine.schedule_after(10, lambda: chain(depth + 1))
+            engine.call_after(10, chain, depth + 1)
 
     engine.schedule_at(0, lambda: chain(0))
     engine.run()

@@ -6,7 +6,6 @@ from repro.core.systems import make_system
 from repro.sim.experiment import (
     SystemComparison,
     compare_systems,
-    geometric_mean,
     run_workload,
     sweep_workloads,
 )
@@ -96,9 +95,3 @@ def test_sweep_rejects_overrides_with_config_systems():
         sweep_workloads(
             ["MP3"], [make_system("baseline")], FAST, wow_max_group=2
         )
-
-
-def test_geometric_mean():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    assert geometric_mean([]) == 0.0
-    assert geometric_mean([0.0, 2.0]) == pytest.approx(2.0)  # zeros skipped

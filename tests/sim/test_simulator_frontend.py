@@ -8,12 +8,7 @@ deterministic, policy-sensitive filter when switched on.
 
 import pytest
 
-from repro.cache.frontend import FrontEndConfig
-from repro.core.systems import (
-    front_end_for_system,
-    make_front_end,
-    make_system,
-)
+from repro.core.systems import make_front_end, make_system
 from repro.sim.results_io import result_from_dict, result_to_dict
 from repro.sim.runner import SweepJob
 from repro.sim.simulator import SimulationParams, SystemSimulator, simulate
@@ -143,14 +138,6 @@ def test_sweep_cache_key_covers_front_end_config():
 # ---------------------------------------------------------------------------
 # systems.py registry
 # ---------------------------------------------------------------------------
-def test_front_end_for_system_validates_names():
-    config = front_end_for_system("rwow-rde")
-    assert isinstance(config, FrontEndConfig)
-    assert config.kind == "dram"
-    with pytest.raises(ValueError, match="unknown system"):
-        front_end_for_system("turbo-pcm")
-
-
 def test_make_front_end_validates_kind():
     with pytest.raises(ValueError, match="unknown front end"):
         make_front_end("sram")

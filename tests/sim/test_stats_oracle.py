@@ -177,7 +177,6 @@ TIMESERIES_SHA256 = {'direct': '7b457fd23d2507fa426f2971a0d790a46e843e50ddc598b4
  'tier': 'bc10bad5d63911f3b315def6ccd1704b78f478d5b9d06f93c10442e2710cacb6'}
 
 CHIP_EVENTS_SHA256 = {'baseline': 'dc0641b6466c4dc2ccd8982c441917eb228440cbbf78ba82aec5c882c50d4e16',
- 'palp-lite': '5ac4538077c9245ba8ad57f299a3c53613448ca2ee9acf30df6e312fe7b6db08',
  'rwow-rde': '9f02acc2461141c60958027a409c08b78324926d43e09a4dd7330b2a5b13a6f5',
  'write-pausing': 'c424ce79a00c71547d40c9a20cb6ad12bdb9512078dd238678b056dcbac3f2f8'}
 

@@ -20,7 +20,7 @@ def test_gauge_tracks_maximum():
     gauge = MetricsRegistry().gauge("queue.depth")
     gauge.inc()
     gauge.inc()
-    gauge.dec()
+    gauge.inc(-1)
     gauge.inc(3)
     assert gauge.value == 4
     assert gauge.max_value == 4
@@ -31,14 +31,14 @@ def test_gauge_tracks_maximum():
 
 
 def test_gauge_set_vs_inc_contract():
-    """``set`` is absolute, ``inc``/``dec`` are relative; all share max."""
+    """``set`` is absolute, ``inc`` is relative; both share max."""
     gauge = Gauge()
     gauge.set(5)
     gauge.inc(2)       # relative: 5 -> 7
     assert gauge.value == 7 and gauge.max_value == 7
     gauge.set(2)       # absolute: ignores current value
     assert gauge.value == 2 and gauge.max_value == 7
-    gauge.dec(3)       # relative: 2 -> -1
+    gauge.inc(-3)      # relative: 2 -> -1
     assert gauge.value == -1 and gauge.max_value == 7
 
 
@@ -46,7 +46,7 @@ def test_gauge_negative_round_trips_through_export():
     """A negative-going gauge exports its true value; max holds at the
     initial 0 because the gauge held 0 before the first update."""
     gauge = Gauge()
-    gauge.dec(4)
+    gauge.inc(-4)
     assert gauge.value == -4
     assert gauge.max_value == 0
     assert gauge.as_dict() == {"type": "gauge", "value": -4, "max": 0}

@@ -1,6 +1,7 @@
 """Unit tests for trace events, sinks and tracers."""
 
 import gc
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,13 @@ from repro.telemetry import (
     Telemetry,
     TraceEvent,
     Tracer,
-    read_jsonl,
 )
+
+
+def read_jsonl(path):
+    """The events a :class:`JsonlSink` wrote, one JSON object a line."""
+    with open(path) as handle:
+        return [TraceEvent.from_dict(json.loads(line)) for line in handle]
 
 
 def _event(tick=100, **kwargs):

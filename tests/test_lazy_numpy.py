@@ -15,7 +15,7 @@ processes too).
 * Timing-only runs (``import repro``, the end-to-end benchmark's
   imports, the reference run direct and traced and sampled) load none
   of :data:`TIMING_ONLY_SKIPS`: the DRAM tier, the functional store and
-  its codec, the energy and wear models, the prior-art comparators, the
+  its codec, the energy and wear models, the prior-art comparator, the
   telemetry exporters and trace files, and the stdlib modules only a
   sweep pool, an isolated job or a saved result needs
   (:data:`SWEEP_ONLY`).  The policy modules load when the run is built.
@@ -36,10 +36,12 @@ import pytest
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
-#: The DRAM tier and the set-associative cache behind it.
+#: The DRAM tier, the set-associative cache behind it and its
+#: replacement policies.
 TIER = (
     "repro.cache.frontend", "repro.cache.dram_cache",
     "repro.cache.set_assoc", "repro.cache.cacheline",
+    "repro.cache.replacement",
 )
 
 #: The functional backing store and the SECDED/PCC codec it loads.
@@ -58,7 +60,6 @@ TIMING_ONLY_SKIPS = (
     "repro.memory.power",
     "repro.memory.wear",
     "repro.core.pausing",
-    "repro.core.palp",
     "repro.telemetry.chrome",
     "repro.telemetry.export",
     "repro.trace.trace_io",

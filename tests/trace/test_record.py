@@ -7,7 +7,6 @@ from repro.trace.record import AccessKind, TraceRecord
 
 def test_read_record():
     record = TraceRecord(10, AccessKind.READ, 128)
-    assert record.is_memory_level
     assert record.line_address == 2
 
 
@@ -25,7 +24,7 @@ def test_memory_level_records_must_be_aligned():
 
 def test_loads_may_be_unaligned():
     record = TraceRecord(0, AccessKind.LOAD, 0x1003)
-    assert not record.is_memory_level
+    assert record.address == 0x1003
 
 
 def test_negative_gap_rejected():

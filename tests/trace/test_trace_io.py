@@ -7,7 +7,6 @@ from repro.trace.synthetic import SyntheticTraceGenerator
 from repro.trace.trace_io import (
     format_record,
     iter_trace,
-    load_trace,
     parse_record,
     save_trace,
 )
@@ -44,7 +43,7 @@ def test_save_and_load_file_roundtrip(tmp_path):
     path = tmp_path / "mp1.trace"
     count = save_trace(path, records)
     assert count == 300
-    loaded = load_trace(path)
+    loaded = list(iter_trace(path))
     assert loaded == records
 
 

@@ -59,7 +59,7 @@ def test_table2_mp_rates_encoded():
 def test_figure2_anchor_points():
     """omnetpp has the minimum 1-word fraction (14%), cactusADM the
     maximum (52%) — the endpoints the paper names explicitly."""
-    fractions = {w.name: w.one_word_fraction for w in SPEC_SINGLES}
+    fractions = {w.name: w.dirty_word_distribution[1] for w in SPEC_SINGLES}
     assert fractions["omnetpp"] == pytest.approx(0.14, abs=0.005)
     assert fractions["cactusADM"] == pytest.approx(0.52, abs=0.005)
     assert min(fractions.values()) == fractions["omnetpp"]
