@@ -18,9 +18,9 @@ in flat columns indexed by ``set_index * ways + way``:
 
 Each set's slab prefix ``[base, base + count)`` is kept compacted in
 residency (insertion) order — evicting way ``v`` shifts the tail left,
-installing appends at ``count`` — which fixes the policies' tie-breaks,
-the CLOCK hand positions and the drain order.  Victim selection is the
-named :mod:`repro.cache.replacement` policy (LRU by default).
+installing appends at ``count`` — which fixes the policies' tie-breaks
+and the CLOCK hand positions.  Victim selection is the named
+:mod:`repro.cache.replacement` policy (LRU by default).
 """
 
 from __future__ import annotations
@@ -125,10 +125,6 @@ class ArraySetCache:
         self._policy = array("i", bytes(4 * n_lines))
         self._count = array("i", bytes(4 * self.n_sets))
         self._hands = array("i", bytes(4 * self.n_sets))
-        #: First-fill order of sets, the order :meth:`dirty_lines`
-        #: drains in.
-        self._set_order: List[int] = []
-        self._set_seen = bytearray(self.n_sets)
         #: Functional payloads, one slot per slab index; allocated only
         #: when the words are actually tracked.
         self._words: Optional[List[Optional[Tuple[int, ...]]]] = (
@@ -329,9 +325,6 @@ class ArraySetCache:
         if self._words is not None:
             self._words[idx] = _ZERO_WORDS
         self._count[set_index] = count + 1
-        if not self._set_seen[set_index]:
-            self._set_seen[set_index] = 1
-            self._set_order.append(set_index)
         return evicted
 
     def _remove(self, set_index: int, idx: int) -> None:
@@ -370,25 +363,7 @@ class ArraySetCache:
         self._dirty[idx] |= 1 << word
 
     # ------------------------------------------------------------------
-    # Introspection / drain
+    # Introspection
     # ------------------------------------------------------------------
     def resident_lines(self) -> int:
         return sum(self._count)
-
-    def dirty_lines(self) -> List[int]:
-        """Addresses of dirty resident lines, in drain order.
-
-        Order is first-fill order of sets, then residency order within
-        each set — the order the DRAM cache's flush drains in.
-        """
-        addresses: List[int] = []
-        ways = self.associativity
-        n_sets = self.n_sets
-        for set_index in self._set_order:
-            base = set_index * ways
-            for idx in range(base, base + self._count[set_index]):
-                if self._dirty[idx]:
-                    addresses.append(
-                        (self._tags[idx] * n_sets + set_index) * LINE_BYTES
-                    )
-        return addresses

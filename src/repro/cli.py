@@ -10,13 +10,13 @@ Commands::
     python -m repro sweep --workloads canneal,MP1 [--systems ...] \\
         [--jobs N] [--no-cache] [--cache-dir DIR] [--front-end dram] \\
         [--timeout S] [--max-attempts N] [--digest]
-    python -m repro sweep --resume CAMPAIGN --store DB [--cache-dir DIR] \\
-        [--jobs N] [--timeout S] [--lease S] [--digest]
     python -m repro submit --workloads canneal,MP1 [--systems ...] \\
         [--campaign NAME] [--store DB] [--requests N] [--max-attempts N]
     python -m repro worker --store DB --cache-dir DIR [--campaign NAME] \\
         [--once] [--lease S] [--timeout S]
     python -m repro status --store DB [--campaign NAME] [--json] [--digest]
+    python -m repro resume CAMPAIGN --store DB [--cache-dir DIR] \\
+        [--jobs N] [--timeout S] [--lease S] [--reset-dead-letters] [--digest]
     python -m repro gen-trace --workload MP1 --count 1000 --out mp1.trace
     python -m repro trace --workload canneal --system rwow-rde \\
         --out run.trace.json [--jsonl run.jsonl] [--buffer N]
@@ -41,11 +41,11 @@ budgets for CI.  See docs/PERFORMANCE.md.
 
 ``submit``/``worker``/``status`` drive a durable campaign (SQLite job
 queue, leased workers with crash recovery); ``status`` watches it from
-the store, and ``sweep --resume`` finishes it, computing only what's
-missing.  A ``sweep`` given ``--timeout`` or ``--max-attempts`` runs as
-a throwaway campaign in a temporary directory, with the campaign's
-retry rules.  Each command takes only the lease knobs it reads.  See
-docs/CAMPAIGNS.md.
+the store, and ``resume`` finishes it, computing only what's missing.
+A ``sweep`` given ``--timeout`` or ``--max-attempts`` runs as a
+throwaway campaign in a temporary directory, with the campaign's retry
+rules.  Each command's parser holds only the options the command reads,
+so argparse refuses any other (exit 2).  See docs/CAMPAIGNS.md.
 
 ``trace`` records the structured telemetry events of one run and exports
 them as a Chrome trace (open in ``chrome://tracing`` or Perfetto; chips
@@ -63,6 +63,7 @@ See docs/TELEMETRY.md.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -124,34 +125,36 @@ def _frontend_mb(text: str) -> float:
     return capacity_mb
 
 
-def _front_end(args: argparse.Namespace):
-    """Front-end config from the common CLI flags (default: direct path)."""
-    return make_front_end(
-        kind=getattr(args, "front_end", "none"),
-        replacement=getattr(args, "replacement", "lru"),
-        capacity_mb=getattr(args, "frontend_mb", None),
-    )
+def _names(kind: str, valid, many: bool):
+    """argparse ``type=`` for a workload or system name, or (``many``) a
+    comma list of them parsed to a list; an unknown name, the empty one
+    included, exits 2 listing the valid names."""
+
+    def convert(text: str):
+        given = text.split(",") if many else [text]
+        unknown = [name for name in given if name not in valid]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {', '.join(map(repr, unknown))}; "
+                f"valid: {', '.join(valid)}"
+            )
+        return given if many else text
+
+    return convert
 
 
-#: Defaults of the simulation options every run command takes.
-_RUN_DEFAULTS = {"requests": 4_000, "seed": 1, "cores": 8}
-
-#: Defaults of the DRAM-tier options every run command but ``faults``
-#: takes (fault campaigns run the direct path).
-_TIER_DEFAULTS = {"front_end": "none", "replacement": "lru", "frontend_mb": None}
-
-_COMMON_DEFAULTS = {**_RUN_DEFAULTS, **_TIER_DEFAULTS}
-
-#: The grid a campaign fixes at submit, which ``sweep --resume`` refuses.
-_GRID_OPTIONS = ("workloads", "systems", *_COMMON_DEFAULTS)
-
-
-def _params(args: argparse.Namespace) -> SimulationParams:
+def _params(args: argparse.Namespace, **extra) -> SimulationParams:
+    """Simulation parameters from the run and tier options."""
     return SimulationParams(
         target_requests=args.requests,
         seed=args.seed,
         n_cores=args.cores,
-        front_end=_front_end(args),
+        front_end=make_front_end(
+            kind=args.front_end,
+            replacement=args.replacement,
+            capacity_mb=args.frontend_mb,
+        ),
+        **extra,
     )
 
 
@@ -211,8 +214,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    systems = args.systems.split(",") if args.systems else None
-    comparison = compare_systems(args.workload, systems, _params(args))
+    comparison = compare_systems(args.workload, args.systems, _params(args))
     rows = [_result_row(r) for r in comparison.results.values()]
     print(format_table(_RESULT_HEADERS, rows, title=f"workload {args.workload}"))
     if "baseline" in comparison.results:
@@ -245,7 +247,7 @@ DEFAULT_STORE_PATH = os.path.join("benchmarks", "results", "campaign.sqlite")
 
 
 def _sweep_cache_dir(args: argparse.Namespace) -> str:
-    return getattr(args, "cache_dir", None) or os.environ.get(
+    return args.cache_dir or os.environ.get(
         "REPRO_SWEEP_CACHE_DIR", DEFAULT_CACHE_DIR
     )
 
@@ -268,34 +270,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Workloads x systems grid through the parallel runner + cache;
     ``--timeout`` or ``--max-attempts`` makes it a throwaway campaign
     (see ``_drain_campaign``)."""
-    if args.resume:
-        return _sweep_resume(args)
-    # A throwaway campaign's lease only decides how long a crashed
-    # helper's job waits in a store deleted at exit; the store and its
-    # dead letters are the resumed campaign's.
-    for option, given in (("--lease", args.lease is not None),
-                          ("--store", args.store is not None),
-                          ("--reset-dead-letters", args.reset_dead_letters)):
-        if given:
-            print(f"repro sweep: {option} applies only to --resume",
-                  file=sys.stderr)
-            return 2
-    for dest, default in _COMMON_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-    if not args.workloads:
-        print("repro sweep: --workloads is required (unless --resume)",
-              file=sys.stderr)
-        return 2
-    systems = args.systems.split(",") if args.systems else None
-    workloads = args.workloads.split(",")
     cache = None if args.no_cache else ResultCache(_sweep_cache_dir(args))
     if args.timeout or args.max_attempts:
         import tempfile
 
         from repro.sim.campaign import CampaignStore, submit_pairs
 
-        pairs = [(w, s) for w in workloads for s in systems or SYSTEM_NAMES]
+        pairs = [(w, s) for w in args.workloads
+                 for s in args.systems or SYSTEM_NAMES]
         with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
             store = CampaignStore(os.path.join(tmp, "campaign.sqlite"),
                                   policy=_lease_policy(args))
@@ -304,12 +286,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     args, store,
                     cache or ResultCache(os.path.join(tmp, "cache")),
                     submit_pairs(store, pairs, _params(args)),
+                    show_cache=cache is not None,
+                    reset_dead_letters=False,
                 )
             finally:
                 store.close()
     comparisons = sweep_workloads(
-        workloads,
-        systems,
+        args.workloads,
+        args.systems,
         _params(args),
         jobs=args.jobs,
         cache=cache,
@@ -347,35 +331,25 @@ def _store_missing(command: str, path: str) -> bool:
     return True
 
 
-def _sweep_resume(args: argparse.Namespace) -> int:
-    """Finish a partially-run campaign; compute only what's missing."""
+def cmd_resume(args: argparse.Namespace) -> int:
+    """Finish a stored campaign; compute only what's missing."""
     from repro.sim.campaign import CampaignStore
 
-    # A campaign's rows keep the grid and the attempt budget they were
-    # submitted with, and its results live in the result cache.
-    refused = [("--max-attempts", args.max_attempts is not None),
-               ("--no-cache", args.no_cache)]
-    refused += [("--" + dest.replace("_", "-"), getattr(args, dest) is not None)
-                for dest in _GRID_OPTIONS]
-    for option, given in refused:
-        if given:
-            print(f"repro sweep: {option} does not apply to --resume",
-                  file=sys.stderr)
-            return 2
-    path = args.store or DEFAULT_STORE_PATH
-    if _store_missing("sweep", path):
+    if _store_missing("resume", args.store):
         return 2
-    store = CampaignStore(path, policy=_lease_policy(args))
-    if args.resume not in store.campaigns():
-        print(f"repro sweep: unknown campaign {args.resume!r} in "
+    store = CampaignStore(args.store, policy=_lease_policy(args))
+    if args.campaign not in store.campaigns():
+        print(f"repro resume: unknown campaign {args.campaign!r} in "
               f"{store.path} (known: {', '.join(store.campaigns()) or 'none'})",
               file=sys.stderr)
         return 2
-    cache = ResultCache(_sweep_cache_dir(args))
-    return _drain_campaign(args, store, cache, args.resume)
+    return _drain_campaign(args, store, ResultCache(_sweep_cache_dir(args)),
+                           args.campaign, show_cache=True,
+                           reset_dead_letters=args.reset_dead_letters)
 
 
-def _drain_campaign(args, store, cache, campaign: str) -> int:
+def _drain_campaign(args, store, cache, campaign: str, show_cache: bool,
+                    reset_dead_letters: bool) -> int:
     """Drain ``campaign`` with up to ``--jobs`` workers and print it.
 
     ``cache`` counts one lookup per job, as a plain sweep's does; the
@@ -386,7 +360,9 @@ def _drain_campaign(args, store, cache, campaign: str) -> int:
     (also on Ctrl-C).  A helper that fails on its own is reported with
     the last line of its stderr, which is otherwise discarded.  Retries,
     backoff and dead letters follow the store's ``LeasePolicy``; any dead
-    letter makes the exit code 1.
+    letter makes the exit code 1.  ``reset_dead_letters`` gives dead
+    letters a fresh attempt budget first; ``show_cache`` prints the
+    cache line.
     """
     import signal
     import tempfile
@@ -407,7 +383,7 @@ def _drain_campaign(args, store, cache, campaign: str) -> int:
             )))
         results = resume_campaign(store, ResultCache(cache.directory),
                                   campaign,
-                                  reset_dead_letters=args.reset_dead_letters)
+                                  reset_dead_letters=reset_dead_letters)
     except RuntimeError as exc:
         results, error = None, exc
     finally:
@@ -420,14 +396,15 @@ def _drain_campaign(args, store, cache, campaign: str) -> int:
         if helper.returncode not in (0, -signal.SIGTERM):
             log.seek(0)
             lines = log.read().decode(errors="replace").strip().splitlines()
-            print(f"repro sweep: a worker helper exited with status "
+            print(f"repro {args.command}: a worker helper exited with status "
                   f"{helper.returncode}: {lines[-1] if lines else '?'}",
                   file=sys.stderr)
         log.close()
     if results is None:
         letters = store.dead_letters(campaign)
-        print(f"repro sweep: {len(letters)} job(s) dead-lettered" if letters
-              else f"repro sweep: {error}", file=sys.stderr)
+        print(f"repro {args.command}: {len(letters)} job(s) dead-lettered"
+              if letters else f"repro {args.command}: {error}",
+              file=sys.stderr)
         for letter in letters:
             print(_dead_letter_line(campaign, letter), file=sys.stderr)
         return 1
@@ -437,7 +414,7 @@ def _drain_campaign(args, store, cache, campaign: str) -> int:
     return _print_sweep(args, [
         (workload, list(group))
         for workload, group in groupby(results, lambda r: r.workload_name)
-    ], None if args.no_cache else cache)
+    ], cache if show_cache else None)
 
 
 def _dead_letter_line(campaign: str, letter) -> str:
@@ -452,9 +429,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
     """Enqueue a workloads x systems grid as a durable campaign."""
     from repro.sim.campaign import CampaignStore, submit_pairs
 
-    systems = args.systems.split(",") if args.systems else list(SYSTEM_NAMES)
-    workloads = args.workloads.split(",")
-    pairs = [(w, s) for w in workloads for s in systems]
+    pairs = [(w, s) for w in args.workloads
+             for s in args.systems or SYSTEM_NAMES]
     store = CampaignStore(args.store, policy=_lease_policy(args))
     try:
         name = submit_pairs(store, pairs, _params(args), args.campaign)
@@ -464,7 +440,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     counts = store.counts(name)
     print(f"campaign {name}: {counts['total']} jobs "
           f"({counts['queued']} queued, {counts['done']} done) in {store.path}")
-    print(f"resume with: repro sweep --resume {name} --store {store.path}")
+    print(f"resume with: repro resume {name} --store {store.path}")
     return 0
 
 
@@ -618,14 +594,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         to_openmetrics,
     )
 
-    params = SimulationParams(
-        target_requests=args.requests,
-        seed=args.seed,
-        n_cores=args.cores,
-        sample_every_ticks=args.cadence,
-        collect_metrics=True,
-        front_end=_front_end(args),
-    )
+    params = _params(args, sample_every_ticks=args.cadence,
+                     collect_metrics=True)
     result = run_workload(args.workload, args.system, params)
     text = to_openmetrics(result.metrics)
     problems = lint_openmetrics(text)
@@ -655,12 +625,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import report_params, write_report
     from repro.sim.runner import run_pairs
 
-    systems = args.systems.split(",") if args.systems else list(SYSTEM_NAMES)
     params = report_params(
         target_requests=args.requests, n_cores=args.cores, seed=args.seed
     )
     results = run_pairs(
-        [(args.workload, system) for system in systems],
+        [(args.workload, system) for system in args.systems or SYSTEM_NAMES],
         params,
         jobs=args.jobs,
     )
@@ -754,7 +723,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import (
         DEFAULT_FAULTS,
         FaultCampaignSpec,
-        FaultConfig,
         cross_system_convergence,
         oracle_selftest,
         report_json,
@@ -762,6 +730,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     from repro.sim.results_io import atomic_write_text
 
+    requests = 2_000 if args.smoke else args.requests
     if args.selftest:
         report = oracle_selftest(seed=args.seed)
         passed = report["passed"]
@@ -769,35 +738,26 @@ def cmd_faults(args: argparse.Namespace) -> int:
         report = cross_system_convergence(
             workload=args.workload,
             seed=args.seed,
-            target_requests=args.requests,
+            target_requests=requests,
         )
         passed = report["converged"]
     else:
-        fault = FaultConfig(
-            read_disturb_rate=(
-                DEFAULT_FAULTS.read_disturb_rate
-                if args.read_disturb is None else args.read_disturb
-            ),
-            write_fail_rate=(
-                DEFAULT_FAULTS.write_fail_rate
-                if args.write_fail is None else args.write_fail
-            ),
-            stuck_at_threshold=(
-                DEFAULT_FAULTS.stuck_at_threshold
-                if args.stuck_threshold is None else args.stuck_threshold
-            ),
-            stuck_cells_per_line=(
-                DEFAULT_FAULTS.stuck_cells_per_line
-                if args.stuck_cells is None else args.stuck_cells
-            ),
-        )
+        given = {
+            "read_disturb_rate": args.read_disturb,
+            "write_fail_rate": args.write_fail,
+            "stuck_at_threshold": args.stuck_threshold,
+            "stuck_cells_per_line": args.stuck_cells,
+        }
         spec = FaultCampaignSpec(
             workload=args.workload,
             system=args.system,
             seed=args.seed,
-            target_requests=2_000 if args.smoke else args.requests,
+            target_requests=requests,
             n_cores=args.cores,
-            fault=fault,
+            fault=dataclasses.replace(DEFAULT_FAULTS, **{
+                name: value for name, value in given.items()
+                if value is not None
+            }),
         )
         report = run_campaign(spec)
         passed = report["ok"] and report["row"]["within_paper_band"]
@@ -859,20 +819,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-workloads").set_defaults(func=cmd_list_workloads)
     sub.add_parser("list-systems").set_defaults(func=cmd_list_systems)
 
+    valid_systems = SYSTEM_NAMES + COMPARATOR_SYSTEM_NAMES
+    workload = _names("workload", workload_names(), many=False)
+    workloads = _names("workload", workload_names(), many=True)
+    system = _names("system", valid_systems, many=False)
+    systems = _names("system", valid_systems, many=True)
+
     def add_run_options(p):
-        p.add_argument("--requests", type=_positive_int,
+        p.add_argument("--requests", type=_positive_int, default=4_000,
                        help="total main-memory requests to simulate")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--cores", type=_positive_int)
-        p.set_defaults(**_RUN_DEFAULTS)
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--cores", type=_positive_int, default=8)
 
     def add_tier_options(p):
         p.add_argument("--front-end", dest="front_end",
-                       choices=FRONT_END_NAMES,
+                       choices=FRONT_END_NAMES, default="none",
                        help="simulated cache tier in front of PCM "
                             "(default: none — the direct post-LLC path)")
         p.add_argument("--replacement",
-                       choices=REPLACEMENT_POLICY_NAMES,
+                       choices=REPLACEMENT_POLICY_NAMES, default="lru",
                        help="front-end replacement policy "
                             "(only meaningful with --front-end dram)")
         p.add_argument("--frontend-mb", dest="frontend_mb",
@@ -883,22 +848,26 @@ def build_parser() -> argparse.ArgumentParser:
                             "derived and validated from the size. Only "
                             "meaningful with --front-end dram; distinct "
                             "sizes hash to distinct sweep-cache keys.")
-        p.set_defaults(**_TIER_DEFAULTS)
 
     def add_common(p):
         add_run_options(p)
         add_tier_options(p)
 
+    def add_jobs(p):
+        p.add_argument("--jobs", type=_positive_int,
+                       default=os.cpu_count() or 1,
+                       help="worker processes (default: all cores)")
+
     run_p = sub.add_parser("run", help="one workload on one system")
-    run_p.add_argument("--workload", required=True)
-    run_p.add_argument("--system", default="rwow-rde")
+    run_p.add_argument("--workload", required=True, type=workload)
+    run_p.add_argument("--system", default="rwow-rde", type=system)
     add_common(run_p)
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="one workload across systems")
-    cmp_p.add_argument("--workload", required=True)
+    cmp_p.add_argument("--workload", required=True, type=workload)
     cmp_p.add_argument(
-        "--systems",
+        "--systems", type=systems,
         help="comma-separated (default: all six; comparators "
              f"{','.join(COMPARATOR_SYSTEM_NAMES)} also accepted)",
     )
@@ -939,50 +908,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="--timeout or --max-attempts runs the grid as a "
                     "throwaway campaign on --jobs worker processes, "
                     "retrying a failed job up to --max-attempts times "
-                    "(default 4) and exiting 1 on a dead letter.  --lease, "
-                    "--store and --reset-dead-letters apply only to "
-                    "--resume, which takes no grid options: the campaign "
-                    "fixed its grid at submit.",
+                    "(default 4) and exiting 1 on a dead letter.  "
+                    "repro resume finishes a stored campaign.",
     )
-    sweep_p.add_argument("--workloads",
-                         help="comma-separated workload names "
-                              "(required unless --resume)")
-    sweep_p.add_argument("--systems", help="comma-separated system names")
-    sweep_p.add_argument("--jobs", type=_positive_int,
-                         default=os.cpu_count() or 1,
-                         help="worker processes (default: all cores)")
+    sweep_p.add_argument("--workloads", required=True, type=workloads,
+                         help="comma-separated workload names")
+    sweep_p.add_argument("--systems", type=systems,
+                         help="comma-separated system names")
+    add_jobs(sweep_p)
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="always re-simulate; do not read or write "
                               "the on-disk result cache")
     add_cache_dir(sweep_p)
     sweep_p.add_argument("--quiet", action="store_true",
                          help="suppress per-job progress lines on stderr")
-    add_lease_knobs(sweep_p, "--lease", "--max-attempts", "--timeout")
+    add_lease_knobs(sweep_p, "--max-attempts", "--timeout")
     sweep_p.add_argument("--digest", action="store_true",
                          help="print the SHA-256 results digest (the "
                               "campaign byte-identity oracle)")
-    sweep_p.add_argument("--resume", metavar="CAMPAIGN",
-                         help="finish a partially-run campaign from "
-                              "--store instead of sweeping --workloads")
-    sweep_p.add_argument("--reset-dead-letters", action="store_true",
-                         help="with --resume: give dead-lettered jobs a "
-                              "fresh attempt budget")
-    add_store(sweep_p)
     add_common(sweep_p)
-    # None marks an option as not given: --resume refuses the grid
-    # options, a fresh sweep refuses --store, and cmd_sweep fills in the
-    # grid defaults for a fresh sweep.
-    sweep_p.set_defaults(func=cmd_sweep, store=None,
-                         **dict.fromkeys(_COMMON_DEFAULTS))
+    sweep_p.set_defaults(func=cmd_sweep)
 
     submit_p = sub.add_parser(
         "submit",
         help="enqueue a workloads x systems grid as a durable campaign",
     )
-    submit_p.add_argument("--workloads", required=True,
+    submit_p.add_argument("--workloads", required=True, type=workloads,
                           help="comma-separated workload names")
-    submit_p.add_argument("--systems", help="comma-separated system names "
-                                            "(default: all six)")
+    submit_p.add_argument("--systems", type=systems,
+                          help="comma-separated system names "
+                               "(default: all six)")
     submit_p.add_argument("--campaign",
                           help="campaign name (default: derived from the "
                                "job-list content hash)")
@@ -1025,11 +980,34 @@ def build_parser() -> argparse.ArgumentParser:
                                "campaigns (reads the result cache)")
     status_p.set_defaults(func=cmd_status)
 
+    resume_p = sub.add_parser(
+        "resume",
+        help="finish a stored campaign, computing only what is missing",
+        description="The campaign fixed its grid and attempt budget at "
+                    "submit, and its results live in the result cache: "
+                    "resume takes no grid option, --max-attempts or "
+                    "--no-cache.",
+    )
+    resume_p.add_argument("campaign", metavar="CAMPAIGN",
+                          help="campaign name (as submit and status "
+                               "print it)")
+    add_store(resume_p)
+    add_cache_dir(resume_p)
+    add_jobs(resume_p)
+    add_lease_knobs(resume_p, "--lease", "--timeout")
+    resume_p.add_argument("--reset-dead-letters", action="store_true",
+                          help="give dead-lettered jobs a fresh attempt "
+                               "budget")
+    resume_p.add_argument("--digest", action="store_true",
+                          help="print the SHA-256 results digest (the "
+                               "campaign byte-identity oracle)")
+    resume_p.set_defaults(func=cmd_resume)
+
     trace_p = sub.add_parser(
         "trace", help="record one run's telemetry as a Chrome trace"
     )
-    trace_p.add_argument("--workload", required=True)
-    trace_p.add_argument("--system", default="rwow-rde")
+    trace_p.add_argument("--workload", required=True, type=workload)
+    trace_p.add_argument("--system", default="rwow-rde", type=system)
     trace_p.add_argument("--out", required=True,
                          help="Chrome trace JSON output path")
     trace_p.add_argument("--jsonl",
@@ -1042,8 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p = sub.add_parser(
         "stats", help="run once and dump the metrics registry"
     )
-    stats_p.add_argument("--workload", required=True)
-    stats_p.add_argument("--system", default="rwow-rde")
+    stats_p.add_argument("--workload", required=True, type=workload)
+    stats_p.add_argument("--system", default="rwow-rde", type=system)
     stats_p.add_argument("--json", action="store_true",
                          help="emit the registry as JSON "
                               "(alias for --format json)")
@@ -1057,8 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="run once with sampling on; emit OpenMetrics text",
     )
-    metrics_p.add_argument("--workload", default="canneal")
-    metrics_p.add_argument("--system", default="rwow-rde")
+    metrics_p.add_argument("--workload", default="canneal", type=workload)
+    metrics_p.add_argument("--system", default="rwow-rde", type=system)
     metrics_p.add_argument("--cadence", type=_positive_int,
                            default=DEFAULT_CADENCE_TICKS,
                            help="time-series sample cadence in simulated "
@@ -1078,18 +1056,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_p.add_argument("--out", required=True,
                           help="HTML output path")
-    report_p.add_argument("--workload", default="canneal")
+    report_p.add_argument("--workload", default="canneal", type=workload)
     report_p.add_argument(
-        "--systems",
+        "--systems", type=systems,
         help="comma-separated system names (default: all six paper systems)",
     )
     report_p.add_argument("--requests", type=_positive_int, default=3_000,
                           help="main-memory requests per system")
     report_p.add_argument("--seed", type=int, default=7)
     report_p.add_argument("--cores", type=_positive_int, default=8)
-    report_p.add_argument("--jobs", type=_positive_int,
-                          default=os.cpu_count() or 1,
-                          help="worker processes (default: all cores)")
+    add_jobs(report_p)
     report_p.add_argument("--title", help="report title")
     report_p.set_defaults(func=cmd_report)
 
@@ -1135,8 +1111,8 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="seeded fault-injection campaign with differential oracle",
     )
-    faults_p.add_argument("--workload", default="canneal")
-    faults_p.add_argument("--system", default="rwow-rde")
+    faults_p.add_argument("--workload", default="canneal", type=workload)
+    faults_p.add_argument("--system", default="rwow-rde", type=system)
     faults_p.add_argument("--read-disturb", type=_probability,
                           default=None,
                           help="per-read transient bit-flip probability")
@@ -1164,32 +1140,13 @@ def build_parser() -> argparse.ArgumentParser:
     faults_p.set_defaults(func=cmd_faults)
 
     gen_p = sub.add_parser("gen-trace", help="export a synthetic trace file")
-    gen_p.add_argument("--workload", required=True)
+    gen_p.add_argument("--workload", required=True, type=workload)
     gen_p.add_argument("--count", type=_positive_int, default=10_000)
     gen_p.add_argument("--out", required=True)
     gen_p.add_argument("--seed", type=int, default=1)
     gen_p.set_defaults(func=cmd_gen_trace)
 
     return parser
-
-
-def _reject_unknown_names(parser: argparse.ArgumentParser, args) -> None:
-    """Exit 2, listing the valid names, on an unknown workload or system.
-
-    An empty name (``--workload ""``, ``--systems a,``) is unknown too.
-    """
-    for kind, valid in (("workload", workload_names()),
-                        ("system", SYSTEM_NAMES + COMPARATOR_SYSTEM_NAMES)):
-        for dest in (kind, kind + "s"):  # --workload, then --workloads
-            value = getattr(args, dest, None)
-            if value is None:  # not given, or not this command's option
-                continue
-            given = [value] if dest == kind else value.split(",")
-            unknown = [name for name in given if name not in valid]
-            if unknown:
-                parser.error(f"--{dest}: unknown {kind} "
-                             f"{', '.join(map(repr, unknown))}; "
-                             f"valid: {', '.join(valid)}")
 
 
 #: Options naming a file a command writes (``trace``, ``metrics``,
@@ -1222,9 +1179,7 @@ def _unwritable_output(args: argparse.Namespace) -> Optional[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _reject_unknown_names(parser, args)
+    args = build_parser().parse_args(argv)
     # Checked before the command runs, so a bad path costs no run.
     problem = _unwritable_output(args)
     if problem is not None:

@@ -258,6 +258,5 @@ class FineWritePolicy(BaseSchedulerPolicy):
         _start, _data_end, completion = c.fine.issue_fine_write(
             ctx.head, ctx.decoded, ctx.now, window=window
         )
-        self.chain.on_window_open(window, ctx.decoded.rank)
         c.fine.hold(ctx.decoded, completion)
         return True

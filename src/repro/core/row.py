@@ -12,8 +12,7 @@
   data word blocked, reconstructed from the other seven plus the PCC
   parity word (§IV-B2);
 * the **deferred SECDED verify** and rollback signalling for
-  reconstructed reads (§IV-B3), broadcast to the chain via
-  ``on_verify_result``.
+  reconstructed reads (§IV-B3).
 
 Reads arriving while a window is open are admitted immediately through
 the ``on_read_enqueued`` hook, which is how the controller-level
@@ -158,7 +157,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
     ) -> int:
         """Two-step fine write plus overlapped reads; returns data end."""
         c = self.controller
-        assert c is not None and self.chain is not None
+        assert c is not None
         window = c._open_window(-1, -1)
         _start, data_end, _service_end = c.fine.issue_fine_write(
             head, decoded, now, window=window, defer_pcc=True
@@ -176,7 +175,6 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
             )
         self._active_window[decoded.rank] = window
         self._active_reads[decoded.rank] = 0
-        self.chain.on_window_open(window, decoded.rank)
         self._overlap_reads(decoded.rank, window, now)
         return data_end
 
@@ -185,14 +183,12 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
     # ==================================================================
     def on_read_enqueued(self, request: MemoryRequest) -> None:
         c = self.controller
-        assert c is not None and self.chain is not None
+        assert c is not None
         if request not in c.read_q.entries:
             return  # already issued or forwarded by the base path
         decoded = request.decoded
         window = self._active_window[decoded.rank]
         if window is None or window.end <= c.engine.now:
-            if window is not None:
-                self.chain.on_window_close(window, decoded.rank)
             self._active_window[decoded.rank] = None
             return
         self._overlap_reads(decoded.rank, window, c.engine.now)
@@ -265,12 +261,11 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
     ) -> None:
         """Serve reads concurrently with the open write window.
 
-        Walks the read queue oldest-first, asking the chain to admit each
-        read (the chain so e.g. an instrumentation policy can observe or
-        veto admissions; this policy provides the plan).
+        Walks the read queue oldest-first and issues each read
+        :meth:`admit_overlap_read` plans.
         """
         c = self.controller
-        assert c is not None and self.chain is not None
+        assert c is not None
         issued = 0
         for req in list(c.read_q.entries):
             if (
@@ -286,7 +281,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
             decoded = req.decoded
             if decoded.rank != rank_index:
                 continue
-            plan = self.chain.admit_overlap_read(window, req, now)
+            plan = self.admit_overlap_read(window, req, now)
             if plan is None:
                 continue
             self._issue_overlap_read(
@@ -419,7 +414,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
     ) -> None:
         """Complete the deferred check; decide whether a rollback is due."""
         c = self.controller
-        assert c is not None and self.chain is not None
+        assert c is not None
         now = c.engine.now
         req.verify_completion = now
         self._m_verifications.inc()
@@ -450,7 +445,6 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
                     req_id=req.req_id,
                     reason="corrupted" if corrupted else "consumed-early",
                 )
-        self.chain.on_verify_result(req, rollback)
         if req.on_verify is not None:
             req.on_verify(req, rollback)
         c._kick()

@@ -57,7 +57,7 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
         (rotated) dirty-chip sets that are idle now.
         """
         c = self.controller
-        assert c is not None and self.chain is not None
+        assert c is not None
         rank = c.ranks[decoded_head.rank]
         head_data, head_code = head.wow_masks or self._chip_masks(head)
         members: List[Tuple[MemoryRequest, DecodedAddress]] = [
@@ -98,7 +98,6 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
                 occupied |= data | code
 
         window = c._open_window(-1, -1)
-        self.chain.on_window_open(window, decoded_head.rank)
         grouped = len(members) > 1
         if grouped and c.tracer.enabled:
             c.tracer.emit(

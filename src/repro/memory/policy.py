@@ -12,10 +12,9 @@ while an ordered chain of :class:`SchedulerPolicy` objects owns the
    for fine-grained ones) and offers it to each policy in chain order;
    the first policy that issues service wins the step.
 
-Policies also receive lifecycle notifications — reads entering the queue
-(so an open RoW window can absorb them), write windows opening/closing,
-and deferred-verification results — and can admit reads into open write
-windows via :meth:`SchedulerPolicy.admit_overlap_read`.
+Policies are also told when a read enters the queue
+(:meth:`SchedulerPolicy.on_read_enqueued`), so an open RoW window can
+absorb it.
 
 The concrete mechanisms live next to the systems that introduce them:
 
@@ -51,7 +50,6 @@ from repro.memory.request import MemoryRequest
 
 if TYPE_CHECKING:  # runtime import would be circular (controller -> policy)
     from repro.memory.controller import MemoryController
-    from repro.sim.metrics import WriteWindow
 
 
 @dataclass
@@ -121,24 +119,6 @@ class SchedulerPolicy(Protocol):
         """A read entered the queue (post-kick) — e.g. join an open window."""
         ...
 
-    def admit_overlap_read(
-        self, window: "WriteWindow", request: MemoryRequest, now: int
-    ) -> Optional[ReadAdmission]:
-        """Plan serving ``request`` inside ``window``, or None to refuse."""
-        ...
-
-    def on_window_open(self, window: "WriteWindow", rank: int) -> None:
-        """A write service window opened on ``rank``."""
-        ...
-
-    def on_window_close(self, window: "WriteWindow", rank: int) -> None:
-        """A previously opened window ended (service done or expired)."""
-        ...
-
-    def on_verify_result(self, request: MemoryRequest, rollback: bool) -> None:
-        """A deferred verification resolved (rollback=True on mis-verify)."""
-        ...
-
 
 class BaseSchedulerPolicy:
     """Neutral defaults: participate in nothing, observe everything."""
@@ -166,20 +146,6 @@ class BaseSchedulerPolicy:
         return False
 
     def on_read_enqueued(self, request: MemoryRequest) -> None:
-        return None
-
-    def admit_overlap_read(
-        self, window: "WriteWindow", request: MemoryRequest, now: int
-    ) -> Optional[ReadAdmission]:
-        return None
-
-    def on_window_open(self, window: "WriteWindow", rank: int) -> None:
-        return None
-
-    def on_window_close(self, window: "WriteWindow", rank: int) -> None:
-        return None
-
-    def on_verify_result(self, request: MemoryRequest, rollback: bool) -> None:
         return None
 
 
@@ -211,10 +177,6 @@ class PolicyChain:
         # policies that actually listen.
         self._pre_select = self._implementors("pre_select")
         self._on_read_enqueued = self._implementors("on_read_enqueued")
-        self._admit_overlap_read = self._implementors("admit_overlap_read")
-        self._on_window_open = self._implementors("on_window_open")
-        self._on_window_close = self._implementors("on_window_close")
-        self._on_verify_result = self._implementors("on_verify_result")
 
     def _implementors(self, hook: str) -> List[SchedulerPolicy]:
         """Chain members that override ``hook`` (base no-ops excluded)."""
@@ -259,27 +221,6 @@ class PolicyChain:
     def on_read_enqueued(self, request: MemoryRequest) -> None:
         for policy in self._on_read_enqueued:
             policy.on_read_enqueued(request)
-
-    def admit_overlap_read(
-        self, window: "WriteWindow", request: MemoryRequest, now: int
-    ) -> Optional[ReadAdmission]:
-        for policy in self._admit_overlap_read:
-            plan = policy.admit_overlap_read(window, request, now)
-            if plan is not None:
-                return plan
-        return None
-
-    def on_window_open(self, window: "WriteWindow", rank: int) -> None:
-        for policy in self._on_window_open:
-            policy.on_window_open(window, rank)
-
-    def on_window_close(self, window: "WriteWindow", rank: int) -> None:
-        for policy in self._on_window_close:
-            policy.on_window_close(window, rank)
-
-    def on_verify_result(self, request: MemoryRequest, rollback: bool) -> None:
-        for policy in self._on_verify_result:
-            policy.on_verify_result(request, rollback)
 
 
 class CoarseWritePolicy(BaseSchedulerPolicy):

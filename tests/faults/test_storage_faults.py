@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ecc import hamming
-from repro.faults.models import PCC_SLOT, FaultConfig, StuckCell
+from repro.faults.models import PCC_SLOT, FaultConfig
 from repro.faults.storage import FaultInjectingStorage
 from repro.memory.request import WORDS_PER_LINE
 from repro.memory.storage import MemoryStorage

@@ -42,11 +42,10 @@ class FakeController:
 class Recorder(BaseSchedulerPolicy):
     name = "recorder"
 
-    def __init__(self, pre=None, select=False, admit=None):
+    def __init__(self, pre=None, select=False):
         super().__init__()
         self._pre = pre
         self._select = select
-        self._admit = admit
         self.events = []
 
     def pre_select(self, now):
@@ -56,19 +55,6 @@ class Recorder(BaseSchedulerPolicy):
     def select_write(self, ctx):
         self.events.append(("select", ctx))
         return self._select
-
-    def admit_overlap_read(self, window, request, now):
-        self.events.append(("admit", request))
-        return self._admit
-
-    def on_window_open(self, window, rank):
-        self.events.append(("open", rank))
-
-    def on_window_close(self, window, rank):
-        self.events.append(("close", rank))
-
-    def on_verify_result(self, request, rollback):
-        self.events.append(("verify", request, rollback))
 
 
 class Permissive(Recorder):
@@ -157,29 +143,6 @@ def test_first_claiming_policy_wins_the_step():
 
 
 # ----------------------------------------------------------------------
-# Broadcasts
-# ----------------------------------------------------------------------
-def test_admit_overlap_read_returns_first_plan():
-    plan = ReadAdmission(chips=(0, 1), missing_word=None)
-    refuser = Recorder(admit=None)
-    planner = Recorder(admit=plan)
-    chain = PolicyChain(FakeController(), [refuser, planner])
-    assert chain.admit_overlap_read(object(), object(), 0) is plan
-    assert [e[0] for e in refuser.events] == ["admit"]
-
-
-def test_lifecycle_broadcasts_reach_every_policy():
-    a, b = Recorder(), Recorder()
-    chain = PolicyChain(FakeController(), [a, b])
-    chain.on_window_open(object(), rank=0)
-    chain.on_window_close(object(), rank=0)
-    chain.on_verify_result(request=object(), rollback=True)
-    for policy in (a, b):
-        kinds = [e[0] for e in policy.events]
-        assert kinds == ["open", "close", "verify"]
-
-
-# ----------------------------------------------------------------------
 # Protocol conformance (the contract mypy locks down in CI)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy_type", ALL_POLICY_TYPES)
@@ -193,11 +156,7 @@ def test_concrete_policies_satisfy_the_protocol(policy_type):
 def test_hook_signatures_match_the_protocol(policy_type):
     """Local stand-in for the CI mypy gate: overridden hooks must keep
     the protocol's parameter list exactly."""
-    hooks = [
-        "bind", "pre_select", "select_write", "on_read_enqueued",
-        "admit_overlap_read", "on_window_open", "on_window_close",
-        "on_verify_result",
-    ]
+    hooks = ["bind", "pre_select", "select_write", "on_read_enqueued"]
     for hook in hooks:
         expected = inspect.signature(getattr(BaseSchedulerPolicy, hook))
         actual = inspect.signature(getattr(policy_type, hook))

@@ -41,8 +41,6 @@ ALLOWLIST: Dict[str, str] = {
         "snapshot hook: tests compare resident lines with the reference cache",
     "repro.cache.set_assoc:ArraySetCache.resident_lines":
         "inspection hook the reference-equivalence tests compare",
-    "repro.cache.set_assoc:ArraySetCache.dirty_lines":
-        "inspection hook the reference-equivalence tests compare",
     "repro.cache.set_assoc:ArraySetCache.invalidate":
         "operation the reference-equivalence streams drive through the "
         "slab compaction",

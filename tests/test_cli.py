@@ -355,7 +355,7 @@ def test_campaign_cli_round_trip(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "campaign cli: 2 jobs (2 queued, 0 done)" in out
-    assert "repro sweep --resume cli" in out
+    assert "resume with: repro resume cli --store" in out
 
     # Resubmitting the identical grid is an idempotent no-op.
     assert main([
@@ -380,8 +380,7 @@ def test_campaign_cli_round_trip(tmp_path, capsys):
     # Resume of the finished campaign is a pure cache replay with the
     # byte-identical digest.
     assert main([
-        "sweep", "--resume", "cli", "--store", store,
-        "--cache-dir", cache, "--digest",
+        "resume", "cli", "--store", store, "--cache-dir", cache, "--digest",
     ]) == 0
     out = capsys.readouterr().out
     assert reference in out
@@ -428,17 +427,47 @@ def test_sweep_resume_error_paths(tmp_path, capsys):
 
     store = str(tmp_path / "campaign.sqlite")
     CampaignStore(store)  # an existing store without the campaign
-    assert main(["sweep", "--resume", "ghost", "--store", store]) == 2
-    assert "unknown campaign" in capsys.readouterr().err
-    assert main(["sweep"]) == 2
-    assert "--workloads is required" in capsys.readouterr().err
+    assert main(["resume", "ghost", "--store", store]) == 2
+    err = capsys.readouterr().err
+    assert "repro resume: unknown campaign 'ghost'" in err
+    assert "(known: none)" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep"])
+    assert excinfo.value.code == 2
+    assert "required: --workloads" in capsys.readouterr().err
+
+
+@pytest.mark.campaign
+def test_resume_resets_dead_letters(tmp_path, capsys):
+    """A job dead-lettered by a resume's timeout runs again under
+    ``--reset-dead-letters`` and the campaign's digest is the serial one."""
+    assert main([
+        "sweep", *CAMPAIGN_GRID, *CAMPAIGN_SCALE, "--jobs", "1",
+        "--no-cache", "--quiet", "--digest",
+    ]) == 0
+    reference = capsys.readouterr().out.splitlines()[-1]
+    store = str(tmp_path / "campaign.sqlite")
+    assert main([
+        "submit", *CAMPAIGN_GRID, "--campaign", "c", "--store", store,
+        "--max-attempts", "1", *CAMPAIGN_SCALE,
+    ]) == 0
+    resume = ["resume", "c", "--store", store, "--jobs", "1",
+              "--cache-dir", str(tmp_path / "cache")]
+    capsys.readouterr()
+    assert main([*resume, "--timeout", "0.001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro resume: 2 job(s) dead-lettered")
+    assert main([*resume, "--digest"]) == 1  # still dead letters
+    capsys.readouterr()
+    assert main([*resume, "--reset-dead-letters", "--digest"]) == 0
+    assert reference in capsys.readouterr().out
 
 
 @pytest.mark.campaign
 @pytest.mark.parametrize("argv", [
     pytest.param(["status"], id="status"),
     pytest.param(["status", "--json"], id="status-json"),
-    pytest.param(["sweep", "--resume", "ghost"], id="sweep-resume"),
+    pytest.param(["resume", "ghost"], id="resume"),
 ])
 def test_read_only_commands_refuse_a_missing_store(argv, tmp_path, capsys):
     """A wrong --store path exits 2 naming it and creates nothing."""
@@ -479,7 +508,7 @@ def test_campaign_sweep_digest_matches_plain_and_resume(
     every way of running it prints the plain sweep's digest."""
 
     def digest(*argv: str) -> str:
-        assert main(["sweep", *argv, "--digest", "--quiet"]) == 0
+        assert main([*argv, "--digest"]) == 0
         captured = capsys.readouterr()
         assert "worker helper" not in captured.err
         assert all(h.returncode in (0, -signal.SIGTERM) for h in helpers)
@@ -490,7 +519,7 @@ def test_campaign_sweep_digest_matches_plain_and_resume(
         assert len(lines) == 1
         return lines[0]
 
-    grid = [*CAMPAIGN_GRID, *CAMPAIGN_SCALE, "--no-cache"]
+    grid = ["sweep", *CAMPAIGN_GRID, *CAMPAIGN_SCALE, "--no-cache", "--quiet"]
     reference = digest(*grid, "--jobs", "1")
     assert digest(*grid, "--jobs", "1", "--timeout", "300") == reference
     assert digest(*grid, "--jobs", "2", "--timeout", "300") == reference
@@ -503,7 +532,7 @@ def test_campaign_sweep_digest_matches_plain_and_resume(
     ]) == 0
     capsys.readouterr()
     assert digest(
-        "--resume", "copy", "--store", store,
+        "resume", "copy", "--store", store,
         "--cache-dir", str(tmp_path / "cache"), "--jobs", "2",
     ) == reference
     assert len(helpers) == 3  # one beside each --jobs 2 parent
@@ -543,39 +572,24 @@ def test_failed_campaign_sweep_exits_1_listing_dead_letters(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, option", [
-    pytest.param(["submit", "--workloads", "MP3", "--timeout", "5"], "--timeout", id="submit-timeout"),
-    pytest.param(["submit", "--workloads", "MP3", "--lease", "5"], "--lease", id="submit-lease"),
-    pytest.param(["worker", "--store", "unused.sqlite", "--max-attempts", "2"], "--max-attempts", id="worker-max-attempts"),
-    pytest.param(["sweep", "--workloads", "MP3", "--retries", "1"], "--retries", id="sweep-retries"),
-    pytest.param(["sweep", "--workloads", "MP3", "--systems", "baseline", "--requests", "50", "--no-cache", "--lease", "5"], "--lease", id="sweep-lease"),
-    pytest.param(["sweep", "--resume", "c", "--max-attempts", "2"], "--max-attempts", id="resume-max-attempts"),
-    pytest.param(["sweep", "--resume", "c", "--no-cache"], "--no-cache", id="resume-no-cache"),
-])
-def test_lease_knobs_a_command_ignores_exit_2(argv, option, capsys):
-    """Each command takes only the lease knobs it reads."""
-    # Parse first: a knob the parser accepts must be refused by
-    # ``sweep`` itself, before it opens a store or runs a job, never by
-    # starting a worker that polls forever.
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        assert exc.code == 2
-    else:
-        assert args.command == "sweep" and main(argv) == 2
-    err = capsys.readouterr().err
-    assert option in err and "Traceback" not in err
-
-
 _FRESH_SWEEP = ["sweep", "--workloads", "MP3", "--systems", "baseline",
                 "--requests", "50", "--jobs", "1", "--no-cache", "--quiet"]
 
 
 @pytest.mark.parametrize("argv, option", [
+    # Lease knobs the command does not read.
+    pytest.param(["submit", "--workloads", "MP3", "--timeout", "5"], "--timeout", id="submit-timeout"),
+    pytest.param(["submit", "--workloads", "MP3", "--lease", "5"], "--lease", id="submit-lease"),
+    pytest.param(["worker", "--store", "unused.sqlite", "--max-attempts", "2"], "--max-attempts", id="worker-max-attempts"),
+    pytest.param(["sweep", "--workloads", "MP3", "--retries", "1"], "--retries", id="sweep-retries"),
+    pytest.param([*_FRESH_SWEEP, "--lease", "5"], "--lease", id="sweep-lease"),
+    pytest.param(["resume", "c", "--max-attempts", "2"], "--max-attempts", id="resume-max-attempts"),
+    pytest.param(["resume", "c", "--no-cache"], "--no-cache", id="resume-no-cache"),
+    # The campaign fixed its grid at submit.  Values equal to the
+    # defaults count too: the option was given.
     *(
-        pytest.param(["sweep", "--resume", "c", option, value], option,
+        pytest.param(["resume", "c", option, value], option,
                      id=f"resume{option}")
-        # Values equal to the defaults count too: the option was given.
         for option, value in (
             ("--workloads", "MP3"), ("--systems", "baseline"),
             ("--requests", "9000"), ("--seed", "1"), ("--cores", "8"),
@@ -583,18 +597,24 @@ _FRESH_SWEEP = ["sweep", "--workloads", "MP3", "--systems", "baseline",
             ("--frontend-mb", "1"),
         )
     ),
+    pytest.param(["resume", "c", "--quiet"], "--quiet", id="resume-quiet"),
+    # Only a stored campaign has a store, dead letters and a name.
     pytest.param([*_FRESH_SWEEP, "--store", "st.sqlite"], "--store", id="sweep-store"),
     pytest.param([*_FRESH_SWEEP, "--reset-dead-letters"], "--reset-dead-letters", id="sweep-reset-dead-letters"),
+    pytest.param(["sweep", "--workloads", "MP3", "--resume", "c"], "--resume", id="sweep-resume"),
 ])
-def test_sweep_options_that_do_not_apply_exit_2(argv, option, tmp_path,
+def test_options_a_command_does_not_read_exit_2(argv, option, tmp_path,
                                                 capsys, monkeypatch):
-    """``--resume`` takes no grid option (the campaign fixed its grid at
-    submit) and a fresh sweep no store option: each exits 2 naming the
-    option, before it opens a store or runs a job."""
+    """Each parser holds only the options its command reads, so argparse
+    refuses any other: exit 2 naming it, before anything is opened or
+    run."""
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert f"repro sweep: {option} " in err and "Traceback" not in err
+    assert "unrecognized arguments" in err and option in err
+    assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 
@@ -632,6 +652,8 @@ def test_faults_refuses_tier_options(option, value, capsys):
     pytest.param(["report", "--out", "unused.html", "--systems", "rwow-rde,"], "rwow-rde", "''", id="report-systems-trailing-comma"),
     pytest.param(["run", "--workload", ""], "canneal", "''", id="run-workload-empty"),
     pytest.param(["run", "--workload", "MP3", "--system", "palp-lite"], "rwow-rde", "'palp-lite'", id="run-system-palp-lite"),
+    pytest.param(["faults", "--workload", "nope"], "canneal", "'nope'", id="faults-workload"),
+    pytest.param(["gen-trace", "--workload", "nope", "--out", "unused.trace"], "canneal", "'nope'", id="gen-trace-workload"),
 ])
 def test_unknown_names_exit_2_listing_valid_names(argv, listed, bad, capsys):
     with pytest.raises(SystemExit) as excinfo:
