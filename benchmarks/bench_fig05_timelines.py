@@ -11,7 +11,7 @@ its result cache by design.
 """
 
 from repro.core.systems import make_system
-from repro.memory.memsys import make_controller
+from repro.memory.controller import MemoryController
 from repro.memory.request import ServiceClass, make_read, make_write
 from repro.memory.timing import DEFAULT_TIMING
 from repro.sim.engine import Engine
@@ -27,7 +27,7 @@ def _row_scenario():
     """Write A (word 3) + reads B, C served by reconstruction."""
     engine = Engine()
     config = make_system("row-nr")
-    controller = make_controller(engine, config, channel_id=0)
+    controller = MemoryController(engine, config, channel_id=0)
     stride = _stride(config)
     for i in range(27):  # push the queue over the drain watermark
         controller.submit(make_write(100 + i, (50 + i) * stride, 0b1000))
@@ -45,7 +45,7 @@ def _baseline_scenario():
     """The same requests on the baseline: reads wait out the drain."""
     engine = Engine()
     config = make_system("baseline")
-    controller = make_controller(engine, config, channel_id=0)
+    controller = MemoryController(engine, config, channel_id=0)
     stride = _stride(config)
     for i in range(27):
         controller.submit(make_write(100 + i, (50 + i) * stride, 0b1000))
@@ -62,7 +62,7 @@ def _wow_scenario():
     """Writes A{2,5}, B{3,6}, C{4}: disjoint chips, one window."""
     engine = Engine()
     config = make_system("wow-nr")
-    controller = make_controller(engine, config, channel_id=0)
+    controller = MemoryController(engine, config, channel_id=0)
     stride = _stride(config)
     writes = {
         "A": make_write(1, 10 * stride, (1 << 2) | (1 << 5)),

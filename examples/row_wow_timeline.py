@@ -16,7 +16,7 @@ Run:  python examples/row_wow_timeline.py
 
 from repro.analysis.timeline import occupancy_from_trace, render_occupancy
 from repro.core.systems import make_system
-from repro.memory.memsys import make_controller
+from repro.memory.controller import MemoryController
 from repro.memory.request import make_read, make_write
 from repro.sim.engine import Engine, ticks_to_ns
 from repro.telemetry import Telemetry
@@ -32,7 +32,7 @@ def row_scenario():
     engine = Engine()
     config = make_system("row-nr")
     telemetry = Telemetry.recording()
-    controller = make_controller(engine, config, channel_id=0, telemetry=telemetry)
+    controller = MemoryController(engine, config, channel_id=0, telemetry=telemetry)
 
     stride = 64 * config.geometry.n_channels  # stay on channel 0
     # Pre-fill the write queue over the drain watermark so the controller
@@ -66,7 +66,7 @@ def wow_scenario():
     engine = Engine()
     config = make_system("wow-nr")
     telemetry = Telemetry.recording()
-    controller = make_controller(engine, config, channel_id=0, telemetry=telemetry)
+    controller = MemoryController(engine, config, channel_id=0, telemetry=telemetry)
 
     stride = 64 * config.geometry.n_channels
     # The Figure 5 example: A dirties words 2 and 5, B words 3 and 6,

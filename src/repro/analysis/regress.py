@@ -269,7 +269,7 @@ def load_baseline(
     if not section:
         raise ValueError(
             f"{path} has no metrics_fingerprint section; run "
-            f"`repro regress --update` (or regenerate the perf suite)"
+            f"`repro regress-update` (or regenerate the perf suite)"
         )
     key = ("frontend_" if frontend else "") + ("smoke" if smoke else "full")
     if key not in section:

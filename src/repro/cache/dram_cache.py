@@ -42,8 +42,6 @@ class DramCache:
             track_words=track_words,
             policy=policy,
         )
-        #: Dirty evictions produced so far (the PCM write-back stream).
-        self.write_backs: int = 0
 
     # ------------------------------------------------------------------
     def access(
@@ -58,7 +56,6 @@ class DramCache:
         hit, evicted = self.cache.access(address, is_write, value)
         write_backs: List[Eviction] = []
         if evicted is not None:
-            self.write_backs += 1
             write_backs.append(evicted)
         return hit, write_backs
 

@@ -26,11 +26,15 @@ Commands::
         [--out FILE] [--timeseries FILE.jsonl] [--cadence TICKS]
     python -m repro report --out report.html [--workload W] [--systems ...] \\
         [--requests N] [--jobs N]
-    python -m repro regress [--smoke] [--update] [--selftest] \\
-        [--baseline FILE]
+    python -m repro regress [--smoke] [--frontend] [--baseline FILE]
+    python -m repro regress-update [--baseline FILE]
+    python -m repro regress-selftest
     python -m repro perf [--seed N] [--smoke] [--json] [--out FILE] [--check]
     python -m repro faults [--workload W] [--system S] [--seed N] \\
-        [--smoke] [--json] [--out report.json] [--selftest] [--convergence]
+        [--smoke] [--json] [--out report.json]
+    python -m repro faults-selftest [--seed N] [--out report.json]
+    python -m repro faults-convergence [--workload W] [--seed N] \\
+        [--requests N] [--smoke] [--out report.json]
 
 ``perf`` runs the tracked hot-path microbenchmark suite (SECDED codec,
 storage, engine dispatch, trace generation, sampling and tracing
@@ -57,7 +61,7 @@ time-series sampler on and emits lint-clean OpenMetrics text (plus an
 optional JSONL time-series).  ``report`` renders the self-contained HTML
 run report, ``regress`` diffs a fresh reference run against the metrics
 fingerprint pinned in ``BENCH_perf.json`` and exits non-zero on breach.
-See docs/TELEMETRY.md.
+See docs/TELEMETRY.md, and docs/FAULTS.md for the ``faults`` commands.
 """
 
 from __future__ import annotations
@@ -649,25 +653,10 @@ def cmd_regress(args: argparse.Namespace) -> int:
         compare_fingerprints,
         format_comparison,
         load_baseline,
-        selftest,
-        update_baseline,
     )
     from repro.perf.suites import default_output_path
 
     path = args.baseline or default_output_path()
-    if args.selftest:
-        failures = selftest()
-        if failures:
-            for failure in failures:
-                print(f"REGRESS SELFTEST FAILED: {failure}", file=sys.stderr)
-            return 1
-        print("regress selftest passed (planted regressions were detected)")
-        return 0
-    if args.update:
-        pinned = update_baseline(path)
-        print(f"pinned metrics fingerprint "
-              f"({', '.join(sorted(pinned))} budgets) in {path}")
-        return 0
     try:
         baseline = load_baseline(
             path, smoke=args.smoke, frontend=args.frontend
@@ -687,6 +676,31 @@ def cmd_regress(args: argparse.Namespace) -> int:
             print(f"REGRESS BREACH: {breach}", file=sys.stderr)
         return 1
     print("regression sentinel: no breaches")
+    return 0
+
+
+def cmd_regress_update(args: argparse.Namespace) -> int:
+    """Re-pin every budget's and leg's metrics fingerprint."""
+    from repro.analysis.regress import update_baseline
+    from repro.perf.suites import default_output_path
+
+    path = args.baseline or default_output_path()
+    pinned = update_baseline(path)
+    print(f"pinned metrics fingerprint "
+          f"({', '.join(sorted(pinned))} budgets) in {path}")
+    return 0
+
+
+def cmd_regress_selftest(_args: argparse.Namespace) -> int:
+    """Plant regressions; the sentinel must detect every one."""
+    from repro.analysis.regress import selftest
+
+    failures = selftest()
+    if failures:
+        for failure in failures:
+            print(f"REGRESS SELFTEST FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("regress selftest passed (planted regressions were detected)")
     return 0
 
 
@@ -718,84 +732,105 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
+def _faults_budget(args: argparse.Namespace) -> int:
+    return 2_000 if args.smoke else args.requests
+
+
 def cmd_faults(args: argparse.Namespace) -> int:
-    """Seeded fault campaign / convergence check / oracle self-test."""
+    """Seeded fault campaign under the differential oracle."""
     from repro.faults import (
         DEFAULT_FAULTS,
         FaultCampaignSpec,
-        cross_system_convergence,
-        oracle_selftest,
         report_json,
         run_campaign,
     )
     from repro.sim.results_io import atomic_write_text
 
-    requests = 2_000 if args.smoke else args.requests
-    if args.selftest:
-        report = oracle_selftest(seed=args.seed)
-        passed = report["passed"]
-    elif args.convergence:
-        report = cross_system_convergence(
-            workload=args.workload,
-            seed=args.seed,
-            target_requests=requests,
-        )
-        passed = report["converged"]
-    else:
-        given = {
-            "read_disturb_rate": args.read_disturb,
-            "write_fail_rate": args.write_fail,
-            "stuck_at_threshold": args.stuck_threshold,
-            "stuck_cells_per_line": args.stuck_cells,
-        }
-        spec = FaultCampaignSpec(
-            workload=args.workload,
-            system=args.system,
-            seed=args.seed,
-            target_requests=requests,
-            n_cores=args.cores,
-            fault=dataclasses.replace(DEFAULT_FAULTS, **{
-                name: value for name, value in given.items()
-                if value is not None
-            }),
-        )
-        report = run_campaign(spec)
-        passed = report["ok"] and report["row"]["within_paper_band"]
-        if not args.json:
-            row = report["row"]
-            injected = report["injected"]
-            print(format_table(
-                ["metric", "value"],
-                [
-                    ["system / workload",
-                     f"{spec.system} / {spec.workload} (seed {spec.seed})"],
-                    ["faults injected",
-                     str(injected["read_disturb_injected"]
-                         + injected["write_fail_injected"]
-                         + injected["stuck_cells_activated"])],
-                    ["SECDED corrected", str(injected["corrected"])],
-                    ["detected uncorrectable",
-                     str(injected["detected_uncorrectable"])],
-                    ["silent", str(injected["silent"])],
-                    ["RoW reconstructed reads", str(row["row_reads"])],
-                    ["mis-verify rollbacks", str(row["rollbacks_corrupted"])],
-                    ["mis-verify rate",
-                     f"{row['misverify_rate']:.4f} "
-                     f"(paper ceiling {row['paper_ceiling']})"],
-                    ["oracle", "clean" if report["ok"] else
-                     f"{report['oracle']['violations']} VIOLATIONS"],
-                ],
-                title="fault campaign",
-            ))
+    given = {
+        "read_disturb_rate": args.read_disturb,
+        "write_fail_rate": args.write_fail,
+        "stuck_at_threshold": args.stuck_threshold,
+        "stuck_cells_per_line": args.stuck_cells,
+    }
+    spec = FaultCampaignSpec(
+        workload=args.workload,
+        system=args.system,
+        seed=args.seed,
+        target_requests=_faults_budget(args),
+        n_cores=args.cores,
+        fault=dataclasses.replace(DEFAULT_FAULTS, **{
+            name: value for name, value in given.items()
+            if value is not None
+        }),
+    )
+    report = run_campaign(spec)
+    passed = report["ok"] and report["row"]["within_paper_band"]
     if args.json:
         print(report_json(report))
+    else:
+        row = report["row"]
+        injected = report["injected"]
+        print(format_table(
+            ["metric", "value"],
+            [
+                ["system / workload",
+                 f"{spec.system} / {spec.workload} (seed {spec.seed})"],
+                ["faults injected",
+                 str(injected["read_disturb_injected"]
+                     + injected["write_fail_injected"]
+                     + injected["stuck_cells_activated"])],
+                ["SECDED corrected", str(injected["corrected"])],
+                ["detected uncorrectable",
+                 str(injected["detected_uncorrectable"])],
+                ["silent", str(injected["silent"])],
+                ["RoW reconstructed reads", str(row["row_reads"])],
+                ["mis-verify rollbacks", str(row["rollbacks_corrupted"])],
+                ["mis-verify rate",
+                 f"{row['misverify_rate']:.4f} "
+                 f"(paper ceiling {row['paper_ceiling']})"],
+                ["oracle", "clean" if report["ok"] else
+                 f"{report['oracle']['violations']} VIOLATIONS"],
+            ],
+            title="fault campaign",
+        ))
     if args.out:
         atomic_write_text(args.out, report_json(report) + "\n")
         if not args.json:
             print(f"wrote {args.out}")
-    if not args.json and (args.selftest or args.convergence):
-        print(report_json(report))
     return 0 if passed else 1
+
+
+def _faults_report(args: argparse.Namespace, report: dict, passed: bool) -> int:
+    """Write a self-test or convergence report to ``--out`` (if given),
+    then print it as JSON; exit 0 when it passed."""
+    from repro.faults import report_json
+    from repro.sim.results_io import atomic_write_text
+
+    if args.out:
+        atomic_write_text(args.out, report_json(report) + "\n")
+        print(f"wrote {args.out}")
+    print(report_json(report))
+    return 0 if passed else 1
+
+
+def cmd_faults_selftest(args: argparse.Namespace) -> int:
+    """Plant an untracked corruption; the oracle must detect it."""
+    from repro.faults import oracle_selftest
+
+    report = oracle_selftest(seed=args.seed)
+    return _faults_report(args, report, report["passed"])
+
+
+def cmd_faults_convergence(args: argparse.Namespace) -> int:
+    """Every system must reach the same end state (faults off)."""
+    from repro.faults import cross_system_convergence
+
+    report = cross_system_convergence(
+        workload=args.workload,
+        seed=args.seed,
+        target_requests=_faults_budget(args),
+    )
+    return _faults_report(args, report, report["converged"])
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
@@ -1081,16 +1116,24 @@ def build_parser() -> argparse.ArgumentParser:
     regress_p.add_argument("--frontend", action="store_true",
                            help="diff the front-end (dram tier) leg "
                                 "instead of the direct-path leg")
-    regress_p.add_argument("--update", action="store_true",
-                           help="re-pin every budget/leg fingerprint "
-                                "and exit")
-    regress_p.add_argument("--selftest", action="store_true",
-                           help="plant a regression; the sentinel must "
-                                "detect it")
     regress_p.add_argument("--check", action="store_true",
                            help="alias for the default compare mode "
                                 "(symmetry with `repro perf --check`)")
     regress_p.set_defaults(func=cmd_regress)
+
+    update_p = sub.add_parser(
+        "regress-update",
+        help="re-pin every budget's and leg's metrics fingerprint",
+    )
+    update_p.add_argument("--baseline",
+                          help="BENCH_perf.json to write the fingerprint "
+                               "into (default: the committed one)")
+    update_p.set_defaults(func=cmd_regress_update)
+
+    sub.add_parser(
+        "regress-selftest",
+        help="plant a regression; the sentinel must detect it",
+    ).set_defaults(func=cmd_regress_selftest)
 
     perf_p = sub.add_parser(
         "perf", help="run the tracked hot-path microbenchmark suite"
@@ -1129,15 +1172,33 @@ def build_parser() -> argparse.ArgumentParser:
     faults_p.add_argument("--json", action="store_true",
                           help="emit the full campaign report as JSON")
     faults_p.add_argument("--out", help="also write the JSON report here")
-    faults_p.add_argument("--selftest", action="store_true",
-                          help="plant an untracked corruption; the oracle "
-                               "must detect it")
-    faults_p.add_argument("--convergence", action="store_true",
-                          help="all six systems must reach identical "
-                               "end-state (faults off)")
     # Fault campaigns run the direct path: no tier options.
     add_run_options(faults_p)
     faults_p.set_defaults(func=cmd_faults)
+
+    selftest_p = sub.add_parser(
+        "faults-selftest",
+        help="plant an untracked corruption; the oracle must detect it "
+             "(prints the JSON report)",
+    )
+    selftest_p.add_argument("--seed", type=int, default=1)
+    selftest_p.add_argument("--out", help="also write the JSON report here")
+    selftest_p.set_defaults(func=cmd_faults_selftest)
+
+    convergence_p = sub.add_parser(
+        "faults-convergence",
+        help="all six systems must reach identical end state, faults off "
+             "(prints the JSON report)",
+    )
+    convergence_p.add_argument("--workload", default="canneal", type=workload)
+    convergence_p.add_argument("--seed", type=int, default=1)
+    convergence_p.add_argument("--requests", type=_positive_int, default=4_000,
+                               help="total main-memory requests per system")
+    convergence_p.add_argument("--smoke", action="store_true",
+                               help="small CI budget (2000 requests)")
+    convergence_p.add_argument("--out",
+                               help="also write the JSON report here")
+    convergence_p.set_defaults(func=cmd_faults_convergence)
 
     gen_p = sub.add_parser("gen-trace", help="export a synthetic trace file")
     gen_p.add_argument("--workload", required=True, type=workload)
@@ -1150,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Options naming a file a command writes (``trace``, ``metrics``,
-#: ``report``, ``faults``, ``perf``, ``gen-trace``).
+#: ``report``, the ``faults`` commands, ``perf``, ``gen-trace``).
 _OUTPUT_OPTIONS = ("out", "jsonl", "timeseries")
 
 

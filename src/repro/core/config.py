@@ -94,11 +94,6 @@ class SystemConfig:
             raise ValueError("wow_max_group must be >= 1")
 
     # ------------------------------------------------------------------
-    @property
-    def is_pcmap(self) -> bool:
-        """True for any system with fine-grained writes (non-baseline)."""
-        return self.fine_grained_writes
-
     def with_rollback_rate(self, rate: float) -> "SystemConfig":
         """Copy with a different RoW rollback rate (Table IV)."""
         return replace(self, row_rollback_rate=rate)

@@ -12,7 +12,8 @@
 * the ``Status`` poll of the DIMM register's busy flags (§IV-D1): every
   fine or silent write starts ``status_poll_ticks`` after the scheduler
   picks it, while the flags themselves are the chips' busy times in
-  :class:`~repro.memory.rank.RankState`.
+  :class:`~repro.memory.rank.RankState`;
+* the oldest-*ready*-first head scan that replaces the baseline's FIFO.
 
 Two chain policies live here because they are pure engine drivers:
 
@@ -29,6 +30,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.memory.address import DecodedAddress
 from repro.memory.bus import BusDirection
+from repro.memory.controller import NO_WAKE
 from repro.memory.policy import BaseSchedulerPolicy, WriteContext
 from repro.memory.request import MemoryRequest, ServiceClass
 from repro.memory.rank import RankState
@@ -56,6 +58,59 @@ class FineWriteEngine:
         """Extend the engine-token reservation to ``until``."""
         if until > self.token_free[decoded.rank]:
             self.token_free[decoded.rank] = until
+
+    def select_candidate(self, now: int) -> Optional[WriteContext]:
+        """Oldest-*ready*-first over the write queue.
+
+        Strict FIFO would stall whenever the head's (rotated) chips are
+        still finishing an earlier window's ECC/PCC update even though
+        younger writes could proceed on idle chips.  The write-engine
+        token gates dirty writes only; silent (zero-dirty) candidates
+        need their data chips readable, not the engine.
+
+        Skips entries and whole scans by their ready bounds exactly as
+        the read scan does (``MemoryController._try_issue_read``).  A
+        request's bound covers its chips only; dirty writes add the
+        engine token here, whose free time also only moves forward.
+        """
+        c = self.c
+        if self.inflight >= c.config.max_inflight_writes:
+            return None  # completions will re-kick
+        write_q = c.write_q
+        cut = c._wake_time
+        lowest = write_q.scan_bound
+        if lowest > now and lowest >= cut:
+            return None
+        lowest = NO_WAKE
+        ranks = c.ranks
+        token_free = self.token_free
+        for req in write_q.pending:
+            decoded = req.decoded
+            token = token_free[decoded.rank] if req.dirty_mask else 0
+            ready = req.ready_bound
+            if token > ready:
+                ready = token
+            if ready > now and ready >= cut:
+                if ready < lowest:
+                    lowest = ready
+                continue
+            rank = ranks[decoded.rank]
+            if req.dirty_mask:
+                ready = rank.write_ready_time(req.chips, decoded.bank)
+            else:
+                ready = rank.read_ready_time(req.chips, decoded.bank)
+            req.ready_bound = ready
+            if token > ready:
+                ready = token
+            if ready <= now:
+                return WriteContext(now, req, decoded)
+            if ready < lowest:
+                lowest = ready
+                if ready < cut:
+                    cut = ready
+        write_q.scan_bound = lowest
+        c._wake_time = cut
+        return None
 
     # ------------------------------------------------------------------
     # Fine-grained writes (§IV-A2)
@@ -166,7 +221,7 @@ class FineWriteEngine:
                 window.extend(final)
                 window.note_service_end(final)
                 c.irlp.release(window)
-                c.engine.call_at(final, c._complete_write, req)
+                c.engine.call_at(final, self.complete_write, req)
 
             c.engine.call_at(data_end, _step_two)
         else:
@@ -223,13 +278,24 @@ class FineWriteEngine:
             )
         self.inflight += 1
         if not hold_completion:
-            c.engine.call_at(completion, c._complete_write, req)
+            c.engine.call_at(completion, self.complete_write, req)
 
-    def note_write_complete(self) -> None:
+    def complete_write(self, req: MemoryRequest) -> None:
+        """Free the write's in-flight slot, then complete it."""
         self.inflight -= 1
+        self.c._complete_write(req)
 
 
-class SilentWritePolicy(BaseSchedulerPolicy):
+class FineEnginePolicy(BaseSchedulerPolicy):
+    """A policy driving the controller's fine write engine, bound once."""
+
+    def on_bind(self) -> None:
+        c = self.controller
+        assert c is not None and c.fine is not None
+        self.fine = c.fine
+
+
+class SilentWritePolicy(FineEnginePolicy):
     """Serve zero-dirty write-backs with a compare-only array read."""
 
     name = "silent-write"
@@ -237,12 +303,11 @@ class SilentWritePolicy(BaseSchedulerPolicy):
     def select_write(self, ctx: WriteContext) -> bool:
         if ctx.head.dirty_mask:
             return False
-        assert self.controller is not None
-        self.controller.fine.issue_silent_write(ctx.head, ctx.decoded, ctx.now)
+        self.fine.issue_silent_write(ctx.head, ctx.decoded, ctx.now)
         return True
 
 
-class FineWritePolicy(BaseSchedulerPolicy):
+class FineWritePolicy(FineEnginePolicy):
     """Fallback: a plain fine-grained write of the head.
 
     Holds the write-engine token through the full service (data + code
@@ -253,10 +318,10 @@ class FineWritePolicy(BaseSchedulerPolicy):
 
     def select_write(self, ctx: WriteContext) -> bool:
         assert self.controller is not None
-        c = self.controller
-        window = c._open_window(-1, -1)
-        _start, _data_end, completion = c.fine.issue_fine_write(
+        fine = self.fine
+        window = self.controller._open_window(-1, -1)
+        _start, _data_end, completion = fine.issue_fine_write(
             ctx.head, ctx.decoded, ctx.now, window=window
         )
-        c.fine.hold(ctx.decoded, completion)
+        fine.hold(ctx.decoded, completion)
         return True

@@ -29,12 +29,7 @@ from typing import Optional
 
 from repro.memory.address import DecodedAddress
 from repro.memory.bus import BusDirection
-from repro.memory.controller import MemoryController
-from repro.memory.policy import (
-    BaseSchedulerPolicy,
-    PolicyChain,
-    WriteContext,
-)
+from repro.memory.policy import BaseSchedulerPolicy, WriteContext
 from repro.memory.request import MemoryRequest, ServiceClass
 from repro.telemetry import EventType
 
@@ -69,7 +64,6 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         super().__init__()
         self._paused: Optional[_PausedWrite] = None
         self._write_active = False
-        self.pauses_taken = 0
 
     def on_bind(self) -> None:
         c = self.controller
@@ -191,7 +185,6 @@ class WritePausingPolicy(BaseSchedulerPolicy):
                 self._paused = _PausedWrite(
                     req, decoded, left, pauses_used + 1, end + pause_budget
                 )
-                self.pauses_taken += 1
                 self._m_write_pauses.inc()
                 if c.tracer.enabled:
                     c.tracer.emit(
@@ -242,34 +235,3 @@ class WritePausingPolicy(BaseSchedulerPolicy):
             paused.pauses_used,
         )
         return True
-
-
-class WritePausingController(MemoryController):
-    """Thin shell kept for construction routing and test introspection.
-
-    All behaviour lives in :class:`WritePausingPolicy`; this class only
-    validates the config routes a pausing chain and re-exports the
-    policy's knobs/counters under their historical names.
-    """
-
-    PAUSE_QUANTUM_FRACTION = WritePausingPolicy.PAUSE_QUANTUM_FRACTION
-    RESUME_OVERHEAD_CYCLES = WritePausingPolicy.RESUME_OVERHEAD_CYCLES
-    MAX_PAUSES = WritePausingPolicy.MAX_PAUSES
-
-    def _build_policy_chain(self) -> PolicyChain:
-        chain = super()._build_policy_chain()
-        if chain.find(WritePausingPolicy) is None:
-            raise ValueError(
-                "WritePausingController requires enable_write_pausing"
-            )
-        return chain
-
-    @property
-    def pausing(self) -> WritePausingPolicy:
-        policy = self.policies.find(WritePausingPolicy)
-        assert isinstance(policy, WritePausingPolicy)
-        return policy
-
-    @property
-    def pauses_taken(self) -> int:
-        return self.pausing.pauses_taken

@@ -19,7 +19,7 @@ module's property tests pin down.
 
 Being pure *and periodic* in the line address (period 1, 8 or 10), every
 lookup the scheduler's hot loops perform — ``data_chip``, ``dirty_chips``
-over all 256 masks, ``read_chips``, ``word_of_chip`` — is precomputed per
+over all 256 masks, ``read_chips`` — is precomputed per
 rotation offset at construction.  Subclasses supply only the raw
 ``offset x slot -> chip`` arithmetic (``_raw_*``); the base class builds
 the tables and serves all queries from them.
@@ -72,7 +72,6 @@ class RankLayout:
         read_by_offset = []
         ecc_by_offset = []
         pcc_by_offset = []
-        word_of_chip_by_offset = []
         for offset in range(period):
             chips = tuple(
                 self._raw_data_chip(offset, w) for w in range(WORDS_PER_LINE)
@@ -91,16 +90,11 @@ class RankLayout:
             ecc_by_offset.append(ecc)
             pcc_by_offset.append(self._raw_pcc_chip(offset))
             read_by_offset.append(chips + (ecc,))
-            inverse: list = [None] * self.n_chips
-            for w, chip in enumerate(chips):
-                inverse[chip] = w
-            word_of_chip_by_offset.append(tuple(inverse))
         self._data_by_offset = tuple(data_by_offset)
         self._dirty_by_offset = tuple(dirty_by_offset)
         self._read_by_offset = tuple(read_by_offset)
         self._ecc_by_offset = tuple(ecc_by_offset)
         self._pcc_by_offset = tuple(pcc_by_offset)
-        self._word_of_chip_by_offset = tuple(word_of_chip_by_offset)
 
     # ------------------------------------------------------------------
     # Queries (all table lookups)

@@ -23,25 +23,23 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.fine import FineEnginePolicy
 from repro.memory.address import DecodedAddress
 from repro.memory.bus import BusDirection
-from repro.memory.policy import (
-    BaseSchedulerPolicy,
-    ReadAdmission,
-    WriteContext,
-)
+from repro.memory.policy import ReadAdmission, WriteContext
 from repro.memory.request import MemoryRequest, ServiceClass
 from repro.sim.metrics import WriteWindow
 from repro.telemetry import EventType
 
 
-class ReadOverWritePolicy(BaseSchedulerPolicy):
+class ReadOverWritePolicy(FineEnginePolicy):
     """Open RoW windows over single-essential-word writes and fill them
     with overlapped (possibly reconstructed) reads."""
 
     name = "row-window"
 
     def on_bind(self) -> None:
+        super().on_bind()
         c = self.controller
         assert c is not None
         metrics = c.telemetry.metrics
@@ -105,7 +103,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         data_end = self._issue_window(head, decoded, now)
         # The engine frees at the *data* end: the PCC step runs on the
         # PCC chip only, so the next write's chips proceed concurrently.
-        c.fine.hold(decoded, data_end)
+        self.fine.hold(decoded, data_end)
         return True
 
     def _declined(self, reason: str) -> None:
@@ -159,7 +157,7 @@ class ReadOverWritePolicy(BaseSchedulerPolicy):
         c = self.controller
         assert c is not None
         window = c._open_window(-1, -1)
-        _start, data_end, _service_end = c.fine.issue_fine_write(
+        _start, data_end, _service_end = self.fine.issue_fine_write(
             head, decoded, now, window=window, defer_pcc=True
         )
         self._m_windows.inc()

@@ -18,18 +18,20 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.core.fine import FineEnginePolicy
 from repro.memory.address import DecodedAddress
-from repro.memory.policy import BaseSchedulerPolicy, WriteContext
+from repro.memory.policy import WriteContext
 from repro.memory.request import MemoryRequest, ServiceClass
 from repro.telemetry import EventType
 
 
-class WriteOverWritePolicy(BaseSchedulerPolicy):
+class WriteOverWritePolicy(FineEnginePolicy):
     """Consolidate chip-disjoint writes into one service window."""
 
     name = "wow-group"
 
     def on_bind(self) -> None:
+        super().on_bind()
         c = self.controller
         assert c is not None
         metrics = c.telemetry.metrics
@@ -37,13 +39,11 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
         self._m_members = metrics.counter("wow.member_writes")
 
     def select_write(self, ctx: WriteContext) -> bool:
-        c = self.controller
-        assert c is not None
         group_service_end = self._issue_group(ctx.head, ctx.decoded, ctx.now)
         # The write engine is held through the serialised ECC/PCC updates
         # of the whole group (Figure 5(d)): without rotation this is what
         # limits WoW's bandwidth gain.
-        c.fine.hold(ctx.decoded, group_service_end)
+        self.fine.hold(ctx.decoded, group_service_end)
         return True
 
     def _issue_group(
@@ -68,7 +68,7 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
         occupied = head_data | head_code
         room = min(
             c.config.wow_max_group,
-            c.config.max_inflight_writes - c.fine.inflight,
+            c.config.max_inflight_writes - self.fine.inflight,
         ) - 1
         head_rank = decoded_head.rank
 
@@ -120,7 +120,7 @@ class WriteOverWritePolicy(BaseSchedulerPolicy):
         for req, decoded in members:
             if grouped:
                 req.service_class = ServiceClass.WOW_MEMBER
-            _start, _data_end, service_end = c.fine.issue_fine_write(
+            _start, _data_end, service_end = self.fine.issue_fine_write(
                 req, decoded, now, window=window
             )
             group_service_end = max(group_service_end, service_end)

@@ -81,14 +81,11 @@ class TraceCore:
         self.writes_issued = 0
         self.start_tick: Optional[int] = None
         self.finish_tick: Optional[int] = None
-        self.stall_ticks_mlp = 0     #: time blocked on the MLP limit
-        self.stall_ticks_queue = 0   #: time blocked on full memory queues
 
         self._outstanding_reads = 0
         self._pending: Optional[TraceRecord] = None
         self._pending_wanted_at = -1  #: first tick the pending op was tried
         self._waiting_for_read = False
-        self._wait_started = 0
         self._next_req_id = core_id << 32
         self._penalty_ticks_owed = 0
         #: Fired once when the core finishes (Multicore's done counter).
@@ -187,10 +184,8 @@ class TraceCore:
         if self._outstanding_reads >= self.params.max_outstanding_reads:
             # OoO window saturated: stall until some read returns.
             self._waiting_for_read = True
-            self._wait_started = self.engine.now
             return
         if not self.memory.can_accept(RequestKind.READ, record.address):
-            self._wait_started = self.engine.now
             self.memory.wait_for_space(
                 RequestKind.READ, record.address, self._queue_space_available
             )
@@ -213,7 +208,6 @@ class TraceCore:
 
     def _issue_write(self, record: TraceRecord) -> None:
         if not self.memory.can_accept(RequestKind.WRITE, record.address):
-            self._wait_started = self.engine.now
             self.memory.wait_for_space(
                 RequestKind.WRITE, record.address, self._queue_space_available
             )
@@ -242,14 +236,12 @@ class TraceCore:
     def _queue_space_available(self) -> None:
         if self.done or self._pending is None:
             return
-        self.stall_ticks_queue += self.engine.now - self._wait_started
         self._issue()
 
     def _on_read_complete(self, request: MemoryRequest) -> None:
         self._outstanding_reads -= 1
         if self._waiting_for_read:
             self._waiting_for_read = False
-            self.stall_ticks_mlp += self.engine.now - self._wait_started
             self._issue()
 
     def _on_verify(self, request: MemoryRequest, rollback: bool) -> None:

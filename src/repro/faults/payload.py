@@ -67,7 +67,6 @@ class WritePayloadAdapter:
         self._records = iter(records)
         self.mode = mode
         self.rng = random.Random((seed * 0x100000001B3) ^ (core_id * 0x01000193))
-        self.filled = 0
 
     def __iter__(self) -> "WritePayloadAdapter":
         return self
@@ -91,5 +90,4 @@ class WritePayloadAdapter:
                 self.rng.getrandbits(64) if record.dirty_mask & (1 << w) else 0
                 for w in range(WORDS_PER_LINE)
             )
-        self.filled += 1
         return dataclasses.replace(record, new_words=words)

@@ -39,8 +39,6 @@ class ChannelBus:
         self._last_direction: Optional[BusDirection] = None
         self._chip_free_at: List[int] = [0] * n_chips
         self._chip_last_dir: List[Optional[BusDirection]] = [None] * n_chips
-        #: Total ticks the full-width bus spent transferring (utilisation).
-        self.busy_ticks = 0
         # tCCD already covers burst-to-burst spacing; our bursts are
         # modelled back-to-back, so only the excess over the burst
         # length applies.
@@ -71,7 +69,6 @@ class ChannelBus:
         end = start + duration
         self._free_at = end
         self._last_direction = direction
-        self.busy_ticks += duration
         # A full-width burst occupies every sub-link as well.
         chip_free = self._chip_free_at
         for chip in range(self.n_chips):

@@ -12,13 +12,13 @@ the rank resource state, and the shared data bus.  Scheduling policy:
   are issued even below the watermark.
 
 The *write-issue decision* is delegated to an ordered
-:class:`repro.memory.policy.PolicyChain`: the controller picks the head
-candidate (its queue discipline) and the chain's policies decide how to
-service it.  The baseline chain is a single
+:class:`repro.memory.policy.PolicyChain`: a head scan picks the candidate
+(the queue discipline) and the chain's policies decide how to service
+it.  The baseline chain is a single
 :class:`~repro.memory.policy.CoarseWritePolicy` — whole-rank writes whose
 chip idleness is exactly what PCMap attacks and the IRLP recorder
-measures.  :class:`repro.core.controller.PCMapController` swaps in the
-fine-grained RoW/WoW policy stack instead of forking the issue path.
+measures.  Every system is this class and the chain its config composes;
+PCMap systems add the :class:`~repro.core.fine.FineWriteEngine` it drives.
 
 The controller is event-driven: ``_kick`` runs whenever a request arrives
 or a resource frees, issues everything that can start *now*, and arms a
@@ -51,9 +51,10 @@ from repro.sim.metrics import IrlpRecorder, WriteWindow
 from repro.telemetry import EventType, Telemetry
 
 if TYPE_CHECKING:
-    # The config is imported lazily at runtime to avoid a package cycle;
-    # the store only by functional runs, which build it.
+    # The config and the engine are imported lazily at runtime to avoid a
+    # package cycle; the store only by functional runs, which build it.
     from repro.core.config import SystemConfig
+    from repro.core.fine import FineWriteEngine
     from repro.memory.storage import MemoryStorage
 
 #: ``_wake_time`` when no wake-up is pending or noted.
@@ -76,6 +77,7 @@ class MemoryController:
         # its helpers at module scope would create an import cycle.
         from repro.core.essential import EssentialWordDetector
         from repro.core.rotation import make_layout
+        from repro.core.systems import build_policies
 
         self.engine = engine
         self.config = config
@@ -167,18 +169,16 @@ class MemoryController:
             for chip in range(config.geometry.chips_per_rank)
         ]
 
+        #: The fine write engine the PCMap policies drive; None on coarse systems.
+        self.fine: Optional["FineWriteEngine"] = None
+        if config.fine_grained_writes:
+            from repro.core.fine import FineWriteEngine
+
+            self.fine = FineWriteEngine(self)
         #: Ordered scheduling-policy stack driving the write-issue path.
         #: Built last so policies bind against a fully constructed
-        #: controller (subclasses hook ``_build_policy_chain`` to install
-        #: their engines/resources first).
-        self.policies: PolicyChain = self._build_policy_chain()
-
-    def _build_policy_chain(self) -> PolicyChain:
-        """Compose the policy chain for this controller's config."""
-        # Runtime import: repro.core.systems builds on repro.memory.
-        from repro.core.systems import build_policies
-
-        return PolicyChain(self, build_policies(self.config))
+        #: controller, the engine included.
+        self.policies = PolicyChain(self, build_policies(config))
 
     # ==================================================================
     # External interface
@@ -503,10 +503,10 @@ class MemoryController:
     def select_write_candidate(self, now: int) -> Optional[WriteContext]:
         """Head write the policy chain deliberates over this step.
 
-        Baseline queue discipline: strict FIFO over not-yet-issued writes,
+        Coarse queue discipline: strict FIFO over not-yet-issued writes,
         gated on the coarse chip set being ready now (otherwise a wake-up
-        is armed and the step yields).  ``PCMapController`` overrides this
-        with oldest-*ready*-first selection over fine-grained chip sets.
+        is armed and the step yields).  A fine write engine's chain scans
+        with ``FineWriteEngine.select_candidate`` instead.
         """
         pending = self.write_q.pending
         if not pending:

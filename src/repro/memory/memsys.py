@@ -23,32 +23,6 @@ if TYPE_CHECKING:
     from repro.memory.storage import MemoryStorage
 
 
-def make_controller(
-    engine: Engine,
-    config: "SystemConfig",
-    channel_id: int = 0,
-    storage: Optional["MemoryStorage"] = None,
-    seed: int = 1,
-    telemetry: Optional[Telemetry] = None,
-) -> MemoryController:
-    """Build the right controller class for ``config``."""
-    if config.is_pcmap:
-        # Imported here to avoid a circular import at module load time
-        # (core.controller subclasses memory.controller).
-        from repro.core.controller import PCMapController
-
-        return PCMapController(
-            engine, config, channel_id, storage, seed, telemetry
-        )
-    if getattr(config, "enable_write_pausing", False):
-        from repro.core.pausing import WritePausingController
-
-        return WritePausingController(
-            engine, config, channel_id, storage, seed, telemetry
-        )
-    return MemoryController(engine, config, channel_id, storage, seed, telemetry)
-
-
 class MainMemory:
     """The full PCM main memory behind the LLC."""
 
@@ -72,7 +46,7 @@ class MainMemory:
             storage = MemoryStorage(keep_pcc=config.geometry.has_pcc_chip)
         self.storage = storage
         self.controllers: List[MemoryController] = [
-            make_controller(
+            MemoryController(
                 engine, config, channel, storage, seed, self.telemetry
             )
             for channel in range(config.geometry.n_channels)

@@ -7,10 +7,10 @@ while an ordered chain of :class:`SchedulerPolicy` objects owns the
 1. **Pre-selection.**  Each policy may claim the step before a head write
    is even picked — e.g. write pausing resumes a paused write, or blocks
    new issue while one is mid-service.
-2. **Selection.**  The controller picks the head write candidate (its
-   queue discipline: strict FIFO for coarse systems, oldest-ready-first
-   for fine-grained ones) and offers it to each policy in chain order;
-   the first policy that issues service wins the step.
+2. **Selection.**  The head scan picks the head write candidate (the
+   queue discipline: strict FIFO for coarse systems, the fine engine's
+   oldest-ready-first for fine-grained ones) and offers it to each
+   policy in chain order; the first policy that issues service wins.
 
 Policies are also told when a read enters the queue
 (:meth:`SchedulerPolicy.on_read_enqueued`), so an open RoW window can
@@ -29,7 +29,7 @@ The concrete mechanisms live next to the systems that introduce them:
 
 :func:`repro.core.systems.build_policies` composes a chain from the
 ``SystemConfig`` feature flags, so system variants are mix-and-match
-policy stacks rather than controller subclass forks.
+policy stacks on one controller class rather than subclass forks.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ if TYPE_CHECKING:  # runtime import would be circular (controller -> policy)
 class WriteContext:
     """The head write candidate one scheduling step deliberates over.
 
-    Built once per step by ``MemoryController.select_write_candidate`` and
-    shared by every policy in the chain, so RoW's decline, WoW's grouping
+    Built once per step by the chain's head scan and shared by every
+    policy in the chain, so RoW's decline, WoW's grouping
     and the plain fine-write fallback all reason about the *same* head —
     exactly like the monolithic scheduler they replaced.
     """
@@ -160,11 +160,16 @@ class PolicyChain:
         self.policies: List[SchedulerPolicy] = list(policies)
         if not self.policies:
             raise ValueError("a policy chain needs at least one policy")
-        self._controller = controller
+        fine = controller.fine
+        #: The head scan: the fine write engine's, else the coarse FIFO.
+        self.select_candidate = (
+            controller.select_write_candidate if fine is None
+            else fine.select_candidate
+        )
         for policy in self.policies:
             policy.bind(controller, self)
-        # Chain-level discipline flags: one dissenting policy flips them,
-        # mirroring how the pausing controller relaxed the baseline rules.
+        # Chain-level discipline flags: one dissenting policy (write
+        # pausing) flips them, relaxing the baseline rules.
         self.reads_block_writes = all(
             p.reads_block_writes for p in self.policies
         )
@@ -191,13 +196,6 @@ class PolicyChain:
         """Human-readable chain summary, issue order left to right."""
         return " -> ".join(p.name for p in self.policies)
 
-    def find(self, policy_type: type) -> Optional[SchedulerPolicy]:
-        """The first chain member of ``policy_type``, if any."""
-        for policy in self.policies:
-            if isinstance(policy, policy_type):
-                return policy
-        return None
-
     # ------------------------------------------------------------------
     # The write step
     # ------------------------------------------------------------------
@@ -207,7 +205,7 @@ class PolicyChain:
             verdict = policy.pre_select(now)
             if verdict is not None:
                 return verdict
-        ctx = self._controller.select_write_candidate(now)
+        ctx = self.select_candidate(now)
         if ctx is None:
             return False
         for policy in self.policies:
@@ -226,7 +224,7 @@ class PolicyChain:
 class CoarseWritePolicy(BaseSchedulerPolicy):
     """Baseline write drain: coarse whole-rank writes, oldest first.
 
-    Selection (strict FIFO + rank readiness) lives in the controller's
+    Selection (strict FIFO + rank readiness) is the controller's
     ``select_write_candidate``; this policy simply services the head the
     baseline way — reserving every data chip plus ECC for the write's
     whole duration.  This is exactly the idleness PCMap's fine-grained

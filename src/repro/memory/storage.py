@@ -66,10 +66,6 @@ class MemoryStorage:
     def __init__(self, keep_pcc: bool = True):
         self.keep_pcc = keep_pcc
         self._lines: Dict[int, StoredLine] = {}
-        #: Writes whose per-word comparison found no change (silent words).
-        self.silent_word_writes = 0
-        #: Total dirty words actually committed to the array.
-        self.committed_words = 0
 
     # ------------------------------------------------------------------
     def _materialise(self, line_address: int) -> StoredLine:
@@ -100,14 +96,10 @@ class MemoryStorage:
         old = self._materialise(line_address).words
         mask = 0
         bit = 1
-        silent = 0
         for old_word, new_word in zip(old, new_words):
             if old_word != new_word:
                 mask |= bit
-            else:
-                silent += 1
             bit <<= 1
-        self.silent_word_writes += silent
         return mask
 
     def write_line(
@@ -132,7 +124,6 @@ class MemoryStorage:
         checks = list(old.checks)
         pcc = old.pcc
         keep_pcc = self.keep_pcc
-        committed = 0
         remaining = mask
         while remaining:
             i = (remaining & -remaining).bit_length() - 1
@@ -142,8 +133,6 @@ class MemoryStorage:
                 pcc ^= words[i] ^ new_word
             words[i] = new_word
             checks[i] = hamming.encode(new_word)
-            committed += 1
-        self.committed_words += committed
         self._lines[line_address] = StoredLine(tuple(words), tuple(checks), pcc)
         return dirty_mask
 

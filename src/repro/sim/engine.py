@@ -92,9 +92,6 @@ class Engine:
     def __init__(self) -> None:
         self._queue: List[_Entry] = []
         self._seq = 0
-        #: Non-cancelled events still queued (kept exact so ``pending()``
-        #: is O(1) instead of a queue scan).
-        self._live = 0
         #: Cancelled entries still physically in the heap.  When they
         #: outnumber the live population the heap is compacted in place
         #: (see :meth:`_compact`).
@@ -102,7 +99,6 @@ class Engine:
         #: One-shot stop latch consumed by :meth:`run_until_stop`.
         self._stop = False
         self.now: int = 0
-        self._running = False
         #: Total events fired over the engine's lifetime (always counted —
         #: one integer increment; the telemetry profile reports it).
         self.events_dispatched = 0
@@ -123,7 +119,6 @@ class Engine:
         self._seq += 1
         handle = EventHandle(time, self._seq, callback, self)
         heapq.heappush(self._queue, (time, self._seq, callback, (), handle))
-        self._live += 1
         return handle
 
     def call_at(self, time: int, callback: Callable[..., None], *args: Any) -> None:
@@ -139,7 +134,6 @@ class Engine:
             )
         self._seq += 1
         heapq.heappush(self._queue, (time, self._seq, callback, args, None))
-        self._live += 1
 
     def call_after(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule a never-cancelled ``callback(*args)`` after ``delay``."""
@@ -161,7 +155,6 @@ class Engine:
         them.  The rebuild is *in place* (slice assignment + heapify) so
         the local aliases held by a running drain loop stay valid.
         """
-        self._live -= 1
         self._cancelled += 1
         queue = self._queue
         if (
@@ -199,7 +192,6 @@ class Engine:
                 continue
             self.now = time
             self.events_dispatched += 1
-            self._live -= 1
             callback(*args)
             return True
         return False
@@ -212,31 +204,26 @@ class Engine:
         callers can measure elapsed time consistently.
         """
         fired = 0
-        self._running = True
         queue = self._queue
         pop = heapq.heappop
-        try:
-            while queue:
-                entry = queue[0]
-                handle = entry[4]
-                if handle is not None and handle.cancelled:
-                    pop(queue)
-                    self._cancelled -= 1
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
+        while queue:
+            entry = queue[0]
+            handle = entry[4]
+            if handle is not None and handle.cancelled:
                 pop(queue)
-                callback, args = entry[2], entry[3]
-                self.now = time
-                self.events_dispatched += 1
-                self._live -= 1
-                callback(*args)
-                fired += 1
-        finally:
-            self._running = False
+                self._cancelled -= 1
+                continue
+            time = entry[0]
+            if until is not None and time > until:
+                break
+            if max_events is not None and fired >= max_events:
+                break
+            pop(queue)
+            callback, args = entry[2], entry[3]
+            self.now = time
+            self.events_dispatched += 1
+            callback(*args)
+            fired += 1
         if until is not None and self.now < until:
             self.now = until
         return fired
@@ -281,7 +268,6 @@ class Engine:
         pop = heapq.heappop
         limit = float("inf") if max_ticks is None else max_ticks
         boundary = float("inf") if sampler is None else sampler.next_boundary
-        self._running = True
         try:
             while queue and not self._stop:
                 time, _seq, callback, args, handle = pop(queue)
@@ -290,7 +276,6 @@ class Engine:
                     continue
                 self.now = time
                 self.events_dispatched += 1
-                self._live -= 1
                 callback(*args)
                 fired += 1
                 if time >= boundary:
@@ -309,14 +294,8 @@ class Engine:
                         self._cancelled -= 1
                         continue
                     self.events_dispatched += 1
-                    self._live -= 1
                     callback(*args)
                     fired += 1
         finally:
             self._stop = False
-            self._running = False
         return fired
-
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._live

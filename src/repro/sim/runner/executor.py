@@ -80,8 +80,6 @@ class SweepRunner:
         #: Merged engine profiles of every job this runner completed
         #: (cache hits contribute the recorded cost of the original run).
         self.profile = RunProfile()
-        self.cached_jobs = 0
-        self.executed_jobs = 0
 
     # ------------------------------------------------------------------
     def run(self, sweep_jobs: Sequence[SweepJob]) -> List[SimulationResult]:
@@ -164,10 +162,6 @@ class SweepRunner:
         completed: int,
         total: int,
     ) -> SimulationResult:
-        if source == "cache":
-            self.cached_jobs += 1
-        else:
-            self.executed_jobs += 1
         if result.profile is not None:
             self.profile.merge(result.profile)
         if self.progress is not None:

@@ -187,10 +187,10 @@ class SystemSimulator:
                 f"ch{channel}.queue.write.depth",
                 lambda q=controller.write_q: len(q.entries),
             )
-        # Fine-grained write engines exist only on PCMap-style controllers;
-        # coarse systems report a constant 0 occupancy.  The sums run in C
+        # Fine-grained write engines exist only on PCMap systems; coarse
+        # systems report a constant 0 occupancy.  The sums run in C
         # (``map`` over ``attrgetter``), so a sample costs one call per probe.
-        engines = [c.fine for c in controllers if hasattr(c, "fine")]
+        engines = [c.fine for c in controllers if c.fine is not None]
         inflight = attrgetter("inflight")
         sampler.add_probe(
             "write_engine.inflight", lambda: sum(map(inflight, engines))

@@ -78,14 +78,14 @@ def test_tick_step_validated():
 def test_renderer_consumes_real_controller_log():
     from repro.analysis.timeline import occupancy_from_trace
     from repro.core.systems import make_system
-    from repro.memory.memsys import make_controller
+    from repro.memory.controller import MemoryController
     from repro.memory.request import make_write
     from repro.sim.engine import Engine
     from repro.telemetry import Telemetry
 
     engine = Engine()
     telemetry = Telemetry.recording()
-    controller = make_controller(
+    controller = MemoryController(
         engine, make_system("rwow-rde"), telemetry=telemetry
     )
     controller.submit(make_write(1, 0, 0b11))
@@ -120,14 +120,14 @@ def test_occupancy_from_trace_filters_and_lifts():
 def test_grid_renders_from_recorded_trace():
     from repro.analysis.timeline import occupancy_from_trace, render_occupancy
     from repro.core.systems import make_system
-    from repro.memory.memsys import make_controller
+    from repro.memory.controller import MemoryController
     from repro.memory.request import make_write
     from repro.sim.engine import Engine
     from repro.telemetry import Telemetry
 
     engine = Engine()
     telemetry = Telemetry.recording()
-    controller = make_controller(
+    controller = MemoryController(
         engine, make_system("rwow-rde"), telemetry=telemetry
     )
     controller.submit(make_write(1, 0, 0b11))

@@ -30,7 +30,7 @@ def test_dram_cache_write_back_stream():
     assert not hit
     assert len(write_backs) == 1
     assert write_backs[0].address == 0
-    assert dram.write_backs == 1
+    assert dram.stats.dirty_evictions == 1
 
 
 def test_first_touch_misses_to_memory():

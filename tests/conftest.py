@@ -7,7 +7,7 @@ from typing import List
 import pytest
 
 from repro.core.systems import make_system
-from repro.memory.memsys import make_controller
+from repro.memory.controller import MemoryController
 from repro.memory.request import MemoryRequest, make_read, make_write
 from repro.sim.engine import Engine
 from repro.sim.metrics import IrlpRecorder, MemoryStats
@@ -43,7 +43,7 @@ class ControllerHarness:
     def __init__(self, system_name: str = "baseline", seed: int = 1, **overrides):
         self.config = make_system(system_name, **overrides)
         self.engine = Engine()
-        self.controller = make_controller(
+        self.controller = MemoryController(
             self.engine, self.config, channel_id=0, seed=seed
         )
         self._next_id = 0

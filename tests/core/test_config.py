@@ -9,7 +9,7 @@ from repro.memory.address import BASELINE_GEOMETRY, PCMAP_GEOMETRY
 def test_default_config_is_baseline():
     config = SystemConfig()
     assert config.name == "baseline"
-    assert not config.is_pcmap
+    assert not config.fine_grained_writes
     assert config.geometry is not None
 
 
@@ -80,5 +80,5 @@ def test_describe_mentions_features():
 
 def test_pcmap_config_defaults():
     config = pcmap_config()
-    assert config.is_pcmap
+    assert config.fine_grained_writes
     assert config.geometry.has_pcc_chip

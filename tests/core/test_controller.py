@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.core.controller import PCMapController
-from repro.core.systems import make_system
-from repro.memory.memsys import make_controller
+from repro.core.systems import (
+    COMPARATOR_SYSTEM_NAMES,
+    PCMAP_SYSTEM_NAMES,
+    SYSTEM_NAMES,
+    make_system,
+)
+from repro.memory.controller import MemoryController
 from repro.memory.request import ServiceClass, make_read, make_write
 from repro.memory.storage import MemoryStorage
 from repro.memory.timing import DEFAULT_TIMING
@@ -22,18 +26,11 @@ def _functional_harness(system_name: str, **overrides):
     return h, storage
 
 
-def test_pcmap_controller_requires_fine_grained():
-    with pytest.raises(ValueError):
-        PCMapController(Engine(), make_system("baseline"))
-
-
 def test_factory_builds_pcmap_for_variants():
-    for name in ("row-nr", "wow-nr", "rwow-rde"):
-        controller = make_controller(Engine(), make_system(name))
-        assert isinstance(controller, PCMapController)
-    assert not isinstance(
-        make_controller(Engine(), make_system("baseline")), PCMapController
-    )
+    """One controller class: a fine write engine exactly on PCMap systems."""
+    for name in SYSTEM_NAMES + COMPARATOR_SYSTEM_NAMES:
+        controller = MemoryController(Engine(), make_system(name))
+        assert (controller.fine is not None) == (name in PCMAP_SYSTEM_NAMES)
 
 
 def test_fine_write_blocks_only_its_chips():

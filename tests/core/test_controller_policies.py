@@ -9,8 +9,10 @@ from tests.conftest import harness
 
 
 def row_policy(controller) -> ReadOverWritePolicy:
-    policy = controller.policies.find(ReadOverWritePolicy)
-    assert policy is not None, "RoW-enabled system must chain the RoW policy"
+    policy = controller.policies.policies[1]  # after silent-write
+    assert isinstance(policy, ReadOverWritePolicy), (
+        "RoW-enabled system must chain the RoW policy"
+    )
     return policy
 
 

@@ -1,10 +1,10 @@
-"""Unit tests for the write-pausing comparator controller."""
+"""Unit tests for the write-pausing comparator (its policy chain)."""
 
 import pytest
 
-from repro.core.pausing import WritePausingController, WritePausingPolicy
+from repro.core.pausing import WritePausingPolicy
 from repro.core.systems import make_system
-from repro.memory.memsys import make_controller
+from repro.memory.controller import MemoryController
 from repro.memory.request import make_read, make_write
 from repro.memory.timing import DEFAULT_TIMING
 from repro.sim.engine import Engine
@@ -13,10 +13,16 @@ from repro.telemetry import EventType, ListSink, Telemetry
 from tests.conftest import harness
 
 
+def pauses(h) -> int:
+    """Pauses taken so far, from the run's one record of them."""
+    return h.controller.telemetry.metrics.value("write.pauses")
+
+
 def test_factory_builds_pausing_controller():
-    controller = make_controller(Engine(), make_system("write-pausing"))
-    assert isinstance(controller, WritePausingController)
-    assert controller.policies.find(WritePausingPolicy) is not None
+    controller = MemoryController(Engine(), make_system("write-pausing"))
+    (policy,) = controller.policies.policies
+    assert isinstance(policy, WritePausingPolicy)
+    assert controller.fine is None
     assert controller.policies.describe() == "write-pausing"
 
 
@@ -31,7 +37,7 @@ def test_write_completes_without_reads():
     h.run()
     assert w.completion > 0
     assert w.latency >= DEFAULT_TIMING.array_write_ticks
-    assert h.controller.pauses_taken == 0
+    assert pauses(h) == 0
 
 
 def test_read_preempts_ongoing_write():
@@ -41,7 +47,7 @@ def test_read_preempts_ongoing_write():
     h.run_until(h.engine.now + DEFAULT_TIMING.array_write_ticks // 3)
     r = h.read(500)
     h.run()
-    assert h.controller.pauses_taken >= 1
+    assert pauses(h) >= 1
     # The read finished before the (paused) write did.
     assert r.completion < w.completion
     assert w.completion > 0
@@ -79,7 +85,7 @@ def test_pause_budget_bounds_write_latency():
     h.run()
     assert w.completion > 0
     # At most MAX_PAUSES pauses were taken for this write.
-    assert h.controller.pauses_taken <= WritePausingController.MAX_PAUSES
+    assert pauses(h) <= WritePausingPolicy.MAX_PAUSES
 
 
 # ----------------------------------------------------------------------
@@ -87,11 +93,11 @@ def test_pause_budget_bounds_write_latency():
 # ----------------------------------------------------------------------
 def test_quantum_is_quarter_write_latency():
     h = harness("write-pausing")
-    policy = h.controller.pausing
+    (policy,) = h.controller.policies.policies
     expected = max(
         1,
         int(DEFAULT_TIMING.array_write_ticks
-            * WritePausingController.PAUSE_QUANTUM_FRACTION),
+            * WritePausingPolicy.PAUSE_QUANTUM_FRACTION),
     )
     assert policy._quantum_ticks == expected
 
@@ -105,7 +111,7 @@ def test_quantum_slicing_adds_no_latency_when_unpaused():
     wb = hb.write(0, 0xFF)
     hp.run()
     hb.run()
-    assert hp.controller.pauses_taken == 0
+    assert pauses(hp) == 0
     assert wp.completion == wb.completion
 
 
@@ -115,7 +121,7 @@ def test_quantum_slicing_adds_no_latency_when_unpaused():
 def test_resume_waits_for_preempting_reads():
     sink = ListSink()
     engine = Engine()
-    controller = make_controller(
+    controller = MemoryController(
         engine,
         make_system("write-pausing"),
         channel_id=0,
@@ -158,9 +164,9 @@ def test_resume_overhead_is_charged():
     paused.run_until(paused.engine.now + DEFAULT_TIMING.array_write_ticks // 3)
     paused.read(500)
     paused.run()
-    assert paused.controller.pauses_taken >= 1
+    assert pauses(paused) >= 1
     overhead = DEFAULT_TIMING.cycles(
-        WritePausingController.RESUME_OVERHEAD_CYCLES
+        WritePausingPolicy.RESUME_OVERHEAD_CYCLES
     )
     assert w_paused.completion >= w_clean.completion + overhead
 
@@ -176,7 +182,7 @@ def test_no_pausing_under_drain_pressure():
         h.write(i, 0xFF)
     r = h.read(999)
     h.run_until(h.engine.now + 4 * DEFAULT_TIMING.array_write_ticks)
-    assert h.controller.pauses_taken == 0
+    assert pauses(h) == 0
     assert r.completion < 0  # the read is still waiting out the drain
     h.run()
     assert h.all_done()
@@ -189,12 +195,12 @@ def test_pausing_resumes_after_drain_exits():
     for i in range(28):
         h.write(i, 0xFF)
     h.run()  # drain everything
-    assert h.controller.pauses_taken == 0
+    assert pauses(h) == 0
     w = h.write(100, 0xFF)
     h.run_until(h.engine.now + DEFAULT_TIMING.array_write_ticks // 3)
     r = h.read(999)
     h.run()
-    assert h.controller.pauses_taken >= 1
+    assert pauses(h) >= 1
     assert r.completion < w.completion
 
 

@@ -13,8 +13,8 @@ def counter(h, name) -> int:
 
 
 def row_policy(h) -> ReadOverWritePolicy:
-    policy = h.controller.policies.find(ReadOverWritePolicy)
-    assert policy is not None
+    policy = h.controller.policies.policies[1]  # after silent-write
+    assert isinstance(policy, ReadOverWritePolicy)
     return policy
 
 

@@ -8,7 +8,7 @@ from repro.core.systems import (
     SYSTEM_NAMES,
     make_system,
 )
-from repro.memory.memsys import make_controller
+from repro.memory.controller import MemoryController
 from repro.sim.engine import Engine
 
 
@@ -84,5 +84,5 @@ EXPECTED_CHAINS = {
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_CHAINS))
 def test_every_system_instantiates_through_the_policy_chain(name):
-    controller = make_controller(Engine(), make_system(name))
+    controller = MemoryController(Engine(), make_system(name))
     assert controller.policies.describe() == EXPECTED_CHAINS[name]

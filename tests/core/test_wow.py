@@ -8,7 +8,7 @@ from tests.conftest import harness
 def test_chain_composition():
     h = harness("wow-nr")
     assert h.controller.policies.describe() == "silent-write -> wow-group"
-    assert h.controller.policies.find(WriteOverWritePolicy) is not None
+    assert isinstance(h.controller.policies.policies[1], WriteOverWritePolicy)
 
 
 def test_chip_disjoint_writes_form_groups():

@@ -24,6 +24,25 @@ def _run_core(records, params=None, system="baseline", limit=10_000):
     return core, memory, engine
 
 
+def _submitted(records, params):
+    """Run a core on the baseline; returns it and its requests in the
+    order it submitted them, each stamped on arrival and completion."""
+    engine = Engine()
+    memory = _system(engine)
+    requests = []
+    submit = memory.submit
+
+    def record(request):
+        requests.append(request)
+        submit(request)
+
+    memory.submit = record
+    core = TraceCore(engine, 0, iter(records), memory, params, 100)
+    core.start()
+    engine.run(max_events=10_000_000)
+    return core, requests
+
+
 def test_compute_only_trace_runs_at_base_cpi():
     params = CoreParams(base_cpi=2.0)
     core, _memory, _engine = _run_core([], params=params, limit=1000)
@@ -55,9 +74,14 @@ def test_mlp_limit_stalls_core():
     # keep `max_outstanding_reads` in flight.
     records = [TraceRecord(0, AccessKind.READ, i * 64 * 4096) for i in range(64)]
     params = CoreParams(max_outstanding_reads=2)
-    core, _memory, _ = _run_core(records, params=params, limit=100)
+    core, reads = _submitted(records, params)
     assert core.done
-    assert core.stall_ticks_mlp > 0
+    assert len(reads) == 64
+    for i, read in enumerate(reads):
+        in_flight = sum(1 for r in reads[:i] if r.completion > read.arrival)
+        assert in_flight < params.max_outstanding_reads, i
+    # Reads waited for the window: submitted after the core first tried.
+    assert any(r.arrival > r.requested_at for r in reads)
 
 
 def test_full_write_queue_backpressures():
@@ -65,9 +89,14 @@ def test_full_write_queue_backpressures():
         TraceRecord(0, AccessKind.WRITE_BACK, i * 64 * 4, dirty_mask=0xFF)
         for i in range(64)
     ]
-    core, _memory, _ = _run_core(records, limit=100)
+    core, writes = _submitted(records, CoreParams())
     assert core.done
-    assert core.stall_ticks_queue > 0
+    assert len(writes) == 64
+    # Zero-gap records all want tick 0: only a full write queue (every
+    # line maps to channel 0) can hold a submit back.
+    capacity = make_system("baseline").write_queue_capacity
+    assert all(w.arrival == 0 for w in writes[:capacity])
+    assert writes[capacity].arrival > 0
 
 
 def test_instruction_limit_respected():

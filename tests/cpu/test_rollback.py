@@ -205,6 +205,7 @@ def test_completion_unstalls_before_verify_verdict():
                         if what == "verify" and i == 0)
     fifth_submit = memory.submit_ticks[4]
     assert first_complete <= fifth_submit < first_verify
-    assert core.stall_ticks_mlp > 0
+    # The fifth read waited on the window, not on its (zero) gap.
+    assert fifth_submit > memory.submit_ticks[3]
     # The rollback on read 0 was still charged through the same path.
     assert core.rollback_model.rollbacks == 1

@@ -125,7 +125,7 @@ class TestFaultsCli:
         assert report["ok"] is True
 
     def test_selftest_mode(self, capsys):
-        assert main(["faults", "--selftest"]) == 0
+        assert main(["faults-selftest"]) == 0
         assert '"passed": true' in capsys.readouterr().out
 
     def test_convergence_smoke_uses_the_smoke_budget(self, monkeypatch):
@@ -139,8 +139,8 @@ class TestFaultsCli:
 
         monkeypatch.setattr(repro.faults, "cross_system_convergence",
                             convergence)
-        assert main(["faults", "--convergence", "--smoke",
-                     "--requests", "300", "--json"]) == 0
+        assert main(["faults-convergence", "--smoke",
+                     "--requests", "300"]) == 0
         assert budgets == [2_000]
 
     def test_json_output_is_bit_stable(self, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.systems import make_system
 from repro.memory.address import AddressMapper, MemoryGeometry, PCMAP_GEOMETRY
-from repro.memory.memsys import make_controller
+from repro.memory.controller import MemoryController
 from repro.memory.request import make_read, make_write
 from repro.sim.engine import Engine
 
@@ -24,7 +24,7 @@ TWO_RANK_BASE = dataclasses.replace(
 def _controller(system_name, geometry):
     engine = Engine()
     config = make_system(system_name, geometry=geometry)
-    return engine, make_controller(engine, config, channel_id=0)
+    return engine, MemoryController(engine, config, channel_id=0)
 
 
 def _rank_addresses(geometry, rank, count, bank=0):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.timeline import occupancy_from_trace
 from repro.core.systems import COMPARATOR_SYSTEM_NAMES, SYSTEM_NAMES, make_system
-from repro.memory.memsys import make_controller
+from repro.memory.controller import MemoryController
 from repro.memory.request import make_read, make_write
 from repro.sim.engine import Engine
 from repro.sim.metrics import MemoryStats
@@ -32,7 +32,7 @@ def _drive(system_name, operations, seed=1, log=False, irlp=None):
     engine = Engine()
     config = make_system(system_name)
     telemetry = Telemetry.recording() if log else None
-    controller = make_controller(
+    controller = MemoryController(
         engine, config, channel_id=0, seed=seed, telemetry=telemetry
     )
     if irlp is not None:

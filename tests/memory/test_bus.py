@@ -47,12 +47,6 @@ def test_custom_duration(bus):
     assert end - start == 777
 
 
-def test_busy_ticks_accumulate(bus):
-    bus.reserve(BusDirection.READ, 0)
-    bus.reserve(BusDirection.WRITE, 0)
-    assert bus.busy_ticks == 2 * DEFAULT_TIMING.burst_ticks
-
-
 def test_partial_buses_independent(bus):
     s0, e0 = bus.reserve_partial(0, BusDirection.WRITE, 0)
     s1, _e1 = bus.reserve_partial(1, BusDirection.READ, 0)

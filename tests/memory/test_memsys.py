@@ -1,7 +1,6 @@
 """Unit tests for the multi-channel memory facade."""
 
 
-from repro.core.controller import PCMapController
 from repro.core.systems import make_system
 from repro.memory.memsys import MainMemory
 from repro.memory.request import RequestKind, make_read, make_write
@@ -40,7 +39,7 @@ def test_controller_for_matches_mapper():
 
 def test_pcmap_config_builds_pcmap_controllers():
     _engine, memory = _memory("rwow-rde")
-    assert all(isinstance(c, PCMapController) for c in memory.controllers)
+    assert all(c.fine is not None for c in memory.controllers)
 
 
 def test_functional_mode_creates_shared_storage():

@@ -30,6 +30,8 @@ ALL_POLICY_TYPES = [
 class FakeController:
     """Just enough controller for PolicyChain.select_write."""
 
+    fine = None  # a coarse controller: the chain scans with its FIFO
+
     def __init__(self, ctx=None):
         self.ctx = ctx
         self.candidate_calls = 0
@@ -82,13 +84,6 @@ def test_bind_happens_at_construction():
 def test_describe_joins_names_in_issue_order():
     chain = PolicyChain(FakeController(), [Recorder(), Permissive()])
     assert chain.describe() == "recorder -> permissive"
-
-
-def test_find_returns_first_of_type():
-    first, second = Recorder(), Recorder()
-    chain = PolicyChain(FakeController(), [first, second])
-    assert chain.find(Recorder) is first
-    assert chain.find(WritePausingPolicy) is None
 
 
 def test_discipline_flags_require_unanimity():

@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.controller import PCMapController
 from repro.memory.address import DecodedAddress
 from repro.memory.controller import NO_WAKE, MemoryController
 from repro.memory.policy import WriteContext
@@ -39,7 +38,7 @@ _RANK_OPS = st.tuples(
 )
 
 
-def _ready_snapshot(controller: PCMapController) -> List[int]:
+def _ready_snapshot(controller: MemoryController) -> List[int]:
     rank = controller.ranks[0]
     chips = range(rank.n_chips)
     banks = range(rank.n_banks)
@@ -57,7 +56,7 @@ def _ready_snapshot(controller: PCMapController) -> List[int]:
 @settings(max_examples=100)
 def test_property_ready_times_never_decrease(system, operations):
     controller = harness(system).controller
-    assert isinstance(controller, PCMapController)
+    assert controller.fine is not None
     rank = controller.ranks[0]
     before = _ready_snapshot(controller)
     for op, chips, bank, end, row in operations:
@@ -107,10 +106,12 @@ def reference_read_scan(
 
 
 def reference_write_scan(
-    c: PCMapController, now: int
+    c: MemoryController, now: int
 ) -> Tuple[Optional[MemoryRequest], Optional[int]]:
     """Oldest-ready-first over every pending write, from scratch."""
-    if c.fine.inflight >= c.config.max_inflight_writes:
+    fine = c.fine
+    assert fine is not None
+    if fine.inflight >= c.config.max_inflight_writes:
         return None, None
     earliest: Optional[int] = None
     for req in c.write_q.pending:
@@ -119,7 +120,7 @@ def reference_write_scan(
         if req.dirty_mask:
             ready = max(
                 rank.write_ready_time(req.chips, d.bank),
-                c.fine.token_free[d.rank],
+                fine.token_free[d.rank],
             )
         else:
             ready = rank.read_ready_time(req.chips, d.bank)
@@ -147,18 +148,17 @@ def use_reference_scans(c: MemoryController) -> None:
         return True
 
     c._try_issue_read = try_issue_read
-    if isinstance(c, PCMapController):
-        pc = c
+    if c.fine is not None:
 
-        def select_write_candidate(now: int) -> Optional[WriteContext]:
-            head, earliest = reference_write_scan(pc, now)
+        def select_candidate(now: int) -> Optional[WriteContext]:
+            head, earliest = reference_write_scan(c, now)
             if head is None:
                 if earliest is not None:
-                    pc._note_wake(earliest)
+                    c._note_wake(earliest)
                 return None
             return WriteContext(now, head, head.decoded)
 
-        pc.select_write_candidate = select_write_candidate
+        c.policies.select_candidate = select_candidate
 
 
 def check_bounded_scans(c: MemoryController) -> None:
@@ -184,20 +184,20 @@ def check_bounded_scans(c: MemoryController) -> None:
 
     c._issue_read = record_issue
     c._try_issue_read = try_issue_read
-    if isinstance(c, PCMapController):
-        pc = c
-        bounded_write = pc.select_write_candidate
+    if c.fine is not None:
+        bounded_write = c.policies.select_candidate
+        assert bounded_write == c.fine.select_candidate
 
-        def select_write_candidate(now: int) -> Optional[WriteContext]:
-            expected, earliest = reference_write_scan(pc, now)
-            wake = pc._wake_time
+        def select_candidate(now: int) -> Optional[WriteContext]:
+            expected, earliest = reference_write_scan(c, now)
+            wake = c._wake_time
             ctx = bounded_write(now)
             assert (ctx.head if ctx is not None else None) is expected
             if ctx is None:
-                assert pc._wake_time == _woken(wake, earliest)
+                assert c._wake_time == _woken(wake, earliest)
             return ctx
 
-        pc.select_write_candidate = select_write_candidate
+        c.policies.select_candidate = select_candidate
 
 
 def fixed_arming_rule(c: MemoryController) -> None:
@@ -253,7 +253,7 @@ def _outcome(h: ControllerHarness) -> list:
     return [
         (r.req_id, r.start_service, r.completion, r.service_class)
         for r in h.submitted
-    ] + [h.engine.now, h.engine.pending()]
+    ] + [h.engine.now, len(h.engine._queue) - h.engine._cancelled]
 
 
 @pytest.mark.parametrize("fixed_rule", [False, True], ids=["pinned-arming", "fixed-arming"])

@@ -24,7 +24,6 @@ def test_diff_mask_detects_changes_and_silent_words():
     new[6] ^= 1
     mask = storage.diff_mask(5, tuple(new))
     assert mask == (1 << 2) | (1 << 6)
-    assert storage.silent_word_writes == 6
 
 
 def test_write_line_updates_only_dirty_words():
@@ -60,7 +59,6 @@ def test_write_line_derives_mask_when_none():
     new[1] ^= 0b11
     mask = storage.write_line(13, tuple(new))
     assert mask == 1 << 1
-    assert storage.committed_words == 1
 
 
 def test_corrupt_bit_breaks_secded_until_corrected():

@@ -107,15 +107,6 @@ def test_step_returns_false_when_idle():
     assert engine.step() is False
 
 
-def test_pending_counts_live_events_only():
-    engine = Engine()
-    handle = engine.schedule_at(10, lambda: None)
-    engine.schedule_at(20, lambda: None)
-    assert engine.pending() == 2
-    handle.cancel()
-    assert engine.pending() == 1
-
-
 def test_events_scheduled_during_run_are_processed():
     engine = Engine()
     fired = []
@@ -173,30 +164,3 @@ def test_call_at_and_schedule_at_share_seq_ordering():
     engine.call_at(5, fired.append, "c")
     engine.run()
     assert fired == ["a", "b", "c"]
-
-
-def test_pending_accounting_through_cancel_then_pop():
-    # pending() is a live counter, so the cancel must decrement it exactly
-    # once: at cancel() time, not again when the dead heap entry pops.
-    engine = Engine()
-    handle = engine.schedule_at(10, lambda: None)
-    engine.call_at(20, lambda: None)
-    assert engine.pending() == 2
-    handle.cancel()
-    assert engine.pending() == 1
-    handle.cancel()  # double-cancel must not decrement again
-    assert engine.pending() == 1
-    engine.run()  # pops the cancelled entry plus the live one
-    assert engine.pending() == 0
-    assert engine.events_dispatched == 1
-
-
-def test_pending_drops_as_events_dispatch():
-    engine = Engine()
-    for tick in (10, 20, 30):
-        engine.call_at(tick, lambda: None)
-    assert engine.pending() == 3
-    engine.step()
-    assert engine.pending() == 2
-    engine.run()
-    assert engine.pending() == 0

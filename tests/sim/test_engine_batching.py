@@ -5,6 +5,11 @@ import pytest
 from repro.sim.engine import Engine
 
 
+def live(engine: Engine) -> int:
+    """Non-cancelled events still queued."""
+    return len(engine._queue) - engine._cancelled
+
+
 # ----------------------------------------------------------------------
 # Heap compaction
 # ----------------------------------------------------------------------
@@ -17,7 +22,7 @@ def test_compaction_fires_when_cancelled_majority_on_big_heap():
     # 51 cancelled * 2 > 100: the heap was rebuilt without dead entries.
     assert len(engine._queue) == 49
     assert engine._cancelled == 0
-    assert engine.pending() == 49
+    assert live(engine) == 49
 
 
 def test_small_heaps_are_never_compacted():
@@ -27,7 +32,7 @@ def test_small_heaps_are_never_compacted():
         handle.cancel()
     # Below COMPACT_MIN_QUEUE the dead entries linger until popped.
     assert len(engine._queue) == 10
-    assert engine.pending() == 1
+    assert live(engine) == 1
 
 
 def test_compaction_preserves_pop_order_and_counts():
@@ -55,7 +60,7 @@ def test_compaction_preserves_pop_order_and_counts():
             expected.append(t + 1000)
     assert engine.run() == len(expected)
     assert fired == expected
-    assert engine.pending() == 0
+    assert live(engine) == 0
 
 
 def test_compaction_during_run_keeps_drain_loop_valid():
@@ -120,7 +125,7 @@ def test_stop_latch_halts_same_tick_batch():
     engine.call_at(7, fired.append, 3)
     assert engine.run_until_stop() == 2
     assert fired == [1, 2]
-    assert engine.pending() == 1
+    assert live(engine) == 1
 
 
 def test_pre_latched_stop_returns_without_dispatch():
@@ -128,7 +133,7 @@ def test_pre_latched_stop_returns_without_dispatch():
     engine.call_at(1, lambda: None)
     engine.request_stop()
     assert engine.run_until_stop() == 0
-    assert engine.pending() == 1
+    assert live(engine) == 1
     assert engine.run_until_stop() == 1  # latch did not stick
 
 
@@ -158,7 +163,7 @@ def test_cancelled_entries_skipped_in_both_loops():
     dead_inner.cancel()
     assert engine.run_until_stop() == 2
     assert fired == ["live", "live2"]
-    assert engine.pending() == 0
+    assert live(engine) == 0
 
 
 def test_max_ticks_fires_offender_then_raises():

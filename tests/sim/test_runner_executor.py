@@ -42,6 +42,15 @@ def _payloads(results):
     return [result_to_dict(result) for result in results]
 
 
+def _run_reporting(cache, jobs):
+    """Run ``jobs`` on one serial runner; returns its runner, results and
+    the progress events' sources (``"cache"`` or ``"run"``) in order."""
+    seen = []
+    runner = SweepRunner(jobs=1, cache=cache, progress=seen.append)
+    results = runner.run(jobs)
+    return runner, results, [p.source for p in seen]
+
+
 def test_parallel_results_bit_identical_to_serial():
     serial = run_jobs(_jobs(), jobs=1)
     parallel = run_jobs(_jobs(), jobs=4)
@@ -68,17 +77,15 @@ def test_parallel_observed_results_bit_identical_to_serial():
 def test_observed_results_round_trip_through_cache(tmp_path):
     cache = ResultCache(tmp_path)
     cold = run_jobs(_jobs(OBSERVED), jobs=1, cache=cache)
-    warm_runner = SweepRunner(jobs=1, cache=cache)
-    warm = warm_runner.run(_jobs(OBSERVED))
-    assert warm_runner.cached_jobs == 4
+    _runner, warm, sources = _run_reporting(cache, _jobs(OBSERVED))
+    assert sources == ["cache"] * 4
     assert all(r.metrics is not None for r in warm)
     assert all(r.timeseries is not None for r in warm)
     assert _payloads(cold) == _payloads(warm)
     # Observability params are part of the cache key: the plain sweep
     # must not be served from the observed sweep's entries.
-    plain_runner = SweepRunner(jobs=1, cache=cache)
-    plain_runner.run(_jobs())
-    assert plain_runner.cached_jobs == 0
+    _runner, _results, sources = _run_reporting(cache, _jobs())
+    assert sources == ["run"] * 4
 
 
 def test_results_come_back_in_job_order():
@@ -96,10 +103,9 @@ def test_warm_cache_serves_identical_results(tmp_path):
     cold = run_jobs(_jobs(), jobs=1, cache=cache)
     assert cache.stats.writes == 4
 
-    warm_runner = SweepRunner(jobs=1, cache=cache)
-    warm = warm_runner.run(_jobs())
-    assert warm_runner.cached_jobs == 4
-    assert warm_runner.executed_jobs == 0
+    warm_runner, warm, sources = _run_reporting(cache, _jobs())
+    assert sources == ["cache"] * 4
+    assert cache.stats.writes == 4  # nothing re-simulated
     assert _payloads(cold) == _payloads(warm)
     # Cached results still carry engine cost for telemetry summaries.
     assert warm_runner.profile.events_dispatched > 0
@@ -118,10 +124,9 @@ def test_corrupted_cache_entry_is_recomputed(tmp_path):
     entry["result"]["instructions"] += 1
     tampered.write_text(json.dumps(entry))
 
-    runner = SweepRunner(jobs=1, cache=cache)
-    recovered = runner.run(_jobs())
+    _runner, recovered, sources = _run_reporting(cache, _jobs())
     assert cache.stats.corrupt == 2
-    assert runner.executed_jobs == 2 and runner.cached_jobs == 2
+    assert sources == ["cache", "cache", "run", "run"]
     assert _payloads(recovered) == _payloads(cold)
 
 
@@ -164,8 +169,8 @@ def test_tagged_sweep_served_from_cache(tmp_path):
     assert len(results) == 4
     assert all(r.memory.reads_completed > 0 for r in results)
     if os.environ.get("REPRO_EXPECT_CACHE_HIT"):
-        assert runner.cached_jobs == 4, (
+        assert cache.stats.hits == 4, (
             "expected warm cache, but jobs were re-simulated: "
             f"{cache.stats}"
         )
-        assert runner.executed_jobs == 0
+        assert cache.stats.misses == 0

@@ -1,20 +1,29 @@
-"""Reference census: every ``src/`` definition has a caller outside ``tests/``.
+"""Reference census: everything ``src/`` defines or stores is read outside ``tests/``.
 
 Every ``def`` and ``class`` under ``src/repro/`` (methods and nested
 functions included, dunders excluded) must be referenced by name from
 the code that runs: a ``src/`` module, or any file under
 ``benchmarks/`` or ``examples/``.  A reference is a ``Name``, an
-``Attribute``, an import alias or an identifier-shaped string constant
+attribute load, an import alias or an identifier-shaped string constant
 equal to the definition's name.  A package ``__init__``'s imports,
 ``__all__`` entries and lazy-name maps only re-export a name, so they do
-not count, and nothing under ``tests/`` counts.  A definition that only
-tests reach is either deleted or listed in ``ALLOWLIST`` with the reason
-it stays.
+not count, and nothing under ``tests/`` counts.
+
+Every attribute a ``src/repro/`` class assigns on ``self`` (plain,
+augmented or annotated assignment) must be read the same way: a store,
+augmented ones included, is not a read, so a counter that is only ever
+incremented is flagged.  A read by ``attrgetter``, ``getattr`` or
+``__slots__`` is an identifier string, which counts.
+
+A definition or attribute that only tests reach is either deleted or
+listed in ``ALLOWLIST`` with the reason it stays.
 
 The check is name-based and stdlib ``ast`` only, so it under-reports: a
-method that shares its name with a referenced one escapes it (the old
-``DimmStatusRegister.poll`` and ``EngineProfiler.record`` hid behind
-other ``poll`` and ``record`` calls and were found by reading the code).
+method or attribute that shares its name with a referenced one escapes
+it (the old ``DimmStatusRegister.poll`` and ``EngineProfiler.record``
+hid behind other ``poll`` and ``record`` calls, ``Engine.pending`` behind
+``CampaignStore.pending`` and ``DramCache.write_backs`` behind the tier's
+``write_backs``, and were found by reading the code).
 """
 
 from __future__ import annotations
@@ -28,8 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 CALLER_DIRS = (ROOT / "benchmarks", ROOT / "examples")
 
-#: Definitions no run, benchmark or example reaches, kept on purpose.
-#: Keyed ``module:qualname``; the value is the one-line reason.
+#: Definitions and attributes no run, benchmark or example reads, kept
+#: on purpose.  Keyed ``module:qualname`` (``module:Class.attr`` for an
+#: attribute); the value is the one-line reason.
 ALLOWLIST: Dict[str, str] = {
     "repro.cache.cacheline:CacheLine.touch":
         "mutator of the reference cache (tests/cache/reference.py) that "
@@ -76,6 +86,43 @@ def definitions(tree: ast.AST, prefix: str = "") -> Iterator[Tuple[str, str]]:
             yield from definitions(child, prefix)
 
 
+def _self_stores(node: ast.AST) -> Iterator[str]:
+    """Names of the ``self.name`` targets one statement assigns."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        for part in ast.walk(target):  # tuple unpacking included
+            if (
+                isinstance(part, ast.Attribute)
+                and isinstance(part.value, ast.Name)
+                and part.value.id == "self"
+            ):
+                yield part.attr
+
+
+def attributes(tree: ast.AST, prefix: str = "") -> Iterator[Tuple[str, str]]:
+    """Yield ``(name, Class.name)`` for every attribute a class's own
+    methods assign on ``self`` (a nested class reports its own)."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.ClassDef):
+            qualname = f"{prefix}{child.name}"
+            pending: List[ast.AST] = list(child.body)
+            while pending:
+                node = pending.pop()
+                if isinstance(node, ast.ClassDef):
+                    continue
+                for name in _self_stores(node):
+                    yield name, f"{qualname}.{name}"
+                pending.extend(ast.iter_child_nodes(node))
+            yield from attributes(child, f"{qualname}.")
+        else:
+            yield from attributes(child, prefix)
+
+
 def references(tree: ast.Module, is_package_init: bool) -> Set[str]:
     """Every name the module refers to, under the rule in the docstring.
 
@@ -88,7 +135,8 @@ def references(tree: ast.Module, is_package_init: bool) -> Set[str]:
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
         elif is_package_init:
             continue
         elif isinstance(node, ast.alias):
@@ -105,9 +153,11 @@ def references(tree: ast.Module, is_package_init: bool) -> Set[str]:
 
 
 @lru_cache(maxsize=None)
-def census() -> Tuple[str, ...]:
-    """``module:qualname`` of every definition nothing outside tests names."""
+def census() -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``module:qualname`` of every definition, and ``module:Class.attr``
+    of every ``self`` attribute, that nothing outside tests reads."""
     defined: List[Tuple[str, str]] = []
+    stored: Dict[str, str] = {}
     referenced: Set[str] = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -115,24 +165,41 @@ def census() -> Tuple[str, ...]:
         defined += [
             (name, f"{module}:{qualname}") for name, qualname in definitions(tree)
         ]
+        for name, qualname in attributes(tree):
+            stored[f"{module}:{qualname}"] = name
         referenced |= references(tree, path.name == "__init__.py")
     for directory in CALLER_DIRS:
         for path in sorted(directory.rglob("*.py")):
             referenced |= references(ast.parse(path.read_text()), False)
-    return tuple(key for name, key in defined if name not in referenced)
+    return (
+        tuple(key for name, key in defined if name not in referenced),
+        tuple(key for key, name in stored.items() if name not in referenced),
+    )
+
+
+def _missing(unread: Tuple[str, ...]) -> str:
+    return ", ".join(key for key in unread if key not in ALLOWLIST)
 
 
 def test_every_src_definition_has_a_caller_outside_tests():
-    unreferenced = census()
-    missing = [key for key in unreferenced if key not in ALLOWLIST]
+    missing = _missing(census()[0])
     assert not missing, (
         "referenced only from tests (delete, or allowlist with a reason): "
-        + ", ".join(missing)
+        + missing
+    )
+
+
+def test_every_src_self_attribute_is_read_outside_tests():
+    missing = _missing(census()[1])
+    assert not missing, (
+        "stored but read only from tests, or never (delete, or allowlist "
+        "with a reason): " + missing
     )
 
 
 def test_allowlist_is_not_stale():
-    stale = sorted(set(ALLOWLIST) - set(census()))
+    definitions_, attributes_ = census()
+    stale = sorted(set(ALLOWLIST) - set(definitions_) - set(attributes_))
     assert not stale, (
         "allowlisted but gone or referenced now (drop the entry): "
         + ", ".join(stale)

@@ -281,7 +281,7 @@ def test_regress_command_passes_then_breaches(tmp_path, capsys):
 
 
 def test_regress_selftest(capsys):
-    assert main(["regress", "--selftest"]) == 0
+    assert main(["regress-selftest"]) == 0
     assert "selftest passed" in capsys.readouterr().out
 
 
@@ -295,7 +295,7 @@ def test_regress_update_pins_baseline(tmp_path, capsys, monkeypatch):
         lambda seed=7: {"smoke": {"config": {"seed": seed}, "metrics": {}}},
     )
     path = tmp_path / "BENCH_perf.json"
-    assert main(["regress", "--update", "--baseline", str(path)]) == 0
+    assert main(["regress-update", "--baseline", str(path)]) == 0
     assert "pinned" in capsys.readouterr().out
     assert "metrics_fingerprint" in json.loads(path.read_text())
 
@@ -602,6 +602,18 @@ _FRESH_SWEEP = ["sweep", "--workloads", "MP3", "--systems", "baseline",
     pytest.param([*_FRESH_SWEEP, "--store", "st.sqlite"], "--store", id="sweep-store"),
     pytest.param([*_FRESH_SWEEP, "--reset-dead-letters"], "--reset-dead-letters", id="sweep-reset-dead-letters"),
     pytest.param(["sweep", "--workloads", "MP3", "--resume", "c"], "--resume", id="sweep-resume"),
+    # Each mode of faults and regress is its own command, holding only
+    # the options that mode reads; the old mode flags are gone.
+    pytest.param(["faults-selftest", "--system", "baseline", "--read-disturb", "0.5"], "--read-disturb", id="faults-selftest-fault-options"),
+    pytest.param(["faults-selftest", "--json"], "--json", id="faults-selftest-json"),
+    pytest.param(["faults-convergence", "--system", "baseline"], "--system", id="faults-convergence-system"),
+    pytest.param(["faults-convergence", "--json"], "--json", id="faults-convergence-json"),
+    pytest.param(["faults", "--selftest"], "--selftest", id="faults-selftest-flag"),
+    pytest.param(["faults", "--convergence"], "--convergence", id="faults-convergence-flag"),
+    pytest.param(["regress-update", "--smoke", "--baseline", "X"], "--smoke", id="regress-update-smoke"),
+    pytest.param(["regress-selftest", "--baseline", "X"], "--baseline", id="regress-selftest-baseline"),
+    pytest.param(["regress", "--update"], "--update", id="regress-update-flag"),
+    pytest.param(["regress", "--selftest"], "--selftest", id="regress-selftest-flag"),
 ])
 def test_options_a_command_does_not_read_exit_2(argv, option, tmp_path,
                                                 capsys, monkeypatch):

@@ -18,7 +18,10 @@ processes too).
   its codec, the energy and wear models, the prior-art comparator, the
   telemetry exporters and trace files, and the stdlib modules only a
   sweep pool, an isolated job or a saved result needs
-  (:data:`SWEEP_ONLY`).  The policy modules load when the run is built.
+  (:data:`SWEEP_ONLY`).  The policy modules load when the run is built,
+  and only those its chain holds: a coarse run (``baseline``,
+  ``write-pausing``) loads none of PCMap's (:data:`PCMAP_POLICIES`), and
+  only ``write-pausing`` loads the comparator.
 * The tier run loads the tier; a two-worker ``run_pairs`` loads the pool.
 * Functional runs (the reference run with a backing store, direct and
   behind the tier, and ``repro faults --smoke``) load the store and the
@@ -68,9 +71,11 @@ TIMING_ONLY_SKIPS = (
 
 #: The policy chain of ``rwow-rde``, loaded when the run is built.
 RWOW_RDE_POLICIES = (
-    "repro.core.controller", "repro.core.fine", "repro.core.row",
-    "repro.core.wow", "repro.core.rotation",
+    "repro.core.fine", "repro.core.row", "repro.core.wow", "repro.core.rotation",
 )
+
+#: The PCMap policy modules, which no coarse system's chain holds.
+PCMAP_POLICIES = ("repro.core.fine", "repro.core.row", "repro.core.wow")
 
 REFERENCE_RUN = """
     from repro.core.systems import make_system
@@ -81,6 +86,16 @@ REFERENCE_RUN = """
     assert (result.profile.events_dispatched, result.sim_ticks) == (
         6150, 364931
     ), (result.profile.events_dispatched, result.sim_ticks)
+"""
+
+#: The reference run on a coarse system: ``{system}`` is filled in.
+COARSE_RUN = """
+    from repro.core.systems import make_system
+    from repro.sim.simulator import SimulationParams, SystemSimulator
+
+    params = SimulationParams(target_requests=3000, seed=7)
+    result = SystemSimulator(make_system("{system}"), "canneal", params).run()
+    assert result.memory.writes_completed > 0
 """
 
 #: case -> (code, modules that must be absent, modules that must be present)
@@ -101,6 +116,17 @@ TIMING_ONLY = {
         REFERENCE_RUN,
         TIMING_ONLY_SKIPS,
         RWOW_RDE_POLICIES,
+    ),
+    "baseline-run": (
+        COARSE_RUN.format(system="baseline"),
+        TIMING_ONLY_SKIPS + PCMAP_POLICIES,
+        ("repro.memory.controller", "repro.memory.policy", "repro.core.rotation"),
+    ),
+    "write-pausing-run": (
+        COARSE_RUN.format(system="write-pausing"),
+        tuple(name for name in TIMING_ONLY_SKIPS if name != "repro.core.pausing")
+        + PCMAP_POLICIES,
+        ("repro.core.pausing",),
     ),
     "tier-run": (
         """
