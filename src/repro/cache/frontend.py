@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 # FrontEndConfig must stay importable here: sweep jobs pickled before it
 # moved to repro.cache.config name this module.
@@ -148,9 +148,11 @@ class DramCacheFrontEnd:
         #: eviction order (the tier's single write-back port drains them
         #: strictly in order).
         self._write_backs: Deque[MemoryRequest] = deque()
-        #: One-shot wake-ups for producers blocked on the tier
-        #: (mirrors the controller queues' wait_for_space semantics).
-        self._space_waiters: List[Callable[[], None]] = []
+        #: Producers blocked on the tier, in registration order: the
+        #: transaction each waits to submit and its wake-up.
+        self._space_waiters: List[
+            Tuple[RequestKind, int, Callable[[], None]]
+        ] = []
         self._wb_blocked = False
         self._next_fill_id = FILL_ID_BASE
         self._next_wb_id = WRITE_BACK_ID_BASE
@@ -194,8 +196,10 @@ class DramCacheFrontEnd:
         # completion calls _notify_space: a full MSHR table or full PCM
         # read queue means fills are outstanding, and a full write-back
         # buffer keeps a drain registration against the controller's
-        # write queue.  So a local one-shot list cannot strand waiters.
-        self._space_waiters.append(callback)
+        # write queue.  Each such call re-checks every waiter, and a
+        # waiter stays registered until its own check passes, so none
+        # is stranded.
+        self._space_waiters.append((kind, address, callback))
 
     @property
     def idle(self) -> bool:
@@ -375,9 +379,19 @@ class DramCacheFrontEnd:
         self._notify_space()
 
     def _notify_space(self) -> None:
-        """Wake blocked producers once (they re-check and re-register)."""
+        """Wake, in registration order, the producers that can now enter.
+
+        Each waiter is checked in turn, after the wake-ups before it ran
+        (a woken producer may take the MSHR a later one waits for).  One
+        that still cannot enter stays registered, in the place its own
+        re-registration would have taken.
+        """
         if not self._space_waiters:
             return
         waiters, self._space_waiters = self._space_waiters, []
-        for callback in waiters:
-            callback()
+        for waiter in waiters:
+            kind, address, callback = waiter
+            if self.can_accept(kind, address):
+                callback()
+            else:
+                self._space_waiters.append(waiter)

@@ -132,7 +132,7 @@ class FineWriteEngine:
         )
         end = start + c.timing.array_read_ticks
         if c.tracer.enabled:
-            rank.log_label = f"Cmp-{req.req_id}"
+            rank.log_label, rank.log_id = "Cmp-", req.req_id
         rank.reserve_read(chips, decoded.bank, end, decoded.row, start=start)
         req.service_class = ServiceClass.SILENT
         # Zero-activity window: silent write-backs count toward IRLP.
@@ -179,7 +179,7 @@ class FineWriteEngine:
             ticks = c._word_write_ticks(req, word)
             chip_end = array_start + ticks
             if c.tracer.enabled:
-                rank.log_label = f"Wr-{req.req_id}"
+                rank.log_label, rank.log_id = "Wr-", req.req_id
             rank.reserve_chip_write(chip, bank, chip_end, row, start=array_start)
             c._m_chip_word_writes[chip].inc()
             # Route through _record_activity so concurrent windows (other
@@ -252,7 +252,7 @@ class FineWriteEngine:
         # ecc_update_ticks is all-inclusive (read-modify-write of the
         # code word), mirroring the data-word write cost model.
         end = xfer_end + c.timing.ecc_update_ticks
-        rank.log_label = "code-update"
+        rank.log_label, rank.log_id = "code-update", -1
         rank.reserve_chip_write(chip, bank, end, row, start=xfer_end)
         c._m_chip_word_writes[chip].inc()
         return end

@@ -164,7 +164,7 @@ class WritePausingPolicy(BaseSchedulerPolicy):
         quantum = min(self._quantum_ticks, remaining)
         end = seg_start + quantum
         if c.tracer.enabled:
-            rank.log_label = f"Wr-{req.req_id}"
+            rank.log_label, rank.log_id = "Wr-", req.req_id
         rank.reserve_write(chips, decoded.bank, end, decoded.row, start=seg_start)
 
         def at_boundary() -> None:

@@ -315,7 +315,7 @@ class ReadOverWritePolicy(FineEnginePolicy):
             )
             end = max(end, xfer_end)
         if c.tracer.enabled:
-            rank.log_label = f"Rd-{req.req_id}"
+            rank.log_label, rank.log_id = "Rd-", req.req_id
         rank.reserve_read(chips, bank, end, row, start=start)
 
         req.start_service = start
@@ -398,7 +398,7 @@ class ReadOverWritePolicy(FineEnginePolicy):
             )
             end = start + activation + c.timing.read_io_ticks
             if c.tracer.enabled:
-                rank.log_label = f"Vfy-{req.req_id}"
+                rank.log_label, rank.log_id = "Vfy-", req.req_id
             rank.reserve_read(chips, decoded.bank, end, decoded.row, start=start)
             c.engine.call_at(
                 end, self._finish_verify, req, decoded, missing_word

@@ -445,7 +445,7 @@ class MemoryController:
         cas_ready = now + activation + self._tcl_ticks
         _bus_start, bus_end = self.bus.reserve(BusDirection.READ, cas_ready)
         if self.tracer.enabled:
-            rank.log_label = f"Rd-{req.req_id}"
+            rank.log_label, rank.log_id = "Rd-", req.req_id
         rank.reserve_read(chips, decoded.bank, bus_end, decoded.row, start=now)
 
         req.start_service = now
@@ -553,7 +553,7 @@ class MemoryController:
             if self.geometry.has_ecc_chip:
                 self._m_chip_word_writes[self.geometry.ecc_chip_index].inc()
         if self.tracer.enabled:
-            rank.log_label = f"Wr-{req.req_id}"
+            rank.log_label, rank.log_id = "Wr-", req.req_id
         rank.reserve_write(chips, decoded.bank, end, decoded.row, start=array_start)
         self._finish_write(req, start, end, decoded)
 

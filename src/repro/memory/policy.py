@@ -89,7 +89,7 @@ class SchedulerPolicy(Protocol):
     the type checker locks down.
     """
 
-    #: Short identifier used in chain descriptions and tests.
+    #: Short identifier of the policy in a chain (``chain.policies``).
     name: str
     #: When True (the default read-priority discipline), queued-but-unready
     #: reads block write issue outside drain mode.  Pausing clears it: its
@@ -99,7 +99,7 @@ class SchedulerPolicy(Protocol):
     #: controller drains (the baseline accounting; pausing does not flag).
     mark_reads_delayed_in_drain: bool
 
-    def bind(self, controller: "MemoryController", chain: "PolicyChain") -> None:
+    def bind(self, controller: "MemoryController") -> None:
         """Attach to a controller; fetch metrics/resources once."""
         ...
 
@@ -129,15 +129,13 @@ class BaseSchedulerPolicy:
 
     def __init__(self) -> None:
         self.controller: Optional["MemoryController"] = None
-        self.chain: Optional["PolicyChain"] = None
 
-    def bind(self, controller: "MemoryController", chain: "PolicyChain") -> None:
+    def bind(self, controller: "MemoryController") -> None:
         self.controller = controller
-        self.chain = chain
         self.on_bind()
 
     def on_bind(self) -> None:
-        """Subclass hook: runs once after ``controller``/``chain`` attach."""
+        """Subclass hook: runs once after ``controller`` attaches."""
 
     def pre_select(self, now: int) -> Optional[bool]:
         return None
@@ -167,7 +165,7 @@ class PolicyChain:
             else fine.select_candidate
         )
         for policy in self.policies:
-            policy.bind(controller, self)
+            policy.bind(controller)
         # Chain-level discipline flags: one dissenting policy (write
         # pausing) flips them, relaxing the baseline rules.
         self.reads_block_writes = all(
@@ -190,11 +188,6 @@ class PolicyChain:
             p for p in self.policies
             if getattr(type(p), hook, None) is not base
         ]
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        """Human-readable chain summary, issue order left to right."""
-        return " -> ".join(p.name for p in self.policies)
 
     # ------------------------------------------------------------------
     # The write step

@@ -57,9 +57,12 @@ class RankState:
         self.open_row: List[List[Optional[int]]] = [
             [None] * n_chips for _ in range(n_banks)
         ]
-        #: ``reason`` of the next reservation's trace events; controllers
-        #: set it per request, and only while tracing is on.
+        #: Label of the next reservation's trace events: a prefix and a
+        #: request id (-1 for none) that read back as their ``reason``
+        #: (``"Rd-"`` and 7 as ``"Rd-7"``).  Controllers set the pair per
+        #: request, and only while tracing is on.
         self.log_label: str = ""
+        self.log_id: int = -1
         #: Structured-event tracer, the only record of chip occupancy:
         #: every reservation becomes a ``chip.reserve``/``chip.release``
         #: pair per chip when tracing is on.
@@ -161,7 +164,7 @@ class RankState:
         if self.tracer.enabled:
             self.tracer.emit_reservation(
                 "read", chips, bank, start, end,
-                self.channel, self.rank_index, self.log_label,
+                self.channel, self.rank_index, self.log_label, self.log_id,
             )
 
     def reserve_write(
@@ -189,7 +192,7 @@ class RankState:
         if self.tracer.enabled:
             self.tracer.emit_reservation(
                 "write", chips, bank, start, end,
-                self.channel, self.rank_index, self.log_label,
+                self.channel, self.rank_index, self.log_label, self.log_id,
             )
 
     def reserve_chip_write(

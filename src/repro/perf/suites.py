@@ -412,9 +412,12 @@ def bench_tracing(seed: int, smoke: bool = False) -> BenchReport:
 #: :func:`check_payload` at every budget: 3% above the highest reading
 #: of the smoke and full budgets at seeds 3 and 7 (91.5 calls per sample
 #: and 0.988 calls per trace event on CPython 3.10, 3.11 and 3.12; the
-#: reference run itself reads 90.0 and 0.981).  A sample, or a trace
-#: event, that starts calling more Python or builtin functions trips
-#: them on any machine.
+#: reference run itself reads 90.0 and 0.981).  Packed trace rows read
+#: at most 1.004 (seed 3, full budget; the reference run 0.993, the
+#: same on 3.10-3.12): a record holding a string or chips tuple the
+#: tracer has not coded yet costs five or six more calls.  A sample, or
+#: a trace event, that starts calling more Python or builtin functions
+#: trips them on any machine.
 CALLS_PER_SAMPLE_CEILING = 94.3
 CALLS_PER_TRACE_EVENT_CEILING = 1.02
 

@@ -223,6 +223,35 @@ def test_space_waiters_wake_after_fill_completion():
     assert woken == [1]
 
 
+def test_blocked_producer_is_called_back_only_once_it_can_enter():
+    engine = Engine()
+    memory = FakeMemory(engine)
+    # One MSHR, two one-line sets: lines 0, 2, 4, 6 share set 0.
+    frontend = _frontend(engine, memory, size_bytes=2 * LINE,
+                         associativity=1, mshrs=1)
+    frontend.submit(_write(0, dirty_mask=1))
+    engine.run()
+    # PCM refuses the dirty eviction, so the tier waits on its queue.
+    memory.accept_writes = False
+    frontend.submit(_read(2 * LINE, req_id=2))
+    engine.run()
+    assert frontend.writeback_depth == 1
+    frontend.submit(_read(4 * LINE, req_id=3))  # the one MSHR, in flight
+    woken = []
+    for name, line in (("new miss", 6), ("in flight", 4), ("resident", 2)):
+        frontend.wait_for_space(
+            RequestKind.READ, line * LINE, lambda name=name: woken.append(name)
+        )
+    # The write-back drains with the MSHR table still full: only the
+    # producers whose line is in flight or resident may enter.
+    memory.open_writes()
+    assert frontend.writeback_depth == 0 and frontend.mshr_depth == 1
+    assert woken == ["in flight", "resident"]
+    # The fill frees the MSHR: the new miss is called back, once.
+    engine.run()
+    assert woken == ["in flight", "resident", "new miss"]
+
+
 def test_full_writeback_buffer_blocks_writes():
     engine = Engine()
     memory = FakeMemory(engine)

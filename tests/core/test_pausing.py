@@ -23,7 +23,7 @@ def test_factory_builds_pausing_controller():
     (policy,) = controller.policies.policies
     assert isinstance(policy, WritePausingPolicy)
     assert controller.fine is None
-    assert controller.policies.describe() == "write-pausing"
+    assert [p.name for p in controller.policies.policies] == ["write-pausing"]
 
 
 def test_pausing_incompatible_with_pcmap():

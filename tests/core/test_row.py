@@ -20,9 +20,9 @@ def row_policy(h) -> ReadOverWritePolicy:
 
 def test_chain_composition():
     h = harness("row-nr")
-    assert h.controller.policies.describe() == (
-        "silent-write -> row-window -> fine-write"
-    )
+    assert [p.name for p in h.controller.policies.policies] == [
+        "silent-write", "row-window", "fine-write",
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -72,17 +72,17 @@ def test_comparator_systems_defined():
 
 
 EXPECTED_CHAINS = {
-    "baseline": "coarse-drain",
-    "row-nr": "silent-write -> row-window -> fine-write",
-    "wow-nr": "silent-write -> wow-group",
-    "rwow-nr": "silent-write -> row-window -> wow-group",
-    "rwow-rd": "silent-write -> row-window -> wow-group",
-    "rwow-rde": "silent-write -> row-window -> wow-group",
-    "write-pausing": "write-pausing",
+    "baseline": ["coarse-drain"],
+    "row-nr": ["silent-write", "row-window", "fine-write"],
+    "wow-nr": ["silent-write", "wow-group"],
+    "rwow-nr": ["silent-write", "row-window", "wow-group"],
+    "rwow-rd": ["silent-write", "row-window", "wow-group"],
+    "rwow-rde": ["silent-write", "row-window", "wow-group"],
+    "write-pausing": ["write-pausing"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_CHAINS))
 def test_every_system_instantiates_through_the_policy_chain(name):
     controller = MemoryController(Engine(), make_system(name))
-    assert controller.policies.describe() == EXPECTED_CHAINS[name]
+    assert [p.name for p in controller.policies.policies] == EXPECTED_CHAINS[name]

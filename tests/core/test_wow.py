@@ -7,7 +7,9 @@ from tests.conftest import harness
 
 def test_chain_composition():
     h = harness("wow-nr")
-    assert h.controller.policies.describe() == "silent-write -> wow-group"
+    assert [p.name for p in h.controller.policies.policies] == [
+        "silent-write", "wow-group",
+    ]
     assert isinstance(h.controller.policies.policies[1], WriteOverWritePolicy)
 
 

@@ -78,12 +78,12 @@ def test_bind_happens_at_construction():
     policy = Recorder()
     chain = PolicyChain(controller, [policy])
     assert policy.controller is controller
-    assert policy.chain is chain
+    assert chain.policies == [policy]
 
 
 def test_describe_joins_names_in_issue_order():
     chain = PolicyChain(FakeController(), [Recorder(), Permissive()])
-    assert chain.describe() == "recorder -> permissive"
+    assert [p.name for p in chain.policies] == ["recorder", "permissive"]
 
 
 def test_discipline_flags_require_unanimity():
@@ -144,7 +144,7 @@ def test_first_claiming_policy_wins_the_step():
 def test_concrete_policies_satisfy_the_protocol(policy_type):
     policy = policy_type()
     assert isinstance(policy, SchedulerPolicy)
-    assert policy.name  # every policy names itself for describe()
+    assert policy.name  # every policy names itself in a chain
 
 
 @pytest.mark.parametrize("policy_type", ALL_POLICY_TYPES)

@@ -8,8 +8,9 @@ calls that sampling adds per sample, and that tracing adds per trace
 event, do not depend on the host.  Storing each rank reservation as one
 record, and probing queues and sums without properties or generator
 frames, brought them from 179.5 to 90.0 and from 1.297 to 0.981 on
-CPython 3.11.7.  The ceilings are the ones ``repro perf --check``
-applies to the suite's payload.
+CPython 3.11.7; packing records into rows, with the first sight of
+each string and chips tuple interned, reads 0.993.  The ceilings are
+the ones ``repro perf --check`` applies to the suite's payload.
 """
 
 from repro.core.systems import make_rwow_rde

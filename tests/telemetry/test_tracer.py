@@ -31,11 +31,12 @@ def _event(tick=100, **kwargs):
 
 
 def _reservation(
-    tracer, kind="write", chips=(0, 3, 9), start=10, end=1210, reason="Wr-1"
+    tracer, kind="write", chips=(0, 3, 9), start=10, end=1210, reason="Wr-1",
+    reason_id=-1,
 ):
     tracer.emit_reservation(
         kind, chips, bank=2, start=start, end=end, channel=0, rank=1,
-        reason=reason,
+        reason=reason, reason_id=reason_id,
     )
 
 
@@ -151,21 +152,31 @@ _FIELDS = st.fixed_dictionaries(
 def test_record_view_equals_the_event_of_the_same_fields(event_type, fields):
     sink = ListSink()
     Tracer([sink]).emit(event_type, **fields)
-    (record,) = sink.records
-    assert type(record[0]) is str and record[0] == event_type.value
+    # One record, a row or (a field out of a row's range) kept whole.
+    assert len(sink.records) == 1
     (view,) = sink.events
     assert view == TraceEvent(event_type, **fields)
     assert view.type is event_type
 
 
 def test_records_without_extra_are_untracked_by_the_collector():
-    sink = ListSink()
-    tracer = Tracer([sink])
-    tracer.emit(EventType.REQUEST_ISSUE, 5, channel=1, req_id=9,
-                kind="read", reason="row-overlap")
-    _reservation(tracer)
+    # Rows are bytes in a bytearray: the collector has nothing to track.
+    ring, full = RingBufferSink(capacity=50), ListSink()
+    tracer = Tracer([ring, full])
+
+    def record(n):
+        for req_id in range(n):
+            tracer.emit(EventType.REQUEST_ISSUE, 5, channel=1, req_id=req_id,
+                        kind="read", reason="row-overlap")
+            _reservation(tracer, reason="Wr-", reason_id=req_id)
+
+    record(1)  # interns the strings and the chips tuple
     gc.collect()
-    assert not any(gc.is_tracked(record) for record in sink.records)
+    tracked = len(gc.get_objects())
+    record(500)
+    gc.collect()
+    assert len(gc.get_objects()) <= tracked
+    assert len(full.records) == 1002 and len(ring) == 50
 
 
 def test_reservation_hands_off_a_pair_per_chip():
@@ -272,3 +283,31 @@ def test_read_jsonl_returns_the_emitted_events(tmp_path):
                     extra={"write_queue_depth": 2})
     assert jsonl.written == tracer.emitted == 8
     assert read_jsonl(path) == full.events
+
+
+def test_rows_read_back_labels_wide_records_and_overflowing_codes():
+    ring, full = RingBufferSink(capacity=5), ListSink()
+    tracer = Tracer([ring, full])
+    _reservation(tracer, chips=(1,), reason="Rd-", reason_id=7)
+    _reservation(tracer, chips=(2,), reason="code-update")
+    # Fields a row cannot hold: the record is kept whole.
+    tracer.emit(EventType.REQUEST_ISSUE, 1, channel=2**40, req_id=2**63)
+    _reservation(tracer, chips=(0, 1), start=2**70)
+    # More distinct strings than a row's code byte: the rest go whole.
+    for n in range(300):
+        tracer.emit(EventType.ROW_DECLINE, n, reason=f"r{n}",
+                    extra={"n": n} if n % 3 else None)
+    events = full.events
+    assert [(e.reason, e.chip) for e in events[:4]] == [
+        ("Rd-7", 1), ("Rd-7", 1), ("code-update", 2), ("code-update", 2),
+    ]
+    assert (events[4].channel, events[4].req_id) == (2**40, 2**63)
+    assert [e.start for e in events[5:9]] == [2**70] * 4
+    assert [(e.reason, e.extra) for e in events[9:]] == [
+        (f"r{n}", {"n": n} if n % 3 else None) for n in range(300)
+    ]
+    assert len(full.records) == 304
+    assert ring.events == events[-5:]
+    # Rows decode with their tracer's codes: a sink serves one tracer.
+    with pytest.raises(ValueError):
+        Tracer([full])
